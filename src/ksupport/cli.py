@@ -75,11 +75,8 @@ def _parse_vector(args: argparse.Namespace) -> np.ndarray:
     raise InvalidInputError("supply a vector via --vec, --input, or stdin")
 
 
-def _emit(payload, fmt: str = "json") -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, default=_json_default))
-    else:
-        raise InvalidInputError(f"unknown output format {fmt!r}")
+def _emit(payload) -> None:
+    print(json.dumps(payload, indent=2, default=_json_default))
 
 
 def _json_default(obj):

@@ -5,8 +5,10 @@ largest entries.  The k-support norm is its dual: the gauge of the closed
 convex hull of all k-sparse points of the lp unit ball.  Closed forms are
 used where they exist (p = 1, p = inf, k = 1, k = d); otherwise the value
 is obtained by maximizing ``<x, y>`` over the top-norm ball, either through
-the sign/ordering symmetry reduction (exact, default) or by literal
-projected gradient ascent with Dykstra projections (``dual_ascent_ksupport``).
+the sign/ordering symmetry reduction (exact, default: on sorted |x| the
+maximizer keeps the top entries as singletons and pools the tail into one
+block, whose start has a closed form) or by literal projected gradient
+ascent with Dykstra projections (``dual_ascent_ksupport``).
 An independent decomposition program (``ksupport_norm_oracle``) certifies
 values at desk scale.
 """
@@ -85,7 +87,7 @@ class EvalReport:
     """
 
     value: float
-    method: str  # closed_form | dual_ascent | decomposition_oracle
+    method: str  # closed_form | symmetry_reduction | dual_ascent | decomposition_oracle
     certified_gap: float = 0.0
 
 
@@ -140,24 +142,13 @@ def project_lq_ball(v: np.ndarray, q: float, tol: float = 1e-12) -> np.ndarray:
     if math.isinf(q):
         return np.clip(v, -1.0, 1.0)
     if q == 1:
-        return np.sign(v) * _simplex_residual(np.abs(v), tol)
+        # sort and threshold: theta is the soft threshold with sum(max(a - theta, 0)) = 1
+        a = np.abs(v)
+        u = np.sort(a)[::-1]
+        excess = np.cumsum(u) - 1.0
+        r = np.flatnonzero(u * np.arange(1, u.size + 1) > excess)[-1]
+        return np.sign(v) * np.maximum(a - excess[r] / (r + 1), 0.0)
     return np.sign(v) * _lq_ball_project_abs(np.abs(v), q, tol)
-
-
-def _simplex_residual(a: np.ndarray, tol: float) -> np.ndarray:
-    # bisection on the soft threshold theta with sum(max(a - theta, 0)) = 1
-    lo, hi = 0.0, float(a.max())
-    for _ in range(200):
-        theta = 0.5 * (lo + hi)
-        s = float(np.maximum(a - theta, 0.0).sum())
-        if s > 1.0:
-            lo = theta
-        else:
-            hi = theta
-        if hi - lo < tol:
-            break
-    theta = 0.5 * (lo + hi)
-    return np.maximum(a - theta, 0.0)
 
 
 def _coord_root(a: float, c: float, q: float, w0: float) -> float:
@@ -276,19 +267,7 @@ def ksupport_value(x: Sequence[float], spec: NormSpec) -> float:
     Same dispatch as :func:`ksupport_norm` without building the LP
     decomposition certificate.
     """
-    arr = as_vector(x)
-    d = arr.size
-    spec.check_dim(d)
-    p, k = spec.p, spec.k
-    if p == 1 or k == 1:
-        return float(np.abs(arr).sum())
-    if math.isinf(p):
-        return max(float(np.abs(arr).sum()) / k, float(np.abs(arr).max()))
-    if k == d:
-        return lp_norm(arr, p)
-    if float(np.abs(arr).max()) == 0.0:
-        return 0.0
-    return _reduced_ksupport(arr, spec)[0]
+    return _ksupport(as_vector(x), spec)[0]
 
 
 def ksupport_norm(
@@ -302,29 +281,35 @@ def ksupport_norm(
     ``max(||x||_1 / k, ||x||_inf)``, k = d gives the plain lp norm.  In the
     remaining regime ``1 < p < inf`` the value is ``max <x, y>`` over the
     top ball; permutation/sign invariance of the ball reduces this to a
-    k-dimensional chain-ordered concave program solved exactly by suffix
-    pooling, and the linear-programming decomposition certificate built at
-    the maximizer bounds the value from above (``certified_gap`` is the
-    bracket width).
+    k-dimensional chain-ordered concave program with a closed-form solution
+    (:func:`_reduced_ksupport`), and the linear-programming decomposition
+    certificate built at the maximizer bounds the value from above
+    (``certified_gap`` is the bracket width).
     """
     arr = as_vector(x)
+    value, method, y_star = _ksupport(arr, spec)
+    if y_star is None:
+        return EvalReport(value, method)
+    gap = max(0.0, _decomposition_upper_bound(arr, spec, y_star, tol) - float(arr @ y_star))
+    return EvalReport(value, method, gap)
+
+
+def _ksupport(arr: np.ndarray, spec: NormSpec) -> tuple[float, str, np.ndarray | None]:
+    """Value, method label and, on the reduced path, the dual maximizer."""
     d = arr.size
     spec.check_dim(d)
     p, k = spec.p, spec.k
+    a = np.abs(arr)
     if p == 1 or k == 1:
-        return EvalReport(float(np.abs(arr).sum()), "closed_form")
+        return float(a.sum()), "closed_form", None
     if math.isinf(p):
-        value = max(float(np.abs(arr).sum()) / k, float(np.abs(arr).max()))
-        return EvalReport(value, "closed_form")
+        return max(float(a.sum()) / k, float(a.max())), "closed_form", None
     if k == d:
-        return EvalReport(lp_norm(arr, p), "closed_form")
-    if float(np.abs(arr).max()) == 0.0:
-        return EvalReport(0.0, "dual_ascent")
+        return lp_norm(arr, p), "closed_form", None
+    if float(a.max()) == 0.0:
+        return 0.0, "closed_form", None
     value, y_star = _reduced_ksupport(arr, spec)
-    lower = float(arr @ y_star)
-    upper = _decomposition_upper_bound(arr, spec, y_star, tol)
-    gap = max(0.0, upper - lower)
-    return EvalReport(value, "dual_ascent", gap)
+    return value, "symmetry_reduction", y_star
 
 
 def _reduced_ksupport(x: np.ndarray, spec: NormSpec) -> tuple[float, np.ndarray]:
@@ -333,47 +318,41 @@ def _reduced_ksupport(x: np.ndarray, spec: NormSpec) -> tuple[float, np.ndarray]
     With |x| sorted decreasingly the optimal y shares the signs and ordering
     of x and its entries beyond position k all tie with entry k, so the
     problem collapses to maximizing ``<c, u>`` over the sorted part of the
-    lq sphere, where c pools the tail of x into the k-th slot.  Suffix
-    pooling (decreasing block averages) gives the exact solution.
+    lq sphere, where c pools the tail of x into the k-th slot.  The solution
+    keeps the first j sorted entries as singletons and spreads the rest of
+    |x| evenly over the last k - j slots (:func:`_pooled_tail`), which gives
+    the value ``(sum_{i<j} s_i^p + (k - j) m^p)^{1/p}`` and ``y ~ s^{p-1}``.
     """
     p, k, q = spec.p, spec.k, spec.q
-    d = x.size
     a = np.abs(x)
     scale = float(a.max())  # homogeneity: evaluate at unit sup-norm scale
     a = a / scale
     order = np.argsort(-a, kind="stable")
     s = a[order]
-    c = np.concatenate([s[: k - 1], [float(s[k - 1 :].sum())]])
-    blocks = _pava_decreasing(c)
-    total = sum(n ** (1.0 - p) * C**p for C, n in blocks)
+    j, m = _pooled_tail(s, k)
+    total = float(np.sum(s[:j] ** p)) + (k - j) * m**p
     value = scale * float(total ** (1.0 / p))
-    # reconstruct the maximizer: t_j = kappa (C_j / n_j)^{p/q} on block j
+    # the maximizer: t_i = kappa s_i^{p/q} on the singletons, kappa m^{p/q} on the tail
     kappa = float(total ** (-1.0 / q))
-    u = np.empty(k)
-    pos = 0
-    for C, n in blocks:
-        t = kappa * (C / n) ** (p / q) if C > 0 else 0.0
-        u[pos : pos + n] = t
-        pos += n
-    y_sorted = np.concatenate([u[: k - 1], np.full(d - k + 1, u[k - 1])])
-    y = np.empty(d)
+    y_sorted = np.full(x.size, kappa * m ** (p / q))
+    y_sorted[:j] = kappa * s[:j] ** (p / q)
+    y = np.empty(x.size)
     y[order] = y_sorted
     return value, np.sign(x) * y
 
 
-def _pava_decreasing(c: np.ndarray) -> list[tuple[float, int]]:
-    """Pool adjacent values of ``c`` until block averages strictly decrease.
+def _pooled_tail(s: np.ndarray, k: int) -> tuple[int, float]:
+    """Start j of the pooled block on decreasing ``s`` and its mean over k - j slots.
 
-    Returns (block sum, block length) pairs in order.
+    j is the largest index below k with ``j == 0 or s[j-1] > tail[j] / (k-j)``,
+    where ``tail[j] = sum(s[j:])``.  This is where pool-adjacent-violators on
+    ``(s_0, ..., s_{k-2}, sum(s[k-1:]))`` stops: the entries before j stay
+    singletons and all lie above the mean of the pooled tail.
     """
-    blocks: list[tuple[float, int]] = []
-    for ci in c:
-        blocks.append((float(ci), 1))
-        while len(blocks) >= 2 and blocks[-2][0] * blocks[-1][1] <= blocks[-1][0] * blocks[-2][1]:
-            C2, n2 = blocks.pop()
-            C1, n1 = blocks.pop()
-            blocks.append((C1 + C2, n1 + n2))
-    return blocks
+    tail = np.cumsum(s[::-1])[::-1][:k]
+    top = np.flatnonzero(s[: k - 1] > tail[1:] / np.arange(k - 1, 0, -1))
+    j = int(top[-1]) + 1 if top.size else 0
+    return j, float(tail[j]) / (k - j)
 
 
 def _decomposition_upper_bound(
@@ -480,7 +459,7 @@ def _prox_lp_norm(v: np.ndarray, p: float, mu: float) -> np.ndarray:
         return v * (1.0 - mu / nrm)
     if p == 1:
         return np.sign(v) * np.maximum(np.abs(v) - mu, 0.0)
-    q = math.inf if p == 1 else (1.0 if math.isinf(p) else p / (p - 1.0))
+    q = 1.0 if math.isinf(p) else p / (p - 1.0)
     return v - mu * project_lq_ball(v / mu, q)
 
 

@@ -27,7 +27,7 @@ from .core import (
     level_index,
 )
 from .faces import optimal_supports, v_p
-from .norms import NormSpec, _pava_decreasing, ksupport_value, top_norm
+from .norms import NormSpec, _pooled_tail, ksupport_value, top_norm
 
 __all__ = [
     "SmoothObjective",
@@ -471,7 +471,8 @@ def _pattern_polish(
 ) -> np.ndarray:
     """Smooth refinement of x on its current stratum (1 < p < inf only).
 
-    With the support, the signs, and the sorted-block pooling pattern of x
+    With the support, the signs, and the pooled tail of sorted |x| (the
+    blocks of :func:`ksupport.norms._pooled_tail`, singletons above it)
     frozen, the k-support norm is a smooth function of the remaining
     variables, so a quasi-Newton solve reaches the stratum optimum; the
     result is kept only if the true penalized objective improves.  This is
@@ -487,25 +488,15 @@ def _pattern_polish(
     if float(a.max()) <= zero_tol:
         return x
     order = np.argsort(-a, kind="stable")
-    s = a[order]
-    c = np.concatenate([s[: k - 1], [float(s[k - 1 :].sum())]])
-    blocks = _pava_decreasing(c)
-    nb = len(blocks)
-    bid_sorted = np.empty(d, dtype=int)
-    pos = 0
-    for bi, (_, n) in enumerate(blocks):
-        for _ in range(n):
-            if pos < k - 1:
-                bid_sorted[pos] = bi
-            pos += 1
-    bid_sorted[k - 1 :] = nb - 1
+    j, _ = _pooled_tail(a[order], k)
+    nb = j + 1
     bid = np.empty(d, dtype=int)
-    bid[order] = bid_sorted
+    bid[order] = np.minimum(np.arange(d), j)
     sup = np.nonzero(a > zero_tol)[0]
     if sup.size == 0:
         return x
     sign = np.sign(x[sup])
-    nvec = np.array([n for _, n in blocks], dtype=float)
+    nvec = np.append(np.ones(j), k - j)
     sup_bid = bid[sup]
 
     def penalty(z: np.ndarray) -> tuple[float, np.ndarray]:

@@ -56,9 +56,11 @@ def test_ksupport_closed_forms():
     assert ksupport_norm([1, 1, 1], NormSpec(INF, 2)).value == 1.5
     r = ksupport_norm([1, 1, 1], NormSpec(2.0, 2))
     assert r.value == pytest.approx(3 / math.sqrt(2), abs=1e-12)
-    assert r.method == "dual_ascent"
+    assert r.method == "symmetry_reduction"
     assert ksupport_norm([3, 4], NormSpec(2.0, 1)).value == 7.0
     assert ksupport_norm([0.0, 0.0], NormSpec(2.0, 1)).value == 0.0
+    zero = ksupport_norm([0.0, 0.0, 0.0], NormSpec(2.0, 2))
+    assert (zero.value, zero.method, zero.certified_gap) == (0.0, "closed_form", 0.0)
 
 
 def test_ksupport_degenerate_agreement_exact():
@@ -138,6 +140,43 @@ def test_reduced_matches_full_dual_ascent():
         assert full.method == "dual_ascent"
 
 
+def _pava_loop_reference(x: np.ndarray, p: float, k: int) -> tuple[float, np.ndarray]:
+    # pool adjacent violators one entry at a time on (s_0, ..., s_{k-2}, sum(s[k-1:]))
+    a = np.abs(x)
+    order = np.argsort(-a, kind="stable")
+    s = a[order]
+    blocks: list[list[float]] = []
+    for c in [*s[: k - 1], s[k - 1 :].sum()]:
+        blocks.append([c, 1])
+        while len(blocks) > 1 and blocks[-2][0] * blocks[-1][1] <= blocks[-1][0] * blocks[-2][1]:
+            C, n = blocks.pop()
+            blocks[-1][0] += C
+            blocks[-1][1] += n
+    total = sum(n * (C / n) ** p for C, n in blocks)
+    u = np.concatenate([np.full(n, (C / n) ** (p - 1)) for C, n in blocks])
+    y = np.empty(x.size)
+    y[order] = np.append(u, np.full(x.size - k, u[-1]))
+    return total ** (1 / p), np.sign(x) * y / total ** ((p - 1) / p)
+
+
+def test_reduced_matches_pava_loop_on_ties():
+    from ksupport.norms import _reduced_ksupport
+
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        d = int(rng.integers(3, 9))
+        k = int(rng.integers(2, d))
+        p = float(rng.choice([1.5, 2.0, 3.0]))
+        x = rng.integers(-3, 4, d).astype(float)
+        if not x.any():
+            continue
+        value, y = _reduced_ksupport(x, NormSpec(p, k))
+        ref_value, ref_y = _pava_loop_reference(x, p, k)
+        assert abs(value - ref_value) <= 1e-12 * ref_value
+        assert np.max(np.abs(y - ref_y)) <= 1e-12 * np.max(np.abs(ref_y))
+        assert ksupport_value(x, NormSpec(p, k)) == value
+
+
 def test_oracle_agreement_small():
     rng = np.random.default_rng(7)
     for _ in range(12):
@@ -148,6 +187,16 @@ def test_oracle_agreement_small():
         x = rng.standard_normal(d)
         o = ksupport_norm_oracle(x, spec)
         assert o.method == "decomposition_oracle"
+        assert abs(o.value - ksupport_value(x, spec)) <= 1e-6
+        assert o.certified_gap <= 1e-8 + 1e-12
+    # integer vectors: repeated magnitudes, zeros and fewer than k nonzeros
+    # (the equal-value merges of pool-adjacent-violators)
+    fixed = [[3, 3, 3, 0], [2, -2, 1, 1, 0], [0, 0, -3, 0, 0], [1, -1, 1, -1, 1, -1]]
+    drawn = [rng.integers(-3, 4, int(rng.integers(3, 7))) for _ in range(8)]
+    for i, x in enumerate(fixed + drawn):
+        x = np.asarray(x, dtype=float)
+        spec = NormSpec((1.5, 2.0, 3.0)[i % 3], min(2 + i % 2, x.size - 1))
+        o = ksupport_norm_oracle(x, spec)
         assert abs(o.value - ksupport_value(x, spec)) <= 1e-6
         assert o.certified_gap <= 1e-8 + 1e-12
 
@@ -204,6 +253,19 @@ def test_project_lq_ball_against_references():
                 )
                 ref = res.x
             assert np.max(np.abs(w - ref)) <= 5e-6
+    # q = 1 with ties, zeros and a 1-sparse vector, against hand-computed projections
+    cases = [
+        ([1.0, 1.0, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0]),
+        ([2.0, -2.0, 1.0], [0.5, -0.5, 0.0]),
+        ([0.0, -3.0, 0.0], [0.0, -1.0, 0.0]),
+        ([1.0, 1.0, 1.0, 1.0], [0.25, 0.25, 0.25, 0.25]),
+        ([0.0, 0.5, -0.5], [0.0, 0.5, -0.5]),
+        ([3.0, 3.0, 0.5, -0.5, 0.0], [0.5, 0.5, 0.0, 0.0, 0.0]),
+    ]
+    for v, want in cases:
+        w = project_lq_ball(np.array(v), 1.0)
+        assert np.max(np.abs(w - want)) <= 1e-15
+        assert np.max(np.abs(w - _l1_ball_project_by_sort(np.array(v)))) <= 1e-15
 
 
 def test_project_top_ball_examples():
