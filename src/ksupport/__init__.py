@@ -5,13 +5,13 @@ Submodules
 core
     Supports, projections, sorting permutations, level-index machinery.
 norms
-    lp / top-(q,k) / k-support norm evaluation and top-ball projection.
+    lp / top-(q,k) / k-support norm evaluation and exact top-ball projection.
 faces
     Optimal supports, exposed faces, normal cones, finite atom engine.
 polytopes
     Exact rational combinatorics of the p = inf case.
 solver
-    Conditional-gradient solver for k-support-penalized minimization.
+    Accelerated proximal-gradient solver for k-support-penalized minimization.
 oracles
     Independent brute-force ground truth for tests and verification.
 cli
@@ -48,7 +48,6 @@ from .faces import (
 from .norms import (
     EvalReport,
     NormSpec,
-    dual_ascent_ksupport,
     ksupport_norm,
     ksupport_norm_oracle,
     ksupport_value,
@@ -56,6 +55,7 @@ from .norms import (
     project_top_ball,
     top_norm,
 )
+from .oracles import dual_ascent_ksupport
 from .polytopes import (
     FanRefinementReport,
     RationalPolytope,

@@ -4,13 +4,14 @@ The top-(q,k) norm of a dual vector is the lq norm of its k absolutely
 largest entries.  The k-support norm is its dual: the gauge of the closed
 convex hull of all k-sparse points of the lp unit ball.  Closed forms are
 used where they exist (p = 1, p = inf, k = 1, k = d); otherwise the value
-is obtained by maximizing ``<x, y>`` over the top-norm ball, either through
-the sign/ordering symmetry reduction (exact, default: on sorted |x| the
-maximizer keeps the top entries as singletons and pools the tail into one
-block, whose start has a closed form) or by literal projected gradient
-ascent with Dykstra projections (``dual_ascent_ksupport``).
-An independent decomposition program (``ksupport_norm_oracle``) certifies
-values at desk scale.
+is the maximum of ``<x, y>`` over the top-norm ball, which the sign/ordering
+symmetry reduction gives exactly: on sorted |x| the maximizer keeps the top
+entries as singletons and pools the tail into one block, whose start has a
+closed form.  The same pooled tail gives the exact Euclidean projection onto
+the top-norm ball (one monotone search in the level of its k-th entry), and
+through the Moreau identity the prox of the k-support norm.  An independent
+decomposition program (``ksupport_norm_oracle``) certifies values at desk
+scale.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
     "top_norm",
     "ksupport_norm",
     "ksupport_value",
-    "dual_ascent_ksupport",
     "ksupport_norm_oracle",
     "project_top_ball",
     "project_lq_ball",
@@ -125,17 +125,68 @@ def top_norm(y: Sequence[float], spec: NormSpec) -> float:
 
 
 # ---------------------------------------------------------------------------
-# lq ball projections (the cylinder sections used by Dykstra)
+# projections onto the lq ball and the top-(q,k) ball
 
 
-def project_lq_ball(v: np.ndarray, q: float, tol: float = 1e-12) -> np.ndarray:
+def _lq_roots(a: np.ndarray, c: float, q: float) -> np.ndarray:
+    """Entrywise root w of ``w + c w^{q-1} = a`` for a > 0, c >= 0 and 1 <= q < inf.
+
+    The equation is solved in its convex form ``alpha z + beta z^e = a``: in
+    w for q > 2, in ``u = w^{q-1}`` (``c u + u^{p-1} = a``) for q < 2.
+    Closed forms at q = 1, q = 2 and where e = 2 (q = 3 and q = 3/2);
+    otherwise Newton descends monotonically from an upper bound.
+    """
+    if q == 1:
+        return a - c
+    if q == 2:
+        return a / (1.0 + c)
+    alpha, beta, e = (1.0, c, q - 1.0) if q > 2 else (c, 1.0, 1.0 / (q - 1.0))
+    if e == 2:
+        z = 2.0 * a / (alpha + np.hypot(alpha, 2.0 * np.sqrt(beta) * np.sqrt(a)))
+    else:
+        with np.errstate(divide="ignore"):
+            z = np.minimum(a / alpha, (a / beta) ** (1.0 / e))
+        for _ in range(100):
+            ze = z ** (e - 1.0)
+            step = (alpha * z + beta * z * ze - a) / (alpha + e * beta * ze)
+            z = z - step
+            if np.all(step <= 1e-15 * z):
+                break
+    return z if q > 2 else z**e
+
+
+def _newton_increasing(fun, lo: float, hi: float, x: float) -> float:
+    """Root in ``[lo, hi]`` of an increasing function ``fun`` -> (value, slope).
+
+    Newton steps from x that fall back to bisection of the bracket whenever
+    they leave it; stops once a step is below the rounding of x.
+    """
+    for _ in range(200):
+        g, dg = fun(x)
+        if g > 0.0:
+            hi = x
+        elif g < 0.0:
+            lo = x
+        else:
+            return x
+        step = g / dg if dg > 0.0 else math.inf
+        if abs(step) <= 4e-16 * x or hi - lo <= 4e-16 * hi:
+            return x
+        x = x - step if lo < x - step < hi else 0.5 * (lo + hi)
+    return x
+
+
+def project_lq_ball(v: np.ndarray, q: float) -> np.ndarray:
     """Euclidean projection of ``v`` onto the unit lq ball.
 
-    Closed form for q in {1, 2, inf}; for general q the KKT multiplier is
-    bracketed by a monotone search with per-coordinate Newton solves.
+    Closed form for q in {1, 2, inf}.  Otherwise every entry solves
+    ``w + c w^{q-1} = |v|`` (:func:`_lq_roots`) for the one multiplier c that
+    puts w on the unit sphere; the q-th power sum of w decreases in c, which
+    is bracketed by ``[0, ||v||_p]``.
     """
     v = np.asarray(v, dtype=float)
-    if _lp_of_abs(np.abs(v), q) <= 1.0:
+    a = np.abs(v)
+    if _lp_of_abs(a, q) <= 1.0:
         return v.copy()
     if q == 2:
         return v / np.linalg.norm(v)
@@ -143,118 +194,102 @@ def project_lq_ball(v: np.ndarray, q: float, tol: float = 1e-12) -> np.ndarray:
         return np.clip(v, -1.0, 1.0)
     if q == 1:
         # sort and threshold: theta is the soft threshold with sum(max(a - theta, 0)) = 1
-        a = np.abs(v)
         u = np.sort(a)[::-1]
         excess = np.cumsum(u) - 1.0
         r = np.flatnonzero(u * np.arange(1, u.size + 1) > excess)[-1]
         return np.sign(v) * np.maximum(a - excess[r] / (r + 1), 0.0)
-    return np.sign(v) * _lq_ball_project_abs(np.abs(v), q, tol)
+    pos = a > 0.0
+    ap = a[pos]
+
+    def outside(c: float) -> tuple[float, float]:
+        # 1 / ||w(c)||_q - 1, close to linear in c, and its derivative
+        w = _lq_roots(ap, c, q)
+        wq1 = w ** (q - 1.0)
+        s = float(np.sum(w * wq1))
+        ds = float(np.sum(wq1**2 / (1.0 + c * (q - 1.0) * w ** (q - 2.0))))
+        return s ** (-1.0 / q) - 1.0, s ** (-1.0 / q - 1.0) * ds
+
+    with np.errstate(divide="ignore"):  # entries that underflow to 0 have slope 0
+        c = _newton_increasing(outside, 0.0, _lp_of_abs(ap, q / (q - 1.0)), 0.0)
+    w = np.zeros_like(a)
+    w[pos] = _lq_roots(ap, c, q)
+    return np.sign(v) * w
 
 
-def _coord_root(a: float, c: float, q: float, w0: float) -> float:
-    # root of w + c w^{q-1} = a on (0, a]: Newton with a bisection safeguard
-    if a <= 0.0:
-        return 0.0
-    lo, hi = 0.0, a
-    w = w0 if 0.0 < w0 <= a else a
-    for _ in range(100):
-        fw = w + c * w ** (q - 1.0) - a
-        if fw < 0.0:
-            lo = w
-        else:
-            hi = w
-        if hi - lo <= 1e-16 * a:
-            break
-        dw = 1.0 + c * (q - 1.0) * w ** (q - 2.0)
-        wn = w - fw / dw
-        if not lo < wn < hi:
-            wn = 0.5 * (lo + hi)
-        if abs(wn - w) <= 1e-17 * a:
-            w = wn
-            break
-        w = wn
-    return w
-
-
-def _lq_ball_project_abs(a: np.ndarray, q: float, tol: float) -> np.ndarray:
-    # KKT: w_i + lam q w_i^{q-1} = a_i with lam >= 0 chosen so sum w^q = 1;
-    # safeguarded Newton on lam, per-coordinate Newton inside.
-    avals = [float(v) for v in a]
-    ws = list(avals)
-
-    def phi_dphi(lam: float) -> tuple[float, float]:
-        c = lam * q
-        tot = 0.0
-        dtot = 0.0
-        for i, ai in enumerate(avals):
-            w = _coord_root(ai, c, q, ws[i])
-            ws[i] = w
-            if w > 0.0:
-                wq1 = w ** (q - 1.0)
-                tot += w * wq1
-                dtot += -(q * wq1) ** 2 / (1.0 + c * (q - 1.0) * w ** (q - 2.0))
-        return tot - 1.0, dtot
-
-    lo_l, hi_l = 0.0, 1.0
-    val, _ = phi_dphi(hi_l)
-    while val > 0.0:
-        lo_l, hi_l = hi_l, hi_l * 2.0
-        if hi_l > 1e18:
-            raise ConvergenceError("lq ball projection: multiplier bracket failed")
-        val, _ = phi_dphi(hi_l)
-    lam = 0.5 * (lo_l + hi_l)
-    for _ in range(100):
-        val, dval = phi_dphi(lam)
-        if val > 0.0:
-            lo_l = lam
-        else:
-            hi_l = lam
-        if abs(val) <= tol or hi_l - lo_l <= 1e-16 * max(1.0, hi_l):
-            break
-        lam_n = lam - val / dval if dval < 0.0 else 0.5 * (lo_l + hi_l)
-        lam = lam_n if lo_l < lam_n < hi_l else 0.5 * (lo_l + hi_l)
-    return np.array(ws)
-
-
-# ---------------------------------------------------------------------------
-# projection onto the top-(q,k) ball
-
-
-def project_top_ball(
-    y0: Sequence[float],
-    spec: NormSpec,
-    tol: Tolerance = DEFAULT_TOL,
-    max_sweeps: int = 10_000,
-) -> np.ndarray:
+def project_top_ball(y0: Sequence[float], spec: NormSpec) -> np.ndarray:
     """Euclidean projection onto ``{ y : top_norm(y, spec) <= 1 }``.
 
-    The ball is the intersection of the C(d,k) cylinders
-    ``{ ||pi_K y||_q <= 1 }``; Dykstra's alternating projections over them
-    converge to the exact projection.  Iteration stops once a full sweep
-    moves the iterate by less than ``tol.abs`` and the result is feasible
-    within ``tol.abs``.
+    The ball is invariant under permutations and sign flips, so the
+    projection keeps the signs and the order of ``|y|`` and is computed on
+    sorted ``a = |y|`` (:func:`_top_ball_abs`).  At q = inf or k = 1 the
+    ball is a box, and the projection a clip.
     """
     y = as_vector(y0)
-    d = y.size
-    spec.check_dim(d)
-    if top_norm(y, spec) <= 1.0 + tol.abs:
+    spec.check_dim(y.size)
+    q, k = spec.q, spec.k
+    a = np.abs(y)
+    order = np.argsort(-a, kind="stable")
+    a = a[order]
+    if _lp_of_abs(a[:k], q) <= 1.0:
         return y.copy()
-    if math.comb(d, spec.k) > 20_000:
-        raise ScaleLimitError(f"C({d},{spec.k}) cylinders exceed the desk-scale guard")
-    supports = [np.array(K, dtype=int) - 1 for K in k_subsets(d, spec.k)]
-    q = spec.q
-    x = y.copy()
-    corr = [np.zeros(spec.k) for _ in supports]
-    for _ in range(max_sweeps):
-        x_prev = x.copy()
-        for j, idx in enumerate(supports):
-            v = x[idx] + corr[j]
-            w = project_lq_ball(v, q)
-            corr[j] = v - w
-            x[idx] = w
-        if float(np.max(np.abs(x - x_prev))) < tol.abs and top_norm(x, spec) <= 1.0 + tol.abs:
-            return x
-    raise ConvergenceError("Dykstra projection did not converge within the sweep cap")
+    if math.isinf(q) or k == 1:
+        return np.clip(y, -1.0, 1.0)
+    w = np.empty(y.size)
+    w[order] = _top_ball_abs(a, k, q)
+    return np.sign(y) * w
+
+
+def _top_ball_abs(a: np.ndarray, k: int, q: float) -> np.ndarray:
+    """Projection of decreasing ``a >= 0``, outside the top ball, onto it (k >= 2).
+
+    The k-th entry of the projection sits at a level theta.  At a level
+    theta, t, the pooled tail mean of ``(a - theta)_+`` (:func:`_pooled_tail`),
+    splits the entries: those above ``theta + t`` solve
+    ``w + c w^{q-1} = a`` with ``c = t / theta^{q-1}``, those in between tie
+    at theta, and the rest stay as they are.  The top norm of that point
+    increases with theta and is 1 at the answer, which safeguarded Newton
+    finds in ``(0, a[k])``.  If it is at most 1 at ``theta = a[k]``, the lq
+    projection of the top k stays at or above ``a[k]`` and is the answer; at
+    q = 1, if it is at least 1 as theta falls to 0, the answer is the l1-ball
+    projection.
+    """
+    if k == a.size:
+        return project_lq_ball(a, q)
+    w = a.copy()
+    neg = -a
+
+    def level(theta: float) -> tuple[float, float, int, int, np.ndarray]:
+        # top_norm - 1 at level theta, its derivative, the singleton count j,
+        # the count n of entries above theta and the singleton values
+        n = int(neg.searchsorted(-theta))
+        top = a[:k] - theta
+        j, t = _pooled_tail(np.maximum(top, 0.0, out=top), float((a[k:n] - theta).sum()))
+        dt = -(n - j) / (k - j)
+        if q == 1:
+            ws = a[:j] - t
+            return float(ws.sum()) + (k - j) * theta - 1.0, (k - j) - j * dt, j, n, ws
+        c, dc = t / theta ** (q - 1.0), (dt * theta - (q - 1.0) * t) / theta**q
+        ws = _lq_roots(a[:j], c, q)
+        wq1 = ws ** (q - 1.0)
+        dws = -wq1 / (1.0 + c * (q - 1.0) * ws ** (q - 2.0))
+        s = float((ws * wq1).sum()) + (k - j) * theta**q
+        ds = float((wq1 * dws).sum()) * dc + (k - j) * theta ** (q - 1.0)
+        return s ** (1.0 / q) - 1.0, s ** (1.0 / q - 1.0) * ds, j, n, ws
+
+    # the level is an entry of a point of the ball; past 1 the top norm exceeds 1 for k >= 2
+    hi = min(float(a[k]), 1.0)
+    g_hi = level(hi)[0] if hi > 0.0 else 0.0
+    if g_hi <= 0.0:
+        w[:k] = project_lq_ball(a[:k], q)
+        return w
+    g_lo = level(0.0)[0] if q == 1 else -1.0
+    if g_lo >= 0.0:
+        return project_lq_ball(a, 1.0)
+    theta = _newton_increasing(lambda t: level(t)[:2], 0.0, hi, hi * -g_lo / (g_hi - g_lo))
+    _, _, j, n, ws = level(theta)
+    w[:j] = ws
+    w[j:n] = theta
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +299,11 @@ def project_top_ball(
 def ksupport_value(x: Sequence[float], spec: NormSpec) -> float:
     """The k-support norm value alone (no certificate): fast path.
 
-    Same dispatch as :func:`ksupport_norm` without building the LP
-    decomposition certificate.
+    Same dispatch as :func:`ksupport_norm`, without the dual maximizer and
+    the LP decomposition certificate; the reduction reads only a partial
+    sort of the k largest entries and the sum of the others.
     """
-    return _ksupport(as_vector(x), spec)[0]
+    return _ksupport(as_vector(x), spec, dual=False)[0]
 
 
 def ksupport_norm(
@@ -294,8 +330,10 @@ def ksupport_norm(
     return EvalReport(value, method, gap)
 
 
-def _ksupport(arr: np.ndarray, spec: NormSpec) -> tuple[float, str, np.ndarray | None]:
-    """Value, method label and, on the reduced path, the dual maximizer."""
+def _ksupport(
+    arr: np.ndarray, spec: NormSpec, dual: bool = True
+) -> tuple[float, str, np.ndarray | None]:
+    """Value, method label and, on the reduced path with ``dual``, the dual maximizer."""
     d = arr.size
     spec.check_dim(d)
     p, k = spec.p, spec.k
@@ -308,11 +346,13 @@ def _ksupport(arr: np.ndarray, spec: NormSpec) -> tuple[float, str, np.ndarray |
         return lp_norm(arr, p), "closed_form", None
     if float(a.max()) == 0.0:
         return 0.0, "closed_form", None
-    value, y_star = _reduced_ksupport(arr, spec)
+    value, y_star = _reduced_ksupport(arr, spec, dual)
     return value, "symmetry_reduction", y_star
 
 
-def _reduced_ksupport(x: np.ndarray, spec: NormSpec) -> tuple[float, np.ndarray]:
+def _reduced_ksupport(
+    x: np.ndarray, spec: NormSpec, dual: bool = True
+) -> tuple[float, np.ndarray | None]:
     """Exact maximizer of <x, y> over the top ball, via symmetry reduction.
 
     With |x| sorted decreasingly the optimal y shares the signs and ordering
@@ -322,36 +362,47 @@ def _reduced_ksupport(x: np.ndarray, spec: NormSpec) -> tuple[float, np.ndarray]
     keeps the first j sorted entries as singletons and spreads the rest of
     |x| evenly over the last k - j slots (:func:`_pooled_tail`), which gives
     the value ``(sum_{i<j} s_i^p + (k - j) m^p)^{1/p}`` and ``y ~ s^{p-1}``.
+    The value reads only a partial sort of the k largest entries; the full
+    sort is made for the maximizer, which is None without ``dual``.
     """
     p, k, q = spec.p, spec.k, spec.q
     a = np.abs(x)
-    scale = float(a.max())  # homogeneity: evaluate at unit sup-norm scale
-    a = a / scale
-    order = np.argsort(-a, kind="stable")
-    s = a[order]
-    j, m = _pooled_tail(s, k)
-    total = float(np.sum(s[:j] ** p)) + (k - j) * m**p
-    value = scale * float(total ** (1.0 / p))
+    amax = float(a.max())
+    a = a / amax
+    part = np.partition(a, a.size - k)
+    top = np.sort(part[a.size - k :])[::-1]
+    j, m = _pooled_tail(top, float(np.sum(part[: a.size - k])))
+    # homogeneity: take the powers at unit scale, which the pooled mean can
+    # exceed (it overflows at large p otherwise)
+    unit = max(1.0, m)
+    s_top, m = top[:j] / unit, m / unit
+    total = float(np.sum(s_top**p)) + (k - j) * m**p
+    value = amax * unit * float(total ** (1.0 / p))
+    if not dual:
+        return value, None
     # the maximizer: t_i = kappa s_i^{p/q} on the singletons, kappa m^{p/q} on the tail
     kappa = float(total ** (-1.0 / q))
     y_sorted = np.full(x.size, kappa * m ** (p / q))
-    y_sorted[:j] = kappa * s[:j] ** (p / q)
+    y_sorted[:j] = kappa * s_top ** (p / q)
     y = np.empty(x.size)
-    y[order] = y_sorted
+    y[np.argsort(-a, kind="stable")] = y_sorted
     return value, np.sign(x) * y
 
 
-def _pooled_tail(s: np.ndarray, k: int) -> tuple[int, float]:
-    """Start j of the pooled block on decreasing ``s`` and its mean over k - j slots.
+def _pooled_tail(top: np.ndarray, rest: float) -> tuple[int, float]:
+    """Start j of the pooled block and its mean over k - j slots.
 
-    j is the largest index below k with ``j == 0 or s[j-1] > tail[j] / (k-j)``,
-    where ``tail[j] = sum(s[j:])``.  This is where pool-adjacent-violators on
-    ``(s_0, ..., s_{k-2}, sum(s[k-1:]))`` stops: the entries before j stay
-    singletons and all lie above the mean of the pooled tail.
+    ``top`` holds the k largest entries of a nonnegative vector in decreasing
+    order and ``rest`` the sum of the others.  j is the largest index below k
+    with ``j == 0 or top[j-1] > tail[j] / (k-j)``, where
+    ``tail[j] = sum(top[j:]) + rest``.  This is where pool-adjacent-violators
+    on ``(top_0, ..., top_{k-2}, tail[k-1])`` stops: the entries before j
+    stay singletons and all lie above the mean of the pooled tail.
     """
-    tail = np.cumsum(s[::-1])[::-1][:k]
-    top = np.flatnonzero(s[: k - 1] > tail[1:] / np.arange(k - 1, 0, -1))
-    j = int(top[-1]) + 1 if top.size else 0
+    k = top.size
+    tail = top[::-1].cumsum()[::-1] + rest
+    above = (top[:-1] > tail[1:] / np.arange(k - 1, 0, -1)).nonzero()[0]
+    j = int(above[-1]) + 1 if above.size else 0
     return j, float(tail[j]) / (k - j)
 
 
@@ -363,17 +414,20 @@ def _decomposition_upper_bound(
     The exposed-face vertices of the unit ball at ``y_feas`` span ``x`` with
     nonnegative weights whose sum is the norm; the weights come from a small
     LP, and any residual is patched with 1-sparse atoms at l1 cost.
-    ``||x||_1`` is the fallback bound.
+    ``||x||_1`` is the fallback bound.  The LP runs on x at unit sup-norm
+    scale, since its solver's tolerances are absolute.
     """
     from .faces import optimal_supports, v_p
 
+    scale = float(np.abs(x).max())
+    x = x / scale
     fallback = float(np.abs(x).sum())
     try:
         sups = optimal_supports(y_feas, spec, tol)
     except InvalidInputError:
-        return fallback
+        return scale * fallback
     if not sups or len(sups) > 1000:
-        return fallback
+        return scale * fallback
     cols = []
     for K in sups:
         yk = np.zeros_like(y_feas)
@@ -383,7 +437,7 @@ def _decomposition_upper_bound(
             continue
         cols.append(v_p(yk, spec.p))
     if not cols:
-        return fallback
+        return scale * fallback
     V = np.column_stack(cols)
     try:
         res = _sciopt.linprog(
@@ -394,54 +448,10 @@ def _decomposition_upper_bound(
     if res is not None and res.status == 0:
         beta = np.maximum(res.x, 0.0)
         resid = x - V @ beta
-        return float(beta.sum() + np.abs(resid).sum())
+        return scale * float(beta.sum() + np.abs(resid).sum())
     beta, _ = _sciopt.nnls(V, x)
     resid = x - V @ beta
-    return min(fallback, float(beta.sum() + np.abs(resid).sum()))
-
-
-def dual_ascent_ksupport(
-    x: Sequence[float],
-    spec: NormSpec,
-    tol: Tolerance = DEFAULT_TOL,
-    max_iter: int = 5000,
-) -> EvalReport:
-    """k-support norm by full-space projected gradient ascent.
-
-    Iterates ``y <- proj(y + x / ||x||_2)`` with the Dykstra projection onto
-    the top ball, from the warm start ``sign(x) |x|^{q/p}`` normalized to the
-    ball boundary.  The linear objective makes every fixed point a global
-    maximizer.  Slower than :func:`ksupport_norm`; kept as the unreduced
-    cross-validation path.  Raises :class:`ConvergenceError` at the cap.
-    """
-    arr = as_vector(x)
-    spec.check_dim(arr.size)
-    p = spec.p
-    if not 1 < p < math.inf:
-        return ksupport_norm(arr, spec, tol)
-    if float(np.abs(arr).max()) == 0.0:
-        return EvalReport(0.0, "dual_ascent")
-    q = spec.q
-    y = np.sign(arr) * np.abs(arr) ** (q / p)
-    y = y / top_norm(y, spec)
-    eta = 1.0 / float(np.linalg.norm(arr))
-    proj_tol = Tolerance(abs=min(tol.abs, 1e-10), rel=tol.rel)
-    best = float(arr @ y)
-    converged = False
-    for it in range(max_iter):
-        y_new = project_top_ball(y + eta * arr, spec, proj_tol)
-        move = float(np.max(np.abs(y_new - y)))
-        y = y_new
-        best = max(best, float(arr @ y))
-        if move < max(tol.abs, 1e-11) and it >= 2:
-            converged = True
-            break
-    if not converged:
-        raise ConvergenceError("dual ascent did not converge within the iteration cap")
-    scale = max(1.0, top_norm(y, spec))
-    lower = float(arr @ (y / scale))
-    upper = _decomposition_upper_bound(arr, spec, y / scale, tol)
-    return EvalReport(lower, "dual_ascent", max(0.0, upper - lower))
+    return scale * min(fallback, float(beta.sum() + np.abs(resid).sum()))
 
 
 # ---------------------------------------------------------------------------

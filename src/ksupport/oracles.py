@@ -1,10 +1,14 @@
 """Brute-force ground truth used by the test and verification suites.
 
 Everything here is deliberately simple and exhaustive: argmax over explicit
-vertex lists, exhaustive subset scans, closed-form soft thresholding, and
-sampled gauge bounds by linear programming.  These routines never call the
-analytic paths they validate; only :mod:`ksupport.core` and plain numerics
-are used.
+vertex lists, exhaustive subset scans, closed-form soft thresholding,
+sampled gauge bounds by linear programming, Dykstra's alternating
+projections over all C(d,k) cylinders of the top-norm ball, and projected
+gradient ascent on that ball.  These routines never call the analytic paths
+they validate.  Dykstra projects onto each cylinder with
+:func:`ksupport.norms.project_lq_ball`, which the tests check on its own;
+dual ascent shares with :func:`ksupport.norms.ksupport_norm` only the LP
+decomposition certificate and the closed forms at p = 1 and p = inf.
 """
 
 from __future__ import annotations
@@ -12,20 +16,36 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 from scipy import optimize as _sciopt
 
-from .core import DEFAULT_TOL, InvalidInputError, ScaleLimitError, Tolerance, ZeroVectorError, as_vector
-
-if TYPE_CHECKING:  # oracles depend only on core at runtime
-    from .norms import NormSpec
+from .core import (
+    DEFAULT_TOL,
+    ConvergenceError,
+    InvalidInputError,
+    ScaleLimitError,
+    Tolerance,
+    ZeroVectorError,
+    as_vector,
+    k_subsets,
+)
+from .norms import (
+    EvalReport,
+    NormSpec,
+    _decomposition_upper_bound,
+    ksupport_norm,
+    project_lq_ball,
+    top_norm,
+)
 
 __all__ = [
     "OracleReport",
     "brute_exposed_face",
     "brute_optimal_supports",
+    "dykstra_top_ball",
+    "dual_ascent_ksupport",
     "lasso_closed_form",
     "sampled_gauge_upper_bound",
     "sampled_exposed_face",
@@ -228,3 +248,85 @@ def sampled_exposed_face(
             points.append(w)
     params = {"d": d, "k": spec.k, "p": spec.p, "n_atoms": n_atoms, "seed": seed, "rounds": rounds}
     return OracleReport({"points": points, "value": top}, "sampled_face_argmax", params)
+
+
+def dykstra_top_ball(
+    y0: Sequence[float],
+    spec: NormSpec,
+    tol: Tolerance = DEFAULT_TOL,
+    max_sweeps: int = 100_000,
+) -> np.ndarray:
+    """Euclidean projection onto ``{ y : top_norm(y, spec) <= 1 }`` by Dykstra.
+
+    The ball is the intersection of the C(d,k) cylinders
+    ``{ ||pi_K y||_q <= 1 }``; Dykstra's alternating projections over them
+    converge to the projection.  A sweep ends the iteration only when it
+    changes no intermediate iterate and no correction by more than
+    ``tol.abs``: the iterate at the end of a sweep can repeat while the
+    corrections still move.  Raises :class:`ConvergenceError` at the cap.
+    Desk scale: C(d,k) <= 20 000.
+    """
+    y = as_vector(y0)
+    d = y.size
+    spec.check_dim(d)
+    if top_norm(y, spec) <= 1.0:
+        return y.copy()
+    if math.comb(d, spec.k) > 20_000:
+        raise ScaleLimitError(f"C({d},{spec.k}) cylinders exceed the desk-scale guard")
+    supports = [np.array(K, dtype=int) - 1 for K in k_subsets(d, spec.k)]
+    x = y.copy()
+    corr = np.zeros((len(supports), spec.k))
+    for _ in range(max_sweeps):
+        moved = 0.0
+        for j, idx in enumerate(supports):
+            v = x[idx] + corr[j]
+            w = project_lq_ball(v, spec.q)
+            moved = max(moved, float(np.max(np.abs(w - x[idx]))), float(np.max(np.abs(v - w - corr[j]))))
+            corr[j] = v - w
+            x[idx] = w
+        if moved <= tol.abs:
+            return x
+    raise ConvergenceError("Dykstra projection did not converge within the sweep cap")
+
+
+def dual_ascent_ksupport(
+    x: Sequence[float],
+    spec: NormSpec,
+    tol: Tolerance = DEFAULT_TOL,
+    max_iter: int = 5000,
+) -> EvalReport:
+    """k-support norm by full-space projected gradient ascent.
+
+    Iterates ``y <- proj(y + x / ||x||_2)`` with the Dykstra projection onto
+    the top ball, from the warm start ``sign(x) |x|^{q/p}`` normalized to the
+    ball boundary.  The linear objective makes every fixed point a global
+    maximizer.  The unreduced cross-check of the symmetry reduction in
+    :func:`ksupport.norms.ksupport_norm`; closed-form cases (p = 1, p = inf)
+    are passed to it.  Raises :class:`ConvergenceError` at the cap.
+    """
+    arr = as_vector(x)
+    spec.check_dim(arr.size)
+    p = spec.p
+    if not 1 < p < math.inf:
+        return ksupport_norm(arr, spec, tol)
+    if float(np.abs(arr).max()) == 0.0:
+        return EvalReport(0.0, "dual_ascent")
+    q = spec.q
+    y = np.sign(arr) * np.abs(arr) ** (q / p)
+    y = y / top_norm(y, spec)
+    eta = 1.0 / float(np.linalg.norm(arr))
+    proj_tol = Tolerance(abs=min(tol.abs, 1e-10), rel=tol.rel)
+    converged = False
+    for it in range(max_iter):
+        y_new = dykstra_top_ball(y + eta * arr, spec, proj_tol)
+        move = float(np.max(np.abs(y_new - y)))
+        y = y_new
+        if move < max(tol.abs, 1e-11) and it >= 2:
+            converged = True
+            break
+    if not converged:
+        raise ConvergenceError("dual ascent did not converge within the iteration cap")
+    scale = max(1.0, top_norm(y, spec))
+    lower = float(arr @ (y / scale))
+    upper = _decomposition_upper_bound(arr, spec, y / scale, tol)
+    return EvalReport(lower, "dual_ascent", max(0.0, upper - lower))

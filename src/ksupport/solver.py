@@ -1,12 +1,12 @@
-"""Penalized minimization ``f(x) + gamma * ksupport(x)`` by conditional gradient.
+"""Penalized minimization ``f(x) + gamma * ksupport(x)`` by accelerated proximal gradient.
 
-The linear minimization oracle over the k-support unit ball is the exposed
-face vertex of the negative gradient, so the face machinery turns directly
-into a solver: atoms are collected greedily, a plane search sets the step
-toward the new atom and the shrink toward the origin, and a fully corrective
-reweighting over the collected atoms runs periodically.  The optimality
-certificate and the support identification read the dual information at the
-solution.
+The prox of the k-support norm is, through the Moreau identity, the exact
+projection onto the top-norm ball (:func:`ksupport.norms.project_top_ball`),
+so FISTA with adaptive restart solves the penalized problem directly.  The
+optimality certificate and the support identification read only ``x*`` and
+the dual vector ``-grad f(x*)``, so they do not depend on the solver.  The
+linear minimization oracle over the k-support ball (:func:`lmo_sp_ball`) is
+the exposed-face vertex of a dual vector.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .core import (
     level_index,
 )
 from .faces import optimal_supports, v_p
-from .norms import NormSpec, _pooled_tail, ksupport_value, top_norm
+from .norms import NormSpec, ksupport_value, project_top_ball, top_norm
 
 __all__ = [
     "SmoothObjective",
@@ -53,9 +53,10 @@ class ZeroGradientError(InvalidInputError):
 class SmoothObjective:
     """A smooth convex objective given by value and gradient oracles.
 
-    ``lipschitz`` is an estimate of the gradient Lipschitz constant (may be
-    refined by backtracking).  ``quad`` carries ``(A, b)`` when the objective
-    is exactly ``0.5 * ||A x - b||^2``, enabling closed-form line searches.
+    ``lipschitz`` is an estimate of the gradient Lipschitz constant.
+    ``quad`` carries ``(A, b)`` when the objective is exactly
+    ``0.5 * ||A x - b||^2``; then ``lipschitz`` is exact and the solver takes
+    the fixed step ``1 / lipschitz``, else it backtracks.
     """
 
     dim: int
@@ -131,8 +132,6 @@ def check_gradient(
 class SolveOptions:
     tol: float = 1e-6
     max_iter: int = 50_000
-    corrective_every: int = 10
-    master_max_iter: int = 500
 
 
 @dataclass(frozen=True)
@@ -271,296 +270,17 @@ def certify_optimality(
 
 
 # ---------------------------------------------------------------------------
-# generalized conditional gradient
+# accelerated proximal gradient
 
 
-def _plane_search(
-    obj: SmoothObjective,
-    x: np.ndarray,
-    surrogate: float,
-    atom: np.ndarray | None,
-    gamma: float,
-) -> tuple[float, float]:
-    """Minimize ``f((1 - beta) x + alpha a) + gamma ((1 - beta) surrogate + alpha)``
-    over alpha >= 0, beta in [0, 1]."""
-    if atom is None:
-        atom = np.zeros_like(x)
+def _prox(v: np.ndarray, lam: float, spec: NormSpec) -> np.ndarray:
+    """prox of ``lam * ksupport`` at v: ``v - lam * project_top_ball(v / lam)``.
 
-    if obj.quad is not None:
-        return _plane_search_quadratic(obj, x, surrogate, atom, gamma)
-
-    def phi(alpha: float, beta: float) -> float:
-        z = (1.0 - beta) * x + alpha * atom
-        return obj.value(z) + gamma * ((1.0 - beta) * surrogate + alpha)
-
-    def dphi(alpha: float, beta: float) -> tuple[float, float]:
-        z = (1.0 - beta) * x + alpha * atom
-        g = obj.grad(z)
-        return float(g @ atom) + gamma, float(-(g @ x)) - gamma * surrogate
-
-    alpha, beta = 0.0, 0.0
-    for _ in range(12):
-        # 1-d convex minimization in alpha by derivative bisection
-        da, _ = dphi(0.0, beta)
-        if da >= 0.0:
-            alpha = 0.0
-        else:
-            hi = 1.0
-            while dphi(hi, beta)[0] < 0.0 and hi < 1e12:
-                hi *= 2.0
-            lo = 0.0
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if dphi(mid, beta)[0] < 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            alpha = 0.5 * (lo + hi)
-        _, db = dphi(alpha, 0.0)
-        if db >= 0.0:
-            beta = 0.0
-        else:
-            lo, hi = 0.0, 1.0
-            if dphi(alpha, 1.0)[1] < 0.0:
-                beta = 1.0
-            else:
-                for _ in range(60):
-                    mid = 0.5 * (lo + hi)
-                    if dphi(alpha, mid)[1] < 0.0:
-                        lo = mid
-                    else:
-                        hi = mid
-                beta = 0.5 * (lo + hi)
-        if phi(alpha, beta) <= phi(0.0, 0.0) - 1e-18:
-            break
-    return alpha, beta
-
-
-def _plane_search_quadratic(
-    obj: SmoothObjective,
-    x: np.ndarray,
-    surrogate: float,
-    atom: np.ndarray,
-    gamma: float,
-) -> tuple[float, float]:
-    A, b = obj.quad
-    Au = A @ atom
-    Av = -(A @ x)
-    r0 = A @ x - b
-    # phi(alpha, beta) = 0.5 ||r0 + alpha Au + beta Av||^2
-    #                    + gamma ((1 - beta) surrogate + alpha)
-    H = np.array([[Au @ Au, Au @ Av], [Au @ Av, Av @ Av]])
-    lin = np.array([float(r0 @ Au) + gamma, float(r0 @ Av) - gamma * surrogate])
-
-    def val(a: float, be: float) -> float:
-        t = np.array([a, be])
-        return 0.5 * float(t @ H @ t) + float(lin @ t)
-
-    cands: list[tuple[float, float]] = [(0.0, 0.0)]
-    try:
-        sol = np.linalg.lstsq(H, -lin, rcond=None)[0]
-        cands.append((float(sol[0]), float(sol[1])))
-    except np.linalg.LinAlgError:
-        pass
-    # 1-d edges: alpha = 0, beta in [0,1]; beta = 0 or 1, alpha >= 0
-    if H[1, 1] > 0:
-        cands.append((0.0, float(-lin[1] / H[1, 1])))
-    for be in (0.0, 1.0):
-        if H[0, 0] > 0:
-            cands.append((float(-(lin[0] + H[0, 1] * be) / H[0, 0]), be))
-    cands.append((0.0, 1.0))
-    best = None
-    for a, be in cands:
-        a = max(0.0, a)
-        be = min(1.0, max(0.0, be))
-        v = val(a, be)
-        if best is None or v < best[0]:
-            best = (v, a, be)
-    return best[1], best[2]
-
-
-def _master_weights(
-    obj: SmoothObjective,
-    atoms: list[np.ndarray],
-    w: np.ndarray,
-    gamma: float,
-    max_iter: int,
-) -> np.ndarray:
-    """Fully corrective reweighting: min over c >= 0 of f(sum c_j a_j) + gamma sum c."""
-    P = np.column_stack(atoms)
-    if obj.quad is not None:
-        A, b = obj.quad
-        return _nn_quadratic(A @ P, b, gamma, w, max_iter)
-    c = w.copy()
-    L = obj.lipschitz if obj.lipschitz else 1.0
-    PtP_scale = float(np.linalg.norm(P, 2)) ** 2
-    step = 1.0 / max(L * PtP_scale, 1e-12)
-    for _ in range(max_iter):
-        g = P.T @ obj.grad(P @ c) + gamma
-        c_new = np.maximum(c - step * g, 0.0)
-        if float(np.max(np.abs(c_new - c))) < 1e-14:
-            c = c_new
-            break
-        c = c_new
-    return c
-
-
-def _nn_quadratic(
-    N: np.ndarray, b: np.ndarray, gamma: float, w0: np.ndarray, max_iter: int
-) -> np.ndarray:
-    """Active-set solve of ``min_{c >= 0} 0.5 ||N c - b||^2 + gamma 1'c``.
-
-    Lawson-Hanson style from the empty active set (cold start: the atom Gram
-    is often singular, e.g. +/- atom pairs, and warm starts can cycle); a
-    tiny ridge stabilizes the subset solves and a projected-gradient pass
-    guards the exit.
+    Entries the projection leaves unchanged are exactly zero in the prox.
     """
-    m = N.shape[1]
-    G = N.T @ N
-    h = N.T @ b - gamma
-    ridge = 1e-12 * max(1.0, float(np.trace(G)) / max(m, 1))
-    c = np.zeros(m)
-    active = np.zeros(m, dtype=bool)
-    kkt_tol = 1e-12 * max(1.0, float(np.abs(h).max()))
-    for _ in range(max_iter):
-        grad = G @ c - h
-        viol = np.where(~active, -grad, 0.0)
-        j = int(np.argmax(viol))
-        if viol[j] <= kkt_tol:
-            break
-        active[j] = True
-        for _ in range(4 * m + 16):
-            idx = np.nonzero(active)[0]
-            Gs = G[np.ix_(idx, idx)] + ridge * np.eye(idx.size)
-            sol = np.linalg.solve(Gs, h[idx])
-            if np.all(sol >= -1e-13):
-                c = np.zeros(m)
-                c[idx] = np.maximum(sol, 0.0)
-                break
-            cur = c[idx]
-            diff = sol - cur
-            bad = sol < -1e-13
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(bad & (diff < 0), cur / np.maximum(-diff, 1e-300), np.inf)
-            theta = min(1.0, float(ratios.min()))
-            cur = np.maximum(cur + theta * diff, 0.0)
-            drop = cur <= 1e-13
-            c = np.zeros(m)
-            c[idx] = np.where(drop, 0.0, cur)
-            active = c > 0
-            if not active.any():
-                break
-    # safeguard: a few projected-gradient sweeps never hurt and catch stalls
-    L = float(np.linalg.norm(N, 2)) ** 2
-    if L > 0:
-        step = 1.0 / L
-        for _ in range(200):
-            c_new = np.maximum(c - step * (G @ c - h), 0.0)
-            if float(np.max(np.abs(c_new - c))) < 1e-16:
-                c = c_new
-                break
-            c = c_new
-    return c
-
-
-def _pattern_polish(
-    obj: SmoothObjective,
-    x: np.ndarray,
-    gamma: float,
-    spec: NormSpec,
-) -> np.ndarray:
-    """Smooth refinement of x on its current stratum (1 < p < inf only).
-
-    With the support, the signs, and the pooled tail of sorted |x| (the
-    blocks of :func:`ksupport.norms._pooled_tail`, singletons above it)
-    frozen, the k-support norm is a smooth function of the remaining
-    variables, so a quasi-Newton solve reaches the stratum optimum; the
-    result is kept only if the true penalized objective improves.  This is
-    what lets the conditional gradient iteration exit the sublinear tail on
-    the curved faces.
-    """
-    from scipy import optimize as _sciopt
-
-    d = x.size
-    p, k = spec.p, spec.k
-    a = np.abs(x)
-    zero_tol = 1e-10 * max(1.0, float(a.max()))
-    if float(a.max()) <= zero_tol:
-        return x
-    order = np.argsort(-a, kind="stable")
-    j, _ = _pooled_tail(a[order], k)
-    nb = j + 1
-    bid = np.empty(d, dtype=int)
-    bid[order] = np.minimum(np.arange(d), j)
-    sup = np.nonzero(a > zero_tol)[0]
-    if sup.size == 0:
-        return x
-    sign = np.sign(x[sup])
-    nvec = np.append(np.ones(j), k - j)
-    sup_bid = bid[sup]
-
-    def penalty(z: np.ndarray) -> tuple[float, np.ndarray]:
-        C = np.zeros(nb)
-        np.add.at(C, sup_bid, sign * z)
-        Cp = np.maximum(C, 0.0)
-        total = float(np.sum(Cp**p * nvec ** (1.0 - p)))
-        if total <= 0.0:
-            return 0.0, np.zeros_like(z)
-        val = total ** (1.0 / p)
-        gC = val ** (1.0 - p) * Cp ** (p - 1.0) * nvec ** (1.0 - p)
-        return val, gC[sup_bid] * sign
-
-    def fun(z: np.ndarray) -> tuple[float, np.ndarray]:
-        xf = np.zeros(d)
-        xf[sup] = z
-        pv, pg = penalty(z)
-        return obj.value(xf) + gamma * pv, obj.grad(xf)[sup] + gamma * pg
-
-    res = _sciopt.minimize(
-        fun,
-        x[sup],
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": 300, "ftol": 1e-18, "gtol": 1e-14},
-    )
-    xf = np.zeros(d)
-    xf[sup] = res.x
-    h_old = obj.value(x) + gamma * ksupport_value(x, spec)
-    h_new = obj.value(xf) + gamma * ksupport_value(xf, spec)
-    return xf if h_new <= h_old else x
-
-
-def _polytope_atoms(d: int, spec: NormSpec, cap: int = 1024) -> list[np.ndarray] | None:
-    """Full vertex list of the k-support ball when it is a small polytope.
-
-    p = 1 gives the signed coordinate vectors, p = inf the k-sparse sign
-    patterns.  Returns None above the cap or for curved balls.
-    """
-    import itertools
-
-    p, k = spec.p, spec.k
-    if p == 1:
-        if 2 * d > cap:
-            return None
-        out = []
-        for i in range(d):
-            for s in (1.0, -1.0):
-                a = np.zeros(d)
-                a[i] = s
-                out.append(a)
-        return out
-    if math.isinf(p):
-        if math.comb(d, k) * 2**k > cap:
-            return None
-        out = []
-        for K in itertools.combinations(range(d), k):
-            for signs in itertools.product((1.0, -1.0), repeat=k):
-                a = np.zeros(d)
-                for i, s in zip(K, signs):
-                    a[i] = s
-                out.append(a)
-        return out
-    return None
+    u = v / lam
+    w = project_top_ball(u, spec)
+    return np.where(w == u, 0.0, v - lam * w)
 
 
 def solve_penalized(
@@ -569,85 +289,50 @@ def solve_penalized(
     spec: NormSpec,
     opts: SolveOptions | None = None,
 ) -> SolveReport:
-    """Generalized conditional gradient for ``min f(x) + gamma ksupport(x)``.
+    """FISTA with adaptive restart for ``min f(x) + gamma ksupport(x)``.
 
-    Maintains x as a nonnegative combination of unit-norm LMO atoms; each
-    iteration adds the exposed-face atom of the negative gradient and plane
-    searches the (step toward atom, shrink toward zero) pair, with a fully
-    corrective reweighting every ``corrective_every`` iterations.  Stops when
-    the Fermat gap drops below ``opts.tol``; hitting the iteration cap is
-    flagged on the report rather than raised.
+    Proximal gradient steps from an extrapolated point, with the momentum
+    dropped whenever the step turns against the last move (O'Donoghue and
+    Candes' gradient restart).  The step is ``1 / obj.lipschitz`` for a
+    quadratic objective; otherwise it starts there (or at 1) and halves
+    until the quadratic upper bound holds.  Stops when the Fermat gap drops
+    below ``opts.tol``; hitting the iteration cap is flagged on the report
+    rather than raised.
     """
     if gamma <= 0:
         raise InvalidInputError("gamma must be positive")
     opts = opts or SolveOptions()
     d = obj.dim
     spec.check_dim(d)
-    x = np.zeros(d)
-    atoms: list[np.ndarray] = []
-    weights = np.zeros(0)
-    surrogate = 0.0
-    gap = math.inf
+    backtrack = obj.quad is None or obj.lipschitz is None
+    step = 1.0 / obj.lipschitz if obj.lipschitz else 1.0
+    x = z = np.zeros(d)
+    g = gz = obj.grad(x)
+    momentum = 1.0
     converged = False
     iterations = 0
-    poly_added = False
     for it in range(1, opts.max_iter + 1):
         iterations = it
-        g = obj.grad(x)
-        gap = _fermat_gap(x, g, gamma, spec)
-        if gap <= opts.tol:
+        if _fermat_gap(x, g, gamma, spec) <= opts.tol:
             converged = True
             break
-        if float(np.abs(g).max()) > 0 and top_norm(g, spec) > gamma * 1e-12:
-            atom = lmo_sp_ball(-g, spec)
+        while True:
+            x_new = _prox(z - step * gz, step * gamma, spec)
+            move = x_new - z
+            g_new = obj.grad(x_new)
+            # the quadratic upper bound of f holds along the move (by convexity);
+            # gradients keep the test clear of the rounding of f near the optimum
+            if not backtrack or float((g_new - gz) @ move) <= 0.5 / step * float(move @ move):
+                break
+            step *= 0.5
+        if float(move @ (x_new - x)) < 0.0:  # the step opposes the last move
+            momentum, z = 1.0, x_new
         else:
-            atom = None
-        alpha, beta = _plane_search(obj, x, surrogate, atom, gamma)
-        weights = weights * (1.0 - beta)
-        x = (1.0 - beta) * x
-        surrogate = (1.0 - beta) * surrogate
-        if atom is not None and alpha > 0.0:
-            key = None
-            for j, a in enumerate(atoms):
-                if float(np.max(np.abs(a - atom))) < 1e-12:
-                    key = j
-                    break
-            if key is None:
-                atoms.append(atom)
-                weights = np.append(weights, alpha)
-            else:
-                weights[key] += alpha
-            x = x + alpha * atom
-            surrogate += alpha
-        if atoms and (it % opts.corrective_every == 0):
-            # polytopal balls at desk scale: let the master see every vertex
-            if not poly_added:
-                poly_added = True
-                extra = _polytope_atoms(d, spec)
-                if extra is not None:
-                    known = {tuple(np.round(a, 9)) for a in atoms}
-                    for a in extra:
-                        if tuple(np.round(a, 9)) not in known:
-                            atoms.append(a)
-                            weights = np.append(weights, 0.0)
-            weights = _master_weights(obj, atoms, weights, gamma, opts.master_max_iter)
-            keep = weights > 1e-14
-            atoms = [a for a, k in zip(atoms, keep) if k]
-            weights = weights[keep]
-            x = (
-                np.column_stack(atoms) @ weights if atoms else np.zeros(d)
-            )
-            surrogate = float(weights.sum())
-            if 1 < spec.p < math.inf and atoms:
-                polished = _pattern_polish(obj, x, gamma, spec)
-                if polished is not x:
-                    ksv = ksupport_value(polished, spec)
-                    if ksv > 0.0:
-                        x = polished
-                        atoms = [polished / ksv]
-                        weights = np.array([ksv])
-                        surrogate = ksv
-    g = obj.grad(x)
+            nxt = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum**2))
+            z = x_new + (momentum - 1.0) / nxt * (x_new - x)
+            momentum = nxt
+        x, g = x_new, g_new
+        gz = g if z is x else obj.grad(z)
     gap = _fermat_gap(x, g, gamma, spec)
     if gap <= opts.tol:
         converged = True

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize as sciopt
 
 from ksupport.core import ConvergenceError, InvalidInputError, Tolerance
 from ksupport.norms import (
     NormSpec,
-    dual_ascent_ksupport,
     ksupport_norm,
     ksupport_norm_oracle,
     ksupport_value,
@@ -16,6 +17,7 @@ from ksupport.norms import (
     project_top_ball,
     top_norm,
 )
+from ksupport.oracles import dual_ascent_ksupport, dykstra_top_ball
 
 INF = math.inf
 
@@ -113,6 +115,20 @@ def test_duality_pairing_sampled():
         spec = NormSpec(p, k)
         x, y = rng.standard_normal(d), rng.standard_normal(d)
         assert float(x @ y) <= ksupport_value(x, spec) * top_norm(y, spec) + 1e-9
+
+
+def test_ksupport_value_large_p_does_not_overflow():
+    # the pooled tail mean 2 exceeds the largest entry 1; its p-th power overflowed
+    spec = NormSpec(1e6, 2)
+    for value in (ksupport_value([1, 1, 1, 1], spec), ksupport_norm([1, 1, 1, 1], spec).value):
+        assert value == pytest.approx(2.0 * 2.0**1e-6, rel=1e-12)
+
+
+def test_ksupport_certificate_is_scale_free():
+    x = np.random.default_rng(0).standard_normal(6)
+    for scale in (1.0, 1e-300, 1e200):
+        rep = ksupport_norm(scale * x, NormSpec(2.0, 3))
+        assert rep.certified_gap <= 1e-9 * rep.value
 
 
 def test_ksupport_certificate_gap_small():
@@ -289,7 +305,7 @@ def test_project_top_ball_against_slsqp():
         spec = NormSpec(p, k)
         q = spec.q
         y0 = rng.standard_normal(d) * 2
-        got = project_top_ball(y0, spec, Tolerance(abs=1e-11, rel=1e-11))
+        got = project_top_ball(y0, spec)
         assert top_norm(got, spec) <= 1 + 1e-9
         cons = []
         for K in k_subsets(d, k):
@@ -317,7 +333,7 @@ def test_projection_variational_inequality():
     for _ in range(10):
         d = 4
         y0 = rng.standard_normal(d) * 3
-        proj = project_top_ball(y0, spec, Tolerance(abs=1e-11, rel=1e-11))
+        proj = project_top_ball(y0, spec)
         for _ in range(50):
             z = rng.standard_normal(d)
             z = z / max(1.0, top_norm(z, spec))
@@ -327,3 +343,49 @@ def test_projection_variational_inequality():
 def test_dual_ascent_raises_on_cap():
     with pytest.raises(ConvergenceError):
         dual_ascent_ksupport(np.array([1.0, 0.7, 0.3]), NormSpec(2.0, 2), max_iter=1)
+
+
+def test_project_top_ball_matches_dykstra():
+    # seeded d <= 7 cases with 1 < k < d at every p, all outside the ball;
+    # odd cases are integer vectors with ties and zeros
+    rng = np.random.default_rng(15)
+    for p in (1.0, 1.5, 2.0, 3.0, INF):
+        for i in range(6):
+            d = int(rng.integers(3, 8))
+            spec = NormSpec(p, int(rng.integers(2, d)))
+            y = rng.integers(-3, 4, d).astype(float) if i % 2 else 2.0 * rng.standard_normal(d)
+            assert top_norm(y, spec) > 1
+            want = dykstra_top_ball(y, spec, Tolerance(1e-12, 1e-12))
+            assert np.max(np.abs(project_top_ball(y, spec) - want)) <= 1e-9
+
+
+def test_project_top_ball_support_function_certificate():
+    # y - w is in the normal cone of the ball at w: <y - w, w> is the support
+    # function of the ball at y - w, which is the k-support norm
+    rng = np.random.default_rng(13)
+    for d in (5, 50, 1000, 100_000):
+        for p in (1.0, 1.5, 2.0, 3.0, INF):
+            k = 10_000 if d == 100_000 else int(rng.integers(1, d + 1))
+            spec = NormSpec(p, k)
+            y = rng.standard_normal(d) * rng.uniform(2.0, 10.0)
+            w = project_top_ball(y, spec)
+            assert top_norm(w, spec) <= 1 + 1e-12
+            r = y - w
+            ks = ksupport_value(r, spec)
+            assert ks > 0
+            assert abs(ks - float(r @ w)) <= 1e-10 * ks
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_project_top_ball_equivariance(data):
+    d = data.draw(st.integers(2, 8))
+    k = data.draw(st.integers(1, d))
+    p = data.draw(st.sampled_from([1.0, 1.5, 2.0, 3.0, INF]))
+    y = np.array(data.draw(st.lists(st.integers(-6, 6), min_size=d, max_size=d)), dtype=float) / 2
+    perm = np.array(data.draw(st.permutations(range(d))))
+    signs = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=d, max_size=d)))
+    spec = NormSpec(p, k)
+    w = project_top_ball(y, spec)
+    moved = project_top_ball(signs * y[perm], spec)
+    assert np.max(np.abs(moved - signs * w[perm])) <= 1e-12

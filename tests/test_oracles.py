@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from ksupport.core import InvalidInputError, ScaleLimitError, ZeroVectorError
-from ksupport.norms import NormSpec, ksupport_value, top_norm
+from ksupport.core import InvalidInputError, ScaleLimitError, Tolerance, ZeroVectorError
+from ksupport.norms import NormSpec, ksupport_value, project_top_ball, top_norm
 from ksupport.oracles import (
     brute_exposed_face,
     brute_optimal_supports,
+    dykstra_top_ball,
     lasso_closed_form,
     sampled_exposed_face,
     sampled_gauge_upper_bound,
@@ -88,3 +89,15 @@ def test_sampled_exposed_face_converges():
             assert min(float(np.linalg.norm(v - p)) for p in pts) <= 1e-3
     with pytest.raises(ZeroVectorError):
         sampled_exposed_face([0.0, 0.0], NormSpec(2.0, 1))
+
+
+def test_dykstra_stops_only_when_corrections_settle():
+    # the iterate at the end of a sweep repeats at (0, 0, 0, .707, .707)
+    # while the corrections still move; the projection is y / ||y||
+    y = np.array([0.0, 0.0, 0.0, 3.0, 2.0])
+    spec = NormSpec(2.0, 4)
+    want = y / np.linalg.norm(y)
+    assert np.max(np.abs(dykstra_top_ball(y, spec, Tolerance(1e-12, 1e-12)) - want)) <= 1e-9
+    assert np.max(np.abs(project_top_ball(y, spec) - want)) <= 1e-15
+    with pytest.raises(ScaleLimitError):
+        dykstra_top_ball(np.full(30, 2.0), NormSpec(2.0, 8))

@@ -129,28 +129,21 @@ def test_identified_support_examples():
         identified_support(np.zeros(2), [0.0, 0.0], NormSpec(2.0, 1))
 
 
-def test_plane_search_monotone_descent():
-    from ksupport.solver import _plane_search
+def test_prox_satisfies_fermat_condition():
+    # x = prox of s * ksupport at v minimizes 0.5 ||x - v||^2 + s ksupport(x),
+    # so (v - x) / s is a subgradient of the norm at x
+    from ksupport.solver import _prox
 
     rng = np.random.default_rng(3)
-    for _ in range(30):
-        d = 5
-        A = rng.standard_normal((6, d))
-        b = rng.standard_normal(6)
-        obj = quadratic_objective(A, b)
-        x = rng.standard_normal(d)
-        surrogate = float(np.abs(x).sum())  # any upper bound works for descent
-        atom = rng.standard_normal(d)
-        atom /= np.abs(atom).sum()
-        gamma = 0.7
-
-        def total(z, s):
-            return obj.value(z) + gamma * s
-
-        alpha, beta = _plane_search(obj, x, surrogate, atom, gamma)
-        before = total(x, surrogate)
-        after = total((1 - beta) * x + alpha * atom, (1 - beta) * surrogate + alpha)
-        assert after <= before + 1e-12
+    for _ in range(40):
+        d = int(rng.integers(2, 9))
+        spec = NormSpec(float(rng.choice([1.0, 1.5, 2.0, 3.0, INF])), int(rng.integers(1, d + 1)))
+        v = rng.standard_normal(d) * 3
+        s = float(rng.uniform(0.2, 2.0))
+        x = _prox(v, s, spec)
+        obj = quadratic_objective(np.eye(d), v)
+        ok, gap = certify_optimality(x, obj, s, spec, Tolerance(1e-9, 1e-9))
+        assert ok, gap
 
 
 def test_solver_support_identification_bound():
