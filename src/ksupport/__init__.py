@@ -36,13 +36,14 @@ from .core import (
 from .faces import (
     FaceDescription,
     NormalConeDescription,
+    SupportLattice,
     atomset_face,
     exposed_face_sp,
     normal_cone_membership,
     normal_cone_of,
     optimal_support_lattice_bounds,
     optimal_supports,
-    support_bound_from_dual,
+    support_lattice,
     v_p,
 )
 from .norms import (
@@ -70,7 +71,6 @@ from .solver import (
     SmoothObjective,
     SolveOptions,
     SolveReport,
-    SupportIdentification,
     ZeroGradientError,
     certify_optimality,
     check_gradient,

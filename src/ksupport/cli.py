@@ -21,7 +21,7 @@ import numpy as np
 
 from . import verify as verify_mod
 from .core import ConvergenceError, InvalidInputError, Tolerance, ZeroVectorError, level_index
-from .faces import exposed_face_sp
+from .faces import SupportLattice, exposed_face_sp
 from .norms import NormSpec, ksupport_norm, ksupport_norm_oracle, ksupport_value, lp_norm, top_norm
 from .polytopes import brute_face_lattice, ksup_inf_ball, top1k_ball
 from .solver import (
@@ -86,6 +86,8 @@ def _json_default(obj):
         return [float(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
+    if isinstance(obj, SupportLattice):
+        return {"core": obj.core, "bound": obj.bound, "sizes": list(obj.sizes), "count": obj.count}
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
@@ -190,9 +192,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "fw_gap": rep.fw_gap,
             "iterations": rep.iterations,
             "converged": rep.converged,
-            "identified_supports": [list(K) for K in rep.identified_supports],
-            "unique_support": list(rep.unique_support) if rep.unique_support else None,
-            "support_bound": list(rep.support_bound),
+            "identified_supports": rep.identified_supports,
+            "unique_support": rep.unique_support,
+            "support_bound": rep.support_bound,
         }
     )
     return EXIT_OK if rep.converged else EXIT_NONCONVERGED

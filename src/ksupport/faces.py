@@ -1,15 +1,20 @@
 """Exposed faces and normal cones of k-support unit balls.
 
 For a nonzero dual vector the optimal supports are the cardinality-at-most-k
-index sets maximizing the dual norm of the projected vector; the exposed
-face of the k-support ball (1 < p < inf) is the convex hull of the
-Hoelder-equality points of the projections onto those supports.  A finite
-atom-set engine provides the same face computation for arbitrary finite
-atom collections.
+index sets maximizing the dual norm of the projected vector.  They form a
+lattice interval between the strict and weak level sets ``L_k`` and
+``Lbar_k``, which :class:`SupportLattice` carries by its two ends and its
+sizes; its members are listed only on request.  The union ``Lbar_k`` bounds
+the support of every point of the exposed face.  The exposed face of the
+k-support ball (1 < p < inf) is the convex hull of the Hoelder-equality
+points of the projections onto the optimal supports.  A finite atom-set
+engine provides the same face computation for arbitrary finite atom
+collections.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -33,6 +38,8 @@ from .norms import NormSpec
 __all__ = [
     "FaceDescription",
     "NormalConeDescription",
+    "SupportLattice",
+    "support_lattice",
     "optimal_supports",
     "v_p",
     "exposed_face_sp",
@@ -40,7 +47,6 @@ __all__ = [
     "normal_cone_of",
     "optimal_support_lattice_bounds",
     "atomset_face",
-    "support_bound_from_dual",
 ]
 
 _ENUMERATION_CAP = 200_000
@@ -68,43 +74,88 @@ class NormalConeDescription:
     level: LevelIndexData
 
 
+@dataclass(frozen=True)
+class SupportLattice:
+    """The optimal supports of a dual vector as a lattice interval.
+
+    The members are the sets K with ``core <= K <= bound`` and ``|K|`` in
+    ``sizes``; ``core`` is their intersection and ``bound`` their union.
+    For q < inf the union is the weak level set ``Lbar_k``; the intersection
+    is the strict set ``L_k`` when ``m_k = 0`` or the level is tied
+    (``|Lbar_k| > k``), and otherwise the single optimal support ``Lbar_k``.
+    ``count`` is exact however large, and iteration yields the members as
+    sorted tuples in lexicographic order.  There is deliberately no
+    ``__len__``: counts such as C(200, 100) do not fit an index.
+    """
+
+    core: tuple[int, ...]
+    bound: tuple[int, ...]
+    sizes: range
+
+    @property
+    def count(self) -> int:
+        # C(free, j) summed over the sizes, each term from the one before (one
+        # math.comb per size takes a minute at d = 1e5, k = 1e4 when m_k = 0)
+        free, c = len(self.bound) - len(self.core), len(self.core)
+        term, total = math.comb(free, self.sizes[0] - c), 0
+        for j in range(self.sizes[0] - c, self.sizes[-1] - c + 1):
+            total += term
+            term = term * (free - j) // (j + 1)
+        return total
+
+    @property
+    def unique(self) -> tuple[int, ...] | None:
+        """The single optimal support, or None when there are several."""
+        return self.bound if self.core == self.bound else None
+
+    def __iter__(self):
+        # at one size, K = core + E orders as E does (min of K1 ^ K2 decides)
+        core = list(self.core)
+        pool = sorted(set(self.bound).difference(core))
+        per_size = (
+            (tuple(sorted(core + list(extra))) for extra in itertools.combinations(pool, s - len(core)))
+            for s in self.sizes
+        )
+        return heapq.merge(*per_size)
+
+
+def support_lattice(
+    y: Sequence[float],
+    spec: NormSpec,
+    tol: Tolerance = DEFAULT_TOL,
+) -> SupportLattice:
+    """The supports of cardinality <= k maximizing ``||pi_K y||_q``.
+
+    For q < inf these are the sets K with ``L_k(y) <= K <= Lbar_k(y)`` that
+    have k elements, except that when ``m_k(y) = 0`` any cardinality from
+    ``|L_k|`` to k qualifies.  For q = inf (source norm l1) the argmax
+    family is closed upward; its inclusion-minimal members, the singletons
+    of the absolute-value argmax, are the lattice at k = 1.  Ties are grouped
+    within ``tol.abs``.
+    """
+    arr = as_vector(y)
+    spec.check_dim(arr.size)
+    k = 1 if math.isinf(spec.q) else spec.k
+    li = level_index(arr, k, tol)
+    if li.m_k == 0.0:
+        return SupportLattice(li.strict, li.weak, range(len(li.strict), k + 1))
+    core = li.weak if len(li.weak) == k else li.strict
+    return SupportLattice(core, li.weak, range(k, k + 1))
+
+
 def optimal_supports(
     y: Sequence[float],
     spec: NormSpec,
     tol: Tolerance = DEFAULT_TOL,
 ) -> tuple[tuple[int, ...], ...]:
-    """All supports of cardinality <= k maximizing ``||pi_K y||_q``.
+    """The members of :func:`support_lattice`, listed in lexicographic order.
 
-    For q < inf these are exactly the sets K with ``L_k(y) <= K <= Lbar_k(y)``
-    that have k elements, except that when ``m_k(y) = 0`` any cardinality
-    from ``|L_k|`` to k qualifies.  For q = inf (source norm l1) the argmax
-    family is closed upward, so the inclusion-minimal representatives are
-    returned: the singletons of the absolute-value argmax.  Ties are grouped
-    within ``tol.abs``; output is in lexicographic order.
+    Refuses (``ScaleLimitError``) to list more than 200 000 of them.
     """
-    arr = as_vector(y)
-    d = arr.size
-    spec.check_dim(d)
-    k = spec.k
-    if float(np.abs(arr).max()) <= tol.abs:
-        raise ZeroVectorError("optimal supports are undefined for the zero vector")
-    if math.isinf(spec.q):
-        top = float(np.abs(arr).max())
-        winners = np.nonzero(np.abs(arr) >= top - tol.abs)[0]
-        return tuple((int(i) + 1,) for i in winners)
-    li = level_index(arr, k, tol)
-    strict = set(li.strict)
-    pool = sorted(set(li.weak) - strict)
-    slots = k - len(strict)
-    sizes = range(slots + 1) if li.m_k == 0.0 else (slots,)
-    count = sum(math.comb(len(pool), j) for j in sizes)
-    if count > _ENUMERATION_CAP:
-        raise ScaleLimitError(f"{count} tied optimal supports exceed the enumeration cap")
-    out = []
-    for j in sizes:
-        for extra in itertools.combinations(pool, j):
-            out.append(tuple(sorted(strict.union(extra))))
-    return tuple(sorted(out))
+    lattice = support_lattice(y, spec, tol)
+    if lattice.count > _ENUMERATION_CAP:
+        raise ScaleLimitError(f"more than {_ENUMERATION_CAP} tied optimal supports; see support_lattice")
+    return tuple(lattice)
 
 
 def v_p(y: Sequence[float], p: float) -> np.ndarray:
@@ -141,21 +192,15 @@ def exposed_face_sp(
     arr = as_vector(y)
     if not 1 < spec.p < math.inf:
         raise InvalidInputError("exposed_face_sp requires 1 < p < inf")
-    sups = optimal_supports(arr, spec, tol)
-    raw: list[tuple[np.ndarray, tuple[int, ...]]] = []
-    for K in sups:
-        vk = v_p(project_support(arr, K), spec.p)
-        raw.append((vk, K))
     kept: list[tuple[np.ndarray, tuple[int, ...]]] = []
-    for vk, K in raw:
-        merged = False
+    for K in optimal_supports(arr, spec, tol):
+        vk = v_p(project_support(arr, K), spec.p)
         for i, (vo, Ko) in enumerate(kept):
             if float(np.max(np.abs(vk - vo))) < tol.abs:
                 rep = min((tuple(vo), Ko), (tuple(vk), K))
                 kept[i] = (np.array(rep[0]), rep[1])
-                merged = True
                 break
-        if not merged:
+        else:
             kept.append((vk, K))
     kept.sort(key=lambda item: tuple(item[0]))
     return FaceDescription(
@@ -226,30 +271,10 @@ def optimal_support_lattice_bounds(
     spec: NormSpec,
     tol: Tolerance = DEFAULT_TOL,
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Intersection and union of the optimal supports of ``y``.
-
-    For q < inf the union always equals the weak level set ``Lbar_k(y)``;
-    the intersection equals the strict set ``L_k(y)`` whenever ``m_k = 0``
-    or the level is tied (``|Lbar_k| > k``), and otherwise the single
-    optimal support ``Lbar_k(y)`` itself.
-    """
-    sups = optimal_supports(y, spec, tol)
-    inter = set(sups[0])
-    union = set(sups[0])
-    for K in sups[1:]:
-        inter.intersection_update(K)
-        union.update(K)
-    return tuple(sorted(inter)), tuple(sorted(union))
-
-
-def support_bound_from_dual(
-    y: Sequence[float],
-    spec: NormSpec,
-    tol: Tolerance = DEFAULT_TOL,
-) -> tuple[int, ...]:
-    """Union of the optimal supports: a superset of the support of every
-    point of the exposed face."""
-    return optimal_support_lattice_bounds(y, spec, tol)[1]
+    """Intersection and union of the optimal supports of ``y``: the two ends
+    of :func:`support_lattice`."""
+    lattice = support_lattice(y, spec, tol)
+    return lattice.core, lattice.bound
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .core import (
     Tolerance,
     as_vector,
     k_subsets,
+    project_support,
 )
 
 __all__ = [
@@ -417,28 +418,18 @@ def _decomposition_upper_bound(
     ``||x||_1`` is the fallback bound.  The LP runs on x at unit sup-norm
     scale, since its solver's tolerances are absolute.
     """
-    from .faces import optimal_supports, v_p
+    from .faces import support_lattice, v_p
 
     scale = float(np.abs(x).max())
     x = x / scale
     fallback = float(np.abs(x).sum())
     try:
-        sups = optimal_supports(y_feas, spec, tol)
+        lattice = support_lattice(y_feas, spec, tol)
     except InvalidInputError:
         return scale * fallback
-    if not sups or len(sups) > 1000:
+    if lattice.count > 1000:
         return scale * fallback
-    cols = []
-    for K in sups:
-        yk = np.zeros_like(y_feas)
-        idx = np.array(K, dtype=int) - 1
-        yk[idx] = y_feas[idx]
-        if float(np.abs(yk).max()) == 0.0:
-            continue
-        cols.append(v_p(yk, spec.p))
-    if not cols:
-        return scale * fallback
-    V = np.column_stack(cols)
+    V = np.column_stack([v_p(project_support(y_feas, K), spec.p) for K in lattice])
     try:
         res = _sciopt.linprog(
             np.ones(V.shape[1]), A_eq=V, b_eq=x, bounds=(0, None), method="highs"

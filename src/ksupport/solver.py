@@ -17,23 +17,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (
-    DEFAULT_TOL,
-    InvalidInputError,
-    ScaleLimitError,
-    Tolerance,
-    ZeroVectorError,
-    as_vector,
-    level_index,
-)
-from .faces import optimal_supports, v_p
+from .core import DEFAULT_TOL, InvalidInputError, Tolerance, as_vector
+from .faces import SupportLattice, support_lattice, v_p
 from .norms import NormSpec, ksupport_value, project_top_ball, top_norm
 
 __all__ = [
     "SmoothObjective",
     "SolveOptions",
     "SolveReport",
-    "SupportIdentification",
     "ZeroGradientError",
     "quadratic_objective",
     "logistic_objective",
@@ -135,24 +126,32 @@ class SolveOptions:
 
 
 @dataclass(frozen=True)
-class SupportIdentification:
-    """Optimal supports of a dual vector and the induced primal support bound."""
-
-    supports: tuple[tuple[int, ...], ...]
-    unique: tuple[int, ...] | None
-    bound: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class SolveReport:
+    """Outcome of :func:`solve_penalized`.
+
+    ``x_star``: the last iterate; ``objective``: its ``f + gamma * ksupport``;
+    ``fw_gap``: the Fermat gap there (the name is kept from an earlier
+    Frank-Wolfe solver); ``iterations``: iterations run; ``converged``: the
+    gap reached ``SolveOptions.tol``.  ``identified_supports``: the lattice of
+    optimal supports of ``-grad f(x_star)``, None for a zero gradient;
+    ``unique_support``: its single member, if any; ``support_bound``: its
+    union (empty for a zero gradient), which bounds ``supp(x_star)`` at an optimum.
+    """
+
     x_star: np.ndarray
     objective: float
     fw_gap: float
     iterations: int
     converged: bool
-    identified_supports: tuple[tuple[int, ...], ...]
-    unique_support: tuple[int, ...] | None
-    support_bound: tuple[int, ...]
+    identified_supports: SupportLattice | None
+
+    @property
+    def unique_support(self) -> tuple[int, ...] | None:
+        return None if self.identified_supports is None else self.identified_supports.unique
+
+    @property
+    def support_bound(self) -> tuple[int, ...]:
+        return () if self.identified_supports is None else self.identified_supports.bound
 
 
 def lmo_sp_ball(
@@ -162,42 +161,29 @@ def lmo_sp_ball(
 ) -> np.ndarray:
     """Extreme point of the k-support unit ball maximizing ``<a, u>``.
 
-    For 1 < p < inf this is the exposed-face vertex ``v_p(pi_K u)`` at the
-    lexicographically smallest optimal support K; for p = inf a k-sparse
-    sign pattern on the k largest entries; for p = 1 a signed coordinate
-    vector.  Satisfies ``<lmo(u), u> = top_norm(u)`` by construction.
+    The support K is the lexicographically first member of largest size in
+    the exact-tie support lattice of ``u``: k largest entries, or for p = 1
+    one largest entry.  On K the point is the exposed-face vertex
+    ``v_p(pi_K u)`` for 1 < p < inf and the sign pattern of ``u`` for p = 1
+    and p = inf.  Satisfies ``<lmo(u), u> = top_norm(u)`` by construction.
     Passing ``rng`` randomizes the tie-break among exactly tied optimal
     supports (for stress tests); by default it is deterministic.
     """
     arr = as_vector(u)
-    d = arr.size
-    spec.check_dim(d)
-    if float(np.abs(arr).max()) == 0.0:
-        raise ZeroVectorError("LMO direction must be nonzero")
-    p, k = spec.p, spec.k
-    out = np.zeros(d)
-    if p == 1:
-        tied = np.nonzero(np.abs(arr) == np.abs(arr).max())[0]
-        i = int(rng.choice(tied)) if rng is not None else int(tied[0])
-        out[i] = 1.0 if arr[i] >= 0 else -1.0
-        return out
-    li = level_index(arr, k, Tolerance(0.0, 0.0))
-    strict = list(li.strict)
-    pool = sorted(set(li.weak) - set(strict))
-    take = k - len(strict)
+    lattice = support_lattice(arr, spec, Tolerance(0.0, 0.0))  # raises ZeroVectorError at 0
+    pool = sorted(set(lattice.bound).difference(lattice.core))
+    take = lattice.sizes[-1] - len(lattice.core)
     if rng is not None and len(pool) > take:
         chosen = list(rng.choice(pool, size=take, replace=False))
     else:
         chosen = pool[:take]
-    K = tuple(sorted(strict + chosen))
-    if math.isinf(p):
-        for i in K:
-            out[i - 1] = 1.0 if arr[i - 1] >= 0 else -1.0
-        return out
-    proj = np.zeros(d)
-    idx = np.array(K, dtype=int) - 1
-    proj[idx] = arr[idx]
-    return v_p(proj, p)
+    idx = np.array(list(lattice.core) + chosen, dtype=int) - 1
+    out = np.zeros(arr.size)
+    if 1 < spec.p < math.inf:
+        out[idx] = arr[idx]
+        return v_p(out, spec.p)
+    out[idx] = np.where(arr[idx] >= 0, 1.0, -1.0)
+    return out
 
 
 def identified_support(
@@ -205,12 +191,12 @@ def identified_support(
     g: Sequence[float],
     spec: NormSpec,
     tol: Tolerance = DEFAULT_TOL,
-) -> SupportIdentification:
+) -> SupportLattice:
     """Support identification from the dual vector ``g = -grad f(x)``.
 
-    The supports are the optimal supports of g; their union bounds the
-    support of any optimum exposed by g, and a unique optimal support
-    certifies a k-sparse optimum.
+    The lattice of optimal supports of g: its union bounds the support of
+    any optimum exposed by g, and a unique optimal support certifies a
+    k-sparse optimum.
     """
     xarr = as_vector(x)
     garr = as_vector(g)
@@ -218,12 +204,7 @@ def identified_support(
         raise InvalidInputError("x and g must have the same dimension")
     if float(np.abs(garr).max()) <= tol.abs:
         raise ZeroGradientError("zero gradient: support identification is vacuous")
-    sups = optimal_supports(garr, spec, tol)
-    bound: set[int] = set()
-    for K in sups:
-        bound.update(K)
-    unique = sups[0] if len(sups) == 1 else None
-    return SupportIdentification(supports=sups, unique=unique, bound=tuple(sorted(bound)))
+    return support_lattice(garr, spec, tol)
 
 
 def _fermat_gap(x: np.ndarray, g: np.ndarray, gamma: float, spec: NormSpec) -> float:
@@ -337,17 +318,15 @@ def solve_penalized(
     if gap <= opts.tol:
         converged = True
     # tie detection in the dual vector must not be finer than the achieved
-    # accuracy, else tied coordinates carrying mass of x fall out of the bound
+    # accuracy, else tied coordinates carrying mass of x fall out of the bound;
+    # an accuracy that cannot tell -g from zero ties every coordinate
     tie_abs = max(DEFAULT_TOL.abs, 200.0 * gap, 1e-8 * top_norm(g, spec))
-    try:
-        ident = identified_support(x, -g, spec, Tolerance(abs=tie_abs, rel=DEFAULT_TOL.rel))
-        supports, unique, bound = ident.supports, ident.unique, ident.bound
-    except ZeroGradientError:
-        supports, unique, bound = (), None, ()
-    except ScaleLimitError:
-        # tie group too wide to enumerate (can happen far from convergence);
-        # fall back to the trivial, always-valid bound
-        supports, unique, bound = (), None, tuple(range(1, d + 1))
+    gmax = float(np.abs(g).max())
+    lattice = None
+    if gmax > tie_abs:
+        lattice = identified_support(x, -g, spec, Tolerance(abs=tie_abs, rel=DEFAULT_TOL.rel))
+    elif gmax > DEFAULT_TOL.abs:  # the lattice of a constant vector
+        lattice = support_lattice(np.ones(d), spec)
     objective = obj.value(x) + gamma * ksupport_value(x, spec)
     return SolveReport(
         x_star=x,
@@ -355,7 +334,5 @@ def solve_penalized(
         fw_gap=gap,
         iterations=iterations,
         converged=converged,
-        identified_supports=supports,
-        unique_support=unique,
-        support_bound=bound,
+        identified_supports=lattice,
     )

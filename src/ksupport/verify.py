@@ -17,7 +17,7 @@ import numpy as np
 from .core import Tolerance, k_subsets, l0, level_index, support_of
 from .faces import exposed_face_sp, optimal_support_lattice_bounds
 from .norms import NormSpec, ksupport_norm, ksupport_norm_oracle, ksupport_value, lp_norm, top_norm
-from .oracles import lasso_closed_form, sampled_exposed_face
+from .oracles import brute_optimal_supports, lasso_closed_form, sampled_exposed_face
 from .polytopes import (
     brute_face_lattice,
     enumerate_proper_faces_top1k,
@@ -177,12 +177,15 @@ def suite_faces(
 
 
 def suite_lattice(trials: int = 500, d_max: int = 8, seed: int = 0) -> dict:
-    """Intersection/union of optimal supports against the level sets.
+    """Intersection/union of optimal supports against the level sets and
+    against an exhaustive scan of every support.
 
     The union always equals the weak set.  The intersection equals the
     strict set exactly when the level is degenerate (m_k = 0) or tied
     (|weak| > k); with exactly k indices at or above the level the argmax is
-    the single set weak itself, which is the correct intersection.
+    the single set weak itself, which is the correct intersection.  The
+    scan (:func:`ksupport.oracles.brute_optimal_supports`) checks both
+    without reading the level sets.
     """
     rng = np.random.default_rng(seed)
     failures = []
@@ -195,12 +198,13 @@ def suite_lattice(trials: int = 500, d_max: int = 8, seed: int = 0) -> dict:
         spec = NormSpec(2.0, k)
         inter, union = optimal_support_lattice_bounds(y, spec)
         li = level_index(y, k)
-        if union != li.weak:
+        brute = [set(K) for K in brute_optimal_supports(y, spec)]
+        if union != li.weak or set(union) != set.union(*brute):
             failures.append(("union", t, tuple(y), k))
             continue
         tied = li.m_k == 0.0 or len(li.weak) > k
         want_inter = li.strict if tied else li.weak
-        if inter != want_inter:
+        if inter != want_inter or set(inter) != set.intersection(*brute):
             failures.append(("intersection", t, tuple(y), k))
     return _result("lattice", trials, failures)
 

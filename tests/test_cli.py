@@ -103,6 +103,21 @@ def test_solve_quadratic_file(tmp_path, capsys):
     data = json.loads(out)
     assert np.allclose(data["x_star"], [0, 0, 0])
 
+    # x* = 0 with every gradient entry tied: C(30, 10) supports, reported by
+    # their two ends and their count
+    payload = {"type": "quadratic", "A": np.eye(30).tolist(), "b": [1.0] * 30}
+    path.write_text(json.dumps(payload))
+    code, out, _ = run_cli(
+        capsys, "solve", "--objective", str(path), "--gamma", "4", "--p", "2", "--k", "10"
+    )
+    data = json.loads(out)
+    assert code == 0
+    assert np.allclose(data["x_star"], 0.0)
+    assert data["identified_supports"] == {
+        "core": [], "bound": list(range(1, 31)), "sizes": [10], "count": 30_045_015
+    }
+    assert data["support_bound"] == list(range(1, 31))
+
 
 def test_solve_logistic_file(tmp_path, capsys):
     rng = np.random.default_rng(0)

@@ -13,7 +13,7 @@ from ksupport.faces import (
     normal_cone_of,
     optimal_support_lattice_bounds,
     optimal_supports,
-    support_bound_from_dual,
+    support_lattice,
     v_p,
 )
 from ksupport.norms import NormSpec, ksupport_value, top_norm
@@ -38,6 +38,19 @@ def test_optimal_supports_q_inf_minimal_representatives():
     assert optimal_supports([2, 2, 1], NormSpec(1.0, 2)) == ((1,), (2,))
 
 
+def _check_lattice_against_scan(y, spec):
+    lattice = support_lattice(y, spec)
+    brute = brute_optimal_supports(y, spec)
+    if spec.q == INF:  # the scan lists the whole upward-closed family
+        brute = tuple(K for K in brute if len(K) == 1)
+    assert tuple(lattice) == brute
+    assert optimal_supports(y, spec) == brute
+    assert lattice.count == len(brute)
+    assert set(lattice.core) == set.intersection(*map(set, brute))
+    assert set(lattice.bound) == set.union(*map(set, brute))
+    assert lattice.unique == (brute[0] if len(brute) == 1 else None)
+
+
 def test_optimal_supports_match_brute_force():
     rng = np.random.default_rng(0)
     for _ in range(80):
@@ -52,6 +65,14 @@ def test_optimal_supports_match_brute_force():
         else:
             y = rng.standard_normal(d)
         assert optimal_supports(y, spec) == brute_optimal_supports(y, spec)
+        _check_lattice_against_scan(y, spec)
+    # integer vectors: tied levels, zeros, m_k = 0 (fewer than k nonzeros),
+    # q = inf (p = 1), and every k
+    for y in ([3, 2, 2, 1], [1, 1, 1], [5, 0, 0], [2, -2, 1, 0, 0], [0, 3, 0, -3, 3],
+              [1, 0, 0, 0, 0, 0], [-2, 2, 2, -2], [4, 1, 1, 1, 0, 1, 0, 1]):
+        for p in (1.0, 1.5, 2.0, INF):
+            for k in range(1, len(y) + 1):
+                _check_lattice_against_scan(np.array(y, dtype=float), NormSpec(p, k))
 
 
 def test_v_p_examples_and_identities():
@@ -142,12 +163,9 @@ def test_lattice_bounds_vs_level_sets():
             assert inter == li.strict
         else:
             assert inter == li.weak
-
-
-def test_support_bound_examples():
-    assert support_bound_from_dual([3, 2, 2, 1], NormSpec(2.0, 2)) == (1, 2, 3)
-    assert support_bound_from_dual([5, 0, 0], NormSpec(2.0, 1)) == (1,)
-    assert support_bound_from_dual([1, 1, 1], NormSpec(2.0, 2)) == (1, 2, 3)
+        brute = [set(K) for K in brute_optimal_supports(y, NormSpec(2.0, k))]
+        assert set(union) == set.union(*brute)
+        assert set(inter) == set.intersection(*brute)
 
 
 def test_normal_cone_membership_examples():

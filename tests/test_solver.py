@@ -120,11 +120,15 @@ def test_certificate_soundness_against_probes():
 
 def test_identified_support_examples():
     ident = identified_support(np.zeros(4), [3, 2, 2, 1], NormSpec(2.0, 2))
-    assert ident.supports == ((1, 2), (1, 3))
+    assert tuple(ident) == ((1, 2), (1, 3))
     assert ident.unique is None
     assert ident.bound == (1, 2, 3)
     ident = identified_support(np.zeros(3), [3, 1, 0], NormSpec(2.0, 1))
     assert ident.unique == (1,)
+    # a fully tied gradient: C(30, 10) supports, carried by their two ends
+    ident = identified_support(np.zeros(30), np.ones(30), NormSpec(2.0, 10))
+    assert ident.count == 30_045_015
+    assert ident.core == () and ident.bound == tuple(range(1, 31))
     with pytest.raises(ZeroGradientError):
         identified_support(np.zeros(2), [0.0, 0.0], NormSpec(2.0, 1))
 
@@ -173,6 +177,26 @@ def test_solver_iteration_cap_flagged():
     assert not rep.converged
     assert rep.iterations == 3
     assert rep.fw_gap > 0
+    # at this accuracy every coordinate of the gradient ties, and the bound
+    # must still hold every coordinate that carries mass
+    assert set(support_of(rep.x_star)) <= set(rep.support_bound)
+
+
+def test_solver_polytope_bound_is_not_trivial():
+    # the p = inf planted least-squares setup of the solve-polytope benchmark
+    rng = np.random.default_rng(7)
+    d, m, k = 100, 50, 10
+    A = rng.standard_normal((m, d))
+    w = np.zeros(d)
+    w[rng.choice(d, k, replace=False)] = rng.standard_normal(k)
+    obj = quadratic_objective(A, A @ w + 0.01 * rng.standard_normal(m))
+    spec = NormSpec(INF, k)
+    rep = solve_penalized(obj, 1.0, spec, SolveOptions(tol=1e-6))
+    ok, _ = certify_optimality(rep.x_star, obj, 1.0, spec, Tolerance(1e-6, 1e-6))
+    assert rep.converged and ok
+    assert len(rep.support_bound) < d
+    xm = float(np.abs(rep.x_star).max())
+    assert set(support_of(rep.x_star, Tolerance(abs=1e-6 * xm))) <= set(rep.support_bound)
 
 
 def test_logistic_solve_smoke():
