@@ -87,7 +87,13 @@ def _json_default(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     if isinstance(obj, SupportLattice):
-        return {"core": obj.core, "bound": obj.bound, "sizes": list(obj.sizes), "count": obj.count}
+        count = obj.count
+        out = {"core": obj.core, "bound": obj.bound, "sizes": list(obj.sizes), "count": count}
+        try:
+            str(count)
+        except ValueError:  # past the interpreter's int-to-str digit limit: null and its log10
+            out.update(count=None, count_log10=math.log10(count))
+        return out
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 

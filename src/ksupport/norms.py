@@ -8,8 +8,9 @@ is the maximum of ``<x, y>`` over the top-norm ball, which the sign/ordering
 symmetry reduction gives exactly: on sorted |x| the maximizer keeps the top
 entries as singletons and pools the tail into one block, whose start has a
 closed form.  The same pooled tail gives the exact Euclidean projection onto
-the top-norm ball (one monotone search in the level of its k-th entry), and
-through the Moreau identity the prox of the k-support norm.  An independent
+the top-norm ball (one monotone search in the level of its k-th entry: a
+finite breakpoint search at q = 1, Newton for 1 < q < inf), and through the
+Moreau identity the prox of the k-support norm.  An independent
 decomposition program (``ksupport_norm_oracle``) certifies values at desk
 scale.
 """
@@ -121,8 +122,8 @@ def top_norm(y: Sequence[float], spec: NormSpec) -> float:
     """
     arr = as_vector(y)
     spec.check_dim(arr.size)
-    a = np.sort(np.abs(arr))[::-1][: spec.k]
-    return _lp_of_abs(a, spec.q)
+    top = np.partition(np.abs(arr), arr.size - spec.k)[arr.size - spec.k :]
+    return _lp_of_abs(np.sort(top)[::-1], spec.q)
 
 
 # ---------------------------------------------------------------------------
@@ -247,15 +248,17 @@ def _top_ball_abs(a: np.ndarray, k: int, q: float) -> np.ndarray:
     theta, t, the pooled tail mean of ``(a - theta)_+`` (:func:`_pooled_tail`),
     splits the entries: those above ``theta + t`` solve
     ``w + c w^{q-1} = a`` with ``c = t / theta^{q-1}``, those in between tie
-    at theta, and the rest stay as they are.  The top norm of that point
-    increases with theta and is 1 at the answer, which safeguarded Newton
-    finds in ``(0, a[k])``.  If it is at most 1 at ``theta = a[k]``, the lq
-    projection of the top k stays at or above ``a[k]`` and is the answer; at
-    q = 1, if it is at least 1 as theta falls to 0, the answer is the l1-ball
-    projection.
+    at theta, and the rest stay as they are.  For 1 < q < inf the top norm
+    of that point increases with theta and is 1 at the answer, which
+    safeguarded Newton finds in ``(0, a[k])``; if it is at most 1 at
+    ``theta = a[k]``, the lq projection of the top k stays at or above
+    ``a[k]`` and is the answer.  At q = 1 the search is a finite breakpoint
+    search (:func:`_top1_ball_abs`).
     """
     if k == a.size:
         return project_lq_ball(a, q)
+    if q == 1:
+        return _top1_ball_abs(a, k)
     w = a.copy()
     neg = -a
 
@@ -266,9 +269,6 @@ def _top_ball_abs(a: np.ndarray, k: int, q: float) -> np.ndarray:
         top = a[:k] - theta
         j, t = _pooled_tail(np.maximum(top, 0.0, out=top), float((a[k:n] - theta).sum()))
         dt = -(n - j) / (k - j)
-        if q == 1:
-            ws = a[:j] - t
-            return float(ws.sum()) + (k - j) * theta - 1.0, (k - j) - j * dt, j, n, ws
         c, dc = t / theta ** (q - 1.0), (dt * theta - (q - 1.0) * t) / theta**q
         ws = _lq_roots(a[:j], c, q)
         wq1 = ws ** (q - 1.0)
@@ -283,13 +283,47 @@ def _top_ball_abs(a: np.ndarray, k: int, q: float) -> np.ndarray:
     if g_hi <= 0.0:
         w[:k] = project_lq_ball(a[:k], q)
         return w
-    g_lo = level(0.0)[0] if q == 1 else -1.0
-    if g_lo >= 0.0:
-        return project_lq_ball(a, 1.0)
-    theta = _newton_increasing(lambda t: level(t)[:2], 0.0, hi, hi * -g_lo / (g_hi - g_lo))
+    theta = _newton_increasing(lambda t: level(t)[:2], 0.0, hi, hi / (g_hi + 1.0))
     _, _, j, n, ws = level(theta)
     w[:j] = ws
     w[j:n] = theta
+    return w
+
+
+def _top1_ball_abs(a: np.ndarray, k: int) -> np.ndarray:
+    """The q = 1 case of :func:`_top_ball_abs`, by an exact breakpoint search.
+
+    The answer is ``a - clip(a - theta, 0, t)`` at the root of the decreasing,
+    piecewise linear ``F(theta) = sum_{i<k} min(a_i - theta, t) - R``, where
+    ``R = sum(a[:k]) - 1`` and ``k t = R + sum_{i>=k} (a_i - theta)_+``.  A
+    vectorized search over the tail entries brackets the root on a piece with
+    n of them above theta.  There F is the least of the lines in which t
+    applies to the s largest entries, so its root is the least of theirs.
+    """
+    C = np.zeros(a.size + 1)  # prefix sums
+    a.cumsum(out=C[1:])
+
+    def F(theta, n):  # at levels theta with n tail entries above each
+        t = (C[k + n] - 1.0 - n * theta) / k
+        s = (-a[:k]).searchsorted(-(theta + t))
+        return s * t + 1.0 - C[s] - (k - s) * theta
+
+    if a[k - 1] - (C[k] - 1.0) / k >= a[k]:  # F(a[k]) >= 0: the l1 projection of the top k
+        return np.concatenate((a[:k] - (C[k] - 1.0) / k, a[k:]))
+    if F(0.0, a.size - k) <= 0.0:  # the l1 projection of the whole vector
+        return project_lq_ball(a, 1.0)
+    # n: the first m with F(a[k + m], m) >= 0 (a[d] reads 0), 1024 points a round
+    lo, up = 1, a.size - k
+    while lo < up:
+        m = np.arange(lo, up, -(-(up - lo) // 1024))
+        r = int((F(a[k + m], m) < 0.0).sum())
+        lo, up = (m[r - 1] + 1 if r else lo), (m[r] if r < m.size else up)
+    s = np.arange(k)  # s = k leaves no entry at the level: not the root
+    theta = (s * (C[k + lo] - 1.0) - k * (C[:k] - 1.0)) / (s * lo + k * (k - s))
+    s = int(np.argmin(theta))
+    w = a.copy()
+    w[:s] -= (C[k + lo] - 1.0 - lo * theta[s]) / k
+    w[s : k + lo] = theta[s]
     return w
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import DEFAULT_TOL, InvalidInputError, Tolerance, as_vector
+from .core import DEFAULT_TOL, InvalidInputError, Tolerance, ZeroVectorError, as_vector
 from .faces import SupportLattice, support_lattice, v_p
 from .norms import NormSpec, ksupport_value, project_top_ball, top_norm
 
@@ -170,14 +170,16 @@ def lmo_sp_ball(
     supports (for stress tests); by default it is deterministic.
     """
     arr = as_vector(u)
-    lattice = support_lattice(arr, spec, Tolerance(0.0, 0.0))  # raises ZeroVectorError at 0
-    pool = sorted(set(lattice.bound).difference(lattice.core))
-    take = lattice.sizes[-1] - len(lattice.core)
-    if rng is not None and len(pool) > take:
-        chosen = list(rng.choice(pool, size=take, replace=False))
-    else:
-        chosen = pool[:take]
-    idx = np.array(list(lattice.core) + chosen, dtype=int) - 1
+    spec.check_dim(arr.size)
+    k, a = (1 if spec.p == 1 else spec.k), np.abs(arr)
+    level = np.partition(a, a.size - k)[a.size - k]
+    if level == 0.0 and not a.any():
+        raise ZeroVectorError("lmo_sp_ball requires a nonzero direction")
+    core, tied = np.flatnonzero(a > level), np.flatnonzero(a == level)
+    take = k - core.size
+    if rng is not None and tied.size > take:
+        tied = rng.choice(tied, size=take, replace=False)
+    idx = np.concatenate((core, tied[:take]))
     out = np.zeros(arr.size)
     if 1 < spec.p < math.inf:
         out[idx] = arr[idx]

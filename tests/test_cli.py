@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from ksupport.cli import main
+from ksupport.cli import _json_default, main
+from ksupport.faces import SupportLattice
 
 
 def run_cli(capsys, *argv):
@@ -117,6 +119,18 @@ def test_solve_quadratic_file(tmp_path, capsys):
         "core": [], "bound": list(range(1, 31)), "sizes": [10], "count": 30_045_015
     }
     assert data["support_bound"] == list(range(1, 31))
+
+
+def test_lattice_count_past_the_digit_limit():
+    # C(15000, 7500) has 4 514 digits, more than json can print as an int:
+    # the count becomes null with its log10 beside it
+    lattice = SupportLattice((), tuple(range(1, 15001)), range(7500, 7501))
+    data = json.loads(json.dumps(lattice, default=_json_default))
+    assert data["count"] is None
+    assert data["count_log10"] == pytest.approx(math.log10(math.comb(15000, 7500)), rel=1e-15)
+    assert data["bound"] == list(range(1, 15001)) and data["sizes"] == [7500]
+    small = json.loads(json.dumps(SupportLattice((1,), (1, 2, 3), range(2, 3)), default=_json_default))
+    assert small == {"core": [1], "bound": [1, 2, 3], "sizes": [2], "count": 2}
 
 
 def test_solve_logistic_file(tmp_path, capsys):

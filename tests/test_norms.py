@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize as sciopt
 
+from ksupport import norms
 from ksupport.core import ConvergenceError, InvalidInputError, Tolerance
 from ksupport.norms import (
     NormSpec,
@@ -52,6 +53,18 @@ def test_top_norm_examples():
         p = float(rng.choice([1.0, 2.0, INF, 1.5]))
         assert top_norm(y, NormSpec(p, 1)) == pytest.approx(np.abs(y).max(), abs=1e-15)
     assert top_norm([3, -1, 2], NormSpec(2.0, 3)) == pytest.approx(math.sqrt(14))
+
+
+def test_top_norm_partial_sort_is_bit_identical():
+    # the partial sort of the top k gives the very value of the full-sort formula
+    rng = np.random.default_rng(21)
+    for i in range(600):
+        d = int(rng.integers(1, 40))
+        y = rng.integers(-3, 4, d).astype(float) if i % 2 else rng.standard_normal(d)
+        for p in (1.0, 1.5, 2.0, 3.0, 7.0, INF):
+            spec = NormSpec(p, int(rng.integers(1, d + 1)))
+            want = norms._lp_of_abs(np.sort(np.abs(y))[::-1][: spec.k], spec.q)
+            assert top_norm(y, spec) == want
 
 
 def test_ksupport_closed_forms():
@@ -374,6 +387,55 @@ def test_project_top_ball_support_function_certificate():
             ks = ksupport_value(r, spec)
             assert ks > 0
             assert abs(ks - float(r @ w)) <= 1e-10 * ks
+
+
+def test_project_top1_ball_examples(monkeypatch):
+    # hand-computed q = 1 projections, one per branch of the breakpoint
+    # search; that search makes no Newton step
+    def no_newton(*args):
+        raise AssertionError("Newton search on the q = 1 path")
+
+    monkeypatch.setattr(norms, "_newton_increasing", no_newton)
+    cases = [
+        # full tie: every entry pools at the level 1/6
+        ([2 / 3, 2 / 3] + [1 / 3] * 45, 6, [1 / 6] * 47),
+        # a[k] = 0: the l1 projection of the top k, which is that of the whole vector
+        ([3.0, 1.0, 0.0, 0.0], 2, [1.0, 0.0, 0.0, 0.0]),
+        # the l1 projection of the top k stays above a[k] = 0.25
+        ([1.25, -1.0, 0.25], 2, [0.625, -0.375, 0.25]),
+        # the l1 projection of the whole vector has fewer than k nonzeros
+        ([2.0, 1.5, 0.125, -0.125, 0.125], 3, [0.75, 0.25, 0.0, 0.0, 0.0]),
+        # the level is the tail entry 0.125: a root at a tail breakpoint
+        ([0.25, 1.0, -0.125, 0.5, 0.875], 3, [0.125, 0.5, -0.125, 0.125, 0.375]),
+        # k = d: the l1 projection
+        ([1.0, -0.75, 0.5], 3, [7 / 12, -1 / 3, 1 / 12]),
+    ]
+    for y, k, want in cases:
+        w = project_top_ball(y, NormSpec(INF, k))
+        assert np.max(np.abs(w - want)) <= 1e-15
+
+
+def test_project_top1_ball_certificate_seeded():
+    # ties, zeros and five scales: the projection lies in the ball, and
+    # y - w is in its normal cone there (as in the support-function test)
+    rng = np.random.default_rng(17)
+    for i in range(2000):
+        d = int(rng.integers(3, 301))
+        spec = NormSpec(INF, int(rng.integers(2, d + 1)))
+        y = rng.standard_normal(d) * 10.0 ** int(rng.integers(-2, 3))
+        if i % 4 == 1:
+            y = rng.integers(-3, 4, d).astype(float)
+        elif i % 4 == 2:
+            y[rng.random(d) < 0.5] = 0.0
+        elif i % 4 == 3:
+            y = np.round(y, 1)
+        if top_norm(y, spec) <= 1:
+            continue
+        w = project_top_ball(y, spec)
+        assert top_norm(w, spec) <= 1 + 1e-12
+        r = y - w
+        ks = ksupport_value(r, spec)
+        assert abs(ks - float(r @ w)) <= 1e-10 * ks
 
 
 @settings(max_examples=60, deadline=None)
