@@ -5,7 +5,8 @@ Submodules
 core
     Supports, projections, sorting permutations, level-index machinery.
 norms
-    lp / top-(q,k) / k-support norm evaluation and exact top-ball projection.
+    lp / top-(q,k) / k-support norm evaluation, its primal decomposition and
+    the exact top-ball projection.
 faces
     Optimal supports, exposed faces, normal cones, finite atom engine.
 polytopes
@@ -49,14 +50,14 @@ from .faces import (
 from .norms import (
     EvalReport,
     NormSpec,
+    ksupport_decomposition,
     ksupport_norm,
-    ksupport_norm_oracle,
     ksupport_value,
     lp_norm,
     project_top_ball,
     top_norm,
 )
-from .oracles import dual_ascent_ksupport
+from .oracles import dual_ascent_ksupport, ksupport_norm_oracle
 from .polytopes import (
     FanRefinementReport,
     RationalPolytope,

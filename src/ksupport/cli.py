@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 input error, 3 numerical non-convergence,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -22,7 +23,8 @@ import numpy as np
 from . import verify as verify_mod
 from .core import ConvergenceError, InvalidInputError, Tolerance, ZeroVectorError, level_index
 from .faces import SupportLattice, exposed_face_sp
-from .norms import NormSpec, ksupport_norm, ksupport_norm_oracle, ksupport_value, lp_norm, top_norm
+from .norms import EvalReport, NormSpec, ksupport_norm, ksupport_value, lp_norm, top_norm
+from .oracles import ksupport_norm_oracle
 from .polytopes import brute_face_lattice, ksup_inf_ball, top1k_ball
 from .solver import (
     SolveOptions,
@@ -97,36 +99,22 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _emit_norm(record: dict, fmt: str) -> None:
-    if fmt == "csv":
-        print("value,method,certified_gap")
-        print(f"{record['value']!r},{record['method']},{record['certified_gap']!r}")
-    else:
-        _emit(record)
-
-
 def cmd_norm(args: argparse.Namespace) -> int:
     vec = _parse_vector(args)
     p = _parse_p(args.p)
-    tol = Tolerance(abs=args.tol_abs, rel=args.tol_rel)
     if args.kind == "lp":
-        _emit_norm({"value": lp_norm(vec, p), "method": "closed_form", "certified_gap": 0.0}, args.format)
-        return EXIT_OK
-    spec = NormSpec(p, args.k)
-    if args.kind == "top":
-        _emit_norm(
-            {"value": top_norm(vec, spec), "method": "closed_form", "certified_gap": 0.0},
-            args.format,
-        )
-        return EXIT_OK
-    if args.kind == "ksupport":
-        rep = ksupport_norm(vec, spec, tol)
+        rep = EvalReport(lp_norm(vec, p), "closed_form")
+    elif args.kind == "top":
+        rep = EvalReport(top_norm(vec, NormSpec(p, args.k)), "closed_form")
+    elif args.kind == "ksupport":
+        rep = ksupport_norm(vec, NormSpec(p, args.k))
     else:  # ksupport-oracle
-        rep = ksupport_norm_oracle(vec, spec)
-    _emit_norm(
-        {"value": rep.value, "method": rep.method, "certified_gap": rep.certified_gap},
-        args.format,
-    )
+        rep = ksupport_norm_oracle(vec, NormSpec(p, args.k))
+    if args.format == "csv":
+        print("value,method,certified_gap")
+        print(f"{rep.value!r},{rep.method},{rep.certified_gap!r}")
+    else:
+        _emit(dataclasses.asdict(rep))
     return EXIT_OK
 
 
@@ -261,8 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_vec_opts(p):
         p.add_argument("--vec", help="inline comma-separated vector")
         p.add_argument("--input", help="single-column CSV file")
-        p.add_argument("--tol-abs", type=float, default=1e-9, dest="tol_abs")
-        p.add_argument("--tol-rel", type=float, default=1e-9, dest="tol_rel")
 
     p = sub.add_parser("norm", help="evaluate a norm")
     p.add_argument("--kind", choices=["lp", "top", "ksupport", "ksupport-oracle"], required=True)
@@ -276,6 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", required=True)
     p.add_argument("--k", type=int, required=True)
     add_vec_opts(p)
+    p.add_argument("--tol-abs", type=float, default=1e-9, dest="tol_abs")
+    p.add_argument("--tol-rel", type=float, default=1e-9, dest="tol_rel")
     p.set_defaults(func=cmd_face)
 
     p = sub.add_parser("polytope", help="exact p=inf polytope data")

@@ -150,13 +150,14 @@ def level_index(y: Sequence[float], k: int, tol: Tolerance = DEFAULT_TOL) -> Lev
     a = np.abs(arr)
     if a.max() <= tol.abs:
         raise ZeroVectorError("level_index requires a nonzero vector")
-    m = float(np.sort(a)[::-1][k - 1])
+    m = float(np.partition(a, d - k)[d - k])
     if m <= tol.abs:
-        strict = tuple(int(i) + 1 for i in np.nonzero(a > tol.abs)[0])
-        return LevelIndexData(0.0, strict, tuple(range(1, d + 1)))
-    strict = tuple(int(i) + 1 for i in np.nonzero(a > m + tol.abs)[0])
-    weak = tuple(int(i) + 1 for i in np.nonzero(a >= m - tol.abs)[0])
-    return LevelIndexData(m, strict, weak)
+        return LevelIndexData(0.0, _one_based(a > tol.abs), tuple(range(1, d + 1)))
+    return LevelIndexData(m, _one_based(a > m + tol.abs), _one_based(a >= m - tol.abs))
+
+
+def _one_based(mask: np.ndarray) -> tuple[int, ...]:
+    return tuple((np.flatnonzero(mask) + 1).tolist())
 
 
 def k_subsets(d: int, k: int, at_most: bool = False) -> tuple[tuple[int, ...], ...]:

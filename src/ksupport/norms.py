@@ -7,12 +7,12 @@ used where they exist (p = 1, p = inf, k = 1, k = d); otherwise the value
 is the maximum of ``<x, y>`` over the top-norm ball, which the sign/ordering
 symmetry reduction gives exactly: on sorted |x| the maximizer keeps the top
 entries as singletons and pools the tail into one block, whose start has a
-closed form.  The same pooled tail gives the exact Euclidean projection onto
-the top-norm ball (one monotone search in the level of its k-th entry: a
-finite breakpoint search at q = 1, Newton for 1 < q < inf), and through the
-Moreau identity the prox of the k-support norm.  An independent
-decomposition program (``ksupport_norm_oracle``) certifies values at desk
-scale.
+closed form.  That tail writes x as a convex combination of at most d + 1
+k-sparse points of lp norm the value (:func:`ksupport_decomposition`), the
+primal certificate.  It also gives the exact Euclidean projection onto the
+top-norm ball (one monotone search in the level of its k-th entry: a finite
+breakpoint search at q = 1, Newton for 1 < q < inf), and through the
+Moreau identity the prox of the k-support norm.
 """
 
 from __future__ import annotations
@@ -22,18 +22,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize as _sciopt
 
-from .core import (
-    DEFAULT_TOL,
-    ConvergenceError,
-    InvalidInputError,
-    ScaleLimitError,
-    Tolerance,
-    as_vector,
-    k_subsets,
-    project_support,
-)
+from .core import InvalidInputError, as_vector
 
 __all__ = [
     "NormSpec",
@@ -42,7 +32,7 @@ __all__ = [
     "top_norm",
     "ksupport_norm",
     "ksupport_value",
-    "ksupport_norm_oracle",
+    "ksupport_decomposition",
     "project_top_ball",
     "project_lq_ball",
 ]
@@ -89,7 +79,7 @@ class EvalReport:
     """
 
     value: float
-    method: str  # closed_form | symmetry_reduction | dual_ascent | decomposition_oracle
+    method: str  # closed_form | symmetry_reduction; oracles: dual_ascent | decomposition_oracle
     certified_gap: float = 0.0
 
 
@@ -335,17 +325,13 @@ def ksupport_value(x: Sequence[float], spec: NormSpec) -> float:
     """The k-support norm value alone (no certificate): fast path.
 
     Same dispatch as :func:`ksupport_norm`, without the dual maximizer and
-    the LP decomposition certificate; the reduction reads only a partial
-    sort of the k largest entries and the sum of the others.
+    the certificate; the reduction reads only a partial sort of the k
+    largest entries and the sum of the others.
     """
     return _ksupport(as_vector(x), spec, dual=False)[0]
 
 
-def ksupport_norm(
-    x: Sequence[float],
-    spec: NormSpec,
-    tol: Tolerance = DEFAULT_TOL,
-) -> EvalReport:
+def ksupport_norm(x: Sequence[float], spec: NormSpec) -> EvalReport:
     """The k-support norm of ``x`` (dual of the top-(q,k) norm).
 
     Closed forms: p = 1 or k = 1 give the l1 norm, p = inf gives
@@ -353,16 +339,17 @@ def ksupport_norm(
     remaining regime ``1 < p < inf`` the value is ``max <x, y>`` over the
     top ball; permutation/sign invariance of the ball reduces this to a
     k-dimensional chain-ordered concave program with a closed-form solution
-    (:func:`_reduced_ksupport`), and the linear-programming decomposition
-    certificate built at the maximizer bounds the value from above
-    (``certified_gap`` is the bracket width).
+    (:func:`_reduced_ksupport`).  The maximizer y* bounds the value from
+    below by ``<x, y*> / top_norm(y*)``; the pooled tail writes x as k-sparse
+    atoms of norm exactly the value (:func:`ksupport_decomposition`, not
+    built here), and ``certified_gap`` is the value minus that lower bound.
     """
     arr = as_vector(x)
     value, method, y_star = _ksupport(arr, spec)
     if y_star is None:
         return EvalReport(value, method)
-    gap = max(0.0, _decomposition_upper_bound(arr, spec, y_star, tol) - float(arr @ y_star))
-    return EvalReport(value, method, gap)
+    lower = float(arr @ y_star) / top_norm(y_star, spec)
+    return EvalReport(value, method, max(0.0, value - lower))
 
 
 def _ksupport(
@@ -407,6 +394,8 @@ def _reduced_ksupport(
     part = np.partition(a, a.size - k)
     top = np.sort(part[a.size - k :])[::-1]
     j, m = _pooled_tail(top, float(np.sum(part[: a.size - k])))
+    if dual and top[j] > m * (1.0 + 1e-14):  # j gives top[j] <= m up to a few roundings
+        raise ArithmeticError(f"pooled tail entry {top[j]!r} exceeds its mean {m!r}")
     # homogeneity: take the powers at unit scale, which the pooled mean can
     # exceed (it overflows at large p otherwise)
     unit = max(1.0, m)
@@ -420,7 +409,8 @@ def _reduced_ksupport(
     y_sorted = np.full(x.size, kappa * m ** (p / q))
     y_sorted[:j] = kappa * s_top ** (p / q)
     y = np.empty(x.size)
-    y[np.argsort(-a, kind="stable")] = y_sorted
+    # tied |x| entries get equal y values, so any sorting order scatters the same y
+    y[np.argsort(-a)] = y_sorted
     return value, np.sign(x) * y
 
 
@@ -441,121 +431,48 @@ def _pooled_tail(top: np.ndarray, rest: float) -> tuple[int, float]:
     return j, float(tail[j]) / (k - j)
 
 
-def _decomposition_upper_bound(
-    x: np.ndarray, spec: NormSpec, y_feas: np.ndarray, tol: Tolerance
-) -> float:
-    """Rigorous upper bound on the k-support norm from a dual maximizer.
+def ksupport_decomposition(x: Sequence[float], spec: NormSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Primal witness of the k-support norm: ``x = weights @ atoms``.
 
-    The exposed-face vertices of the unit ball at ``y_feas`` span ``x`` with
-    nonnegative weights whose sum is the norm; the weights come from a small
-    LP, and any residual is patched with 1-sparse atoms at l1 cost.
-    ``||x||_1`` is the fallback bound.  The LP runs on x at unit sup-norm
-    scale, since its solver's tolerances are absolute.
-    """
-    from .faces import support_lattice, v_p
-
-    scale = float(np.abs(x).max())
-    x = x / scale
-    fallback = float(np.abs(x).sum())
-    try:
-        lattice = support_lattice(y_feas, spec, tol)
-    except InvalidInputError:
-        return scale * fallback
-    if lattice.count > 1000:
-        return scale * fallback
-    V = np.column_stack([v_p(project_support(y_feas, K), spec.p) for K in lattice])
-    try:
-        res = _sciopt.linprog(
-            np.ones(V.shape[1]), A_eq=V, b_eq=x, bounds=(0, None), method="highs"
-        )
-    except Exception:
-        res = None
-    if res is not None and res.status == 0:
-        beta = np.maximum(res.x, 0.0)
-        resid = x - V @ beta
-        return scale * float(beta.sum() + np.abs(resid).sum())
-    beta, _ = _sciopt.nnls(V, x)
-    resid = x - V @ beta
-    return scale * min(fallback, float(beta.sum() + np.abs(resid).sum()))
-
-
-# ---------------------------------------------------------------------------
-# decomposition oracle
-
-
-def _prox_lp_norm(v: np.ndarray, p: float, mu: float) -> np.ndarray:
-    """prox of ``mu * ||.||_p`` via the Moreau identity with the lq ball."""
-    if mu <= 0.0:
-        return v.copy()
-    if p == 2:
-        nrm = float(np.linalg.norm(v))
-        if nrm <= mu:
-            return np.zeros_like(v)
-        return v * (1.0 - mu / nrm)
-    if p == 1:
-        return np.sign(v) * np.maximum(np.abs(v) - mu, 0.0)
-    q = 1.0 if math.isinf(p) else p / (p - 1.0)
-    return v - mu * project_lq_ball(v / mu, q)
-
-
-def ksupport_norm_oracle(
-    x: Sequence[float],
-    spec: NormSpec,
-    target_gap: float = 1e-8,
-    max_iter: int = 200_000,
-) -> EvalReport:
-    """Independent k-support value via the decomposition program.
-
-    Solves ``min sum_K ||z_K||_p`` over all C(d,k) blocks supported on the
-    size-k sets with ``sum_K z_K = x`` by block proximal minimization of the
-    augmented Lagrangian in sharing form: every pass applies the lp-norm
-    prox to each block against the averaged residual, then updates the
-    multiplier.  The decomposition value plus an l1 patch of the residual is
-    the upper bound; the multiplier, rescaled onto the top-ball boundary, is
-    a feasible dual point pairing to the lower bound.  Stops once the
-    certified gap is below ``target_gap``, else raises
-    :class:`ConvergenceError`.
-
-    Desk scale only: d <= 8 and k <= 3.
+    At most d + 1 nonnegative weights summing to 1; every row of ``atoms``
+    has at most k nonzeros and lp norm equal to the norm of x, for every p.
+    On sorted |x| the pooled tail (:func:`_pooled_tail`) keeps j singletons
+    H and pools the rest T at its mean m >= every entry of T, so
+    ``w = |x_T| / m`` has entries in [0, 1] summing to k - j.  Madow's
+    systematic sampling lays the w_i end to end on ``[0, k - j)``: for t in
+    [0, 1) the k - j entries hit by t, t + 1, ... give the atom
+    ``x_H + sign(x_T) m 1_K(t)``, constant between consecutive fractional
+    parts of the partial sums of w.  m = 0 gives the single atom x.  The
+    atoms fill a dense array: desk scale.
     """
     arr = as_vector(x)
-    d = arr.size
+    d, k = arr.size, spec.k
     spec.check_dim(d)
-    if d > 8 or spec.k > 3:
-        raise ScaleLimitError("decomposition oracle is limited to d <= 8, k <= 3")
-    p, k = spec.p, spec.k
-    scale = float(np.abs(arr).max())
-    if scale == 0.0:
-        return EvalReport(0.0, "decomposition_oracle", 0.0)
-    xs = arr / scale
-    supports = [np.array(K, dtype=int) - 1 for K in k_subsets(d, k)]
-    m = len(supports)
-    z = np.zeros((m, d))
-    u = np.zeros(d)
-    target = target_gap / scale
-    upper = float(np.abs(xs).sum())
-    lower = 0.0
-    for it in range(max_iter):
-        zbar = z.mean(axis=0)
-        base = xs / m - u - zbar
-        for j, idx in enumerate(supports):
-            v = z[j][idx] + base[idx]
-            z[j] = 0.0
-            z[j][idx] = _prox_lp_norm(v, p, 1.0)
-        u = u + z.mean(axis=0) - xs / m
-        if it % 20 == 19 or it == max_iter - 1:
-            for cand in (m * u, -m * u):
-                t = top_norm(cand, spec)
-                if t > 0:
-                    lower = max(lower, float(xs @ cand) / t)
-            resid = xs - z.sum(axis=0)
-            cand_up = sum(_lp_of_abs(np.abs(z[j]), p) for j in range(m))
-            cand_up += float(np.abs(resid).sum())
-            upper = min(upper, cand_up)
-            if upper - lower <= target:
-                return EvalReport(
-                    scale * upper, "decomposition_oracle", scale * max(0.0, upper - lower)
-                )
-    raise ConvergenceError(
-        f"decomposition oracle gap {scale * (upper - lower):.3e} above target {target_gap:.1e}"
-    )
+    a = np.abs(arr)
+    amax = float(a.max())
+    order = np.argsort(-a)
+    s = a[order] / (amax or 1.0)
+    j, m = _pooled_tail(s[:k], float(s[k:].sum()))
+    if m == 0.0:
+        return np.ones(1), arr[None, :].copy()
+    C = np.concatenate(([0.0], np.cumsum(np.minimum(s[j:] / m, 1.0))))
+    b = np.unique(np.concatenate((C % 1.0, [1.0])))
+    t = (b[:-1] + b[1:])[:, None] / 2.0
+    hits = np.ceil(C[1:] - t) - np.ceil(C[:-1] - t)  # times t, t + 1, ... fall in w_i's slot
+    # partial sums a hair off k - j, or an entry a hair over 1, leave slivers
+    # of t with a wrong hit count: rounding, dropped
+    keep = (hits.max(axis=1) <= 1.0) & (hits.sum(axis=1) == k - j)
+    weights = np.diff(b)[keep] / np.diff(b)[keep].sum()
+    atoms = np.zeros((weights.size, d))
+    atoms[:, order[:j]] = arr[order[:j]]
+    atoms[:, order[j:]] = hits[keep] * (np.sign(arr[order[j:]]) * (m * amax))
+    return weights, atoms
+
+
+def __getattr__(name: str):
+    # the decomposition oracle lives in ksupport.oracles; its old name here still resolves
+    if name == "ksupport_norm_oracle":
+        from .oracles import ksupport_norm_oracle
+
+        return ksupport_norm_oracle
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

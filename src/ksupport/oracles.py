@@ -3,12 +3,13 @@
 Everything here is deliberately simple and exhaustive: argmax over explicit
 vertex lists, exhaustive subset scans, closed-form soft thresholding,
 sampled gauge bounds by linear programming, Dykstra's alternating
-projections over all C(d,k) cylinders of the top-norm ball, and projected
-gradient ascent on that ball.  These routines never call the analytic paths
-they validate.  Dykstra projects onto each cylinder with
-:func:`ksupport.norms.project_lq_ball`, which the tests check on its own;
-dual ascent shares with :func:`ksupport.norms.ksupport_norm` only the LP
-decomposition certificate and the closed forms at p = 1 and p = inf.
+projections over all C(d,k) cylinders of the top-norm ball, projected
+gradient ascent on that ball, and the decomposition program over all C(d,k)
+blocks.  These never call the analytic paths they validate.  Dykstra
+projects onto each cylinder with :func:`ksupport.norms.project_lq_ball`,
+which the tests check on its own; dual ascent shares with
+:func:`ksupport.norms.ksupport_norm` only the closed forms at p = 1 and
+p = inf and the primal decomposition behind its upper bound.
 """
 
 from __future__ import annotations
@@ -34,8 +35,10 @@ from .core import (
 from .norms import (
     EvalReport,
     NormSpec,
-    _decomposition_upper_bound,
+    _lp_of_abs,
+    ksupport_decomposition,
     ksupport_norm,
+    lp_norm,
     project_lq_ball,
     top_norm,
 )
@@ -46,6 +49,7 @@ __all__ = [
     "brute_optimal_supports",
     "dykstra_top_ball",
     "dual_ascent_ksupport",
+    "ksupport_norm_oracle",
     "lasso_closed_form",
     "sampled_gauge_upper_bound",
     "sampled_exposed_face",
@@ -302,13 +306,15 @@ def dual_ascent_ksupport(
     ball boundary.  The linear objective makes every fixed point a global
     maximizer.  The unreduced cross-check of the symmetry reduction in
     :func:`ksupport.norms.ksupport_norm`; closed-form cases (p = 1, p = inf)
-    are passed to it.  Raises :class:`ConvergenceError` at the cap.
+    are passed to it.  The value is the pairing with the final y, and the
+    upper bound sums the weighted lp norms of the primal decomposition's
+    atoms.  Raises :class:`ConvergenceError` at the cap.
     """
     arr = as_vector(x)
     spec.check_dim(arr.size)
     p = spec.p
     if not 1 < p < math.inf:
-        return ksupport_norm(arr, spec, tol)
+        return ksupport_norm(arr, spec)
     if float(np.abs(arr).max()) == 0.0:
         return EvalReport(0.0, "dual_ascent")
     q = spec.q
@@ -328,5 +334,84 @@ def dual_ascent_ksupport(
         raise ConvergenceError("dual ascent did not converge within the iteration cap")
     scale = max(1.0, top_norm(y, spec))
     lower = float(arr @ (y / scale))
-    upper = _decomposition_upper_bound(arr, spec, y / scale, tol)
+    weights, atoms = ksupport_decomposition(arr, spec)
+    upper = float(sum(w * lp_norm(atom, p) for w, atom in zip(weights, atoms)))
     return EvalReport(lower, "dual_ascent", max(0.0, upper - lower))
+
+
+def _prox_lp_norm(v: np.ndarray, p: float, mu: float) -> np.ndarray:
+    """prox of ``mu * ||.||_p`` via the Moreau identity with the lq ball."""
+    if mu <= 0.0:
+        return v.copy()
+    if p == 2:
+        nrm = float(np.linalg.norm(v))
+        if nrm <= mu:
+            return np.zeros_like(v)
+        return v * (1.0 - mu / nrm)
+    if p == 1:
+        return np.sign(v) * np.maximum(np.abs(v) - mu, 0.0)
+    q = 1.0 if math.isinf(p) else p / (p - 1.0)
+    return v - mu * project_lq_ball(v / mu, q)
+
+
+def ksupport_norm_oracle(
+    x: Sequence[float],
+    spec: NormSpec,
+    target_gap: float = 1e-8,
+    max_iter: int = 200_000,
+) -> EvalReport:
+    """Independent k-support value via the decomposition program.
+
+    Solves ``min sum_K ||z_K||_p`` over all C(d,k) blocks supported on the
+    size-k sets with ``sum_K z_K = x`` by block proximal minimization of the
+    augmented Lagrangian in sharing form: every pass applies the lp-norm
+    prox to each block against the averaged residual, then updates the
+    multiplier.  The decomposition value plus an l1 patch of the residual is
+    the upper bound; the multiplier, rescaled onto the top-ball boundary, is
+    a feasible dual point pairing to the lower bound.  Stops once the
+    certified gap is below ``target_gap``, else raises
+    :class:`ConvergenceError`.
+
+    Desk scale only: d <= 8 and k <= 3.
+    """
+    arr = as_vector(x)
+    d = arr.size
+    spec.check_dim(d)
+    if d > 8 or spec.k > 3:
+        raise ScaleLimitError("decomposition oracle is limited to d <= 8, k <= 3")
+    p, k = spec.p, spec.k
+    scale = float(np.abs(arr).max())
+    if scale == 0.0:
+        return EvalReport(0.0, "decomposition_oracle", 0.0)
+    xs = arr / scale
+    supports = [np.array(K, dtype=int) - 1 for K in k_subsets(d, k)]
+    m = len(supports)
+    z = np.zeros((m, d))
+    u = np.zeros(d)
+    target = target_gap / scale
+    upper = float(np.abs(xs).sum())
+    lower = 0.0
+    for it in range(max_iter):
+        zbar = z.mean(axis=0)
+        base = xs / m - u - zbar
+        for j, idx in enumerate(supports):
+            v = z[j][idx] + base[idx]
+            z[j] = 0.0
+            z[j][idx] = _prox_lp_norm(v, p, 1.0)
+        u = u + z.mean(axis=0) - xs / m
+        if it % 20 == 19 or it == max_iter - 1:
+            for cand in (m * u, -m * u):
+                t = top_norm(cand, spec)
+                if t > 0:
+                    lower = max(lower, float(xs @ cand) / t)
+            resid = xs - z.sum(axis=0)
+            cand_up = sum(_lp_of_abs(np.abs(z[j]), p) for j in range(m))
+            cand_up += float(np.abs(resid).sum())
+            upper = min(upper, cand_up)
+            if upper - lower <= target:
+                return EvalReport(
+                    scale * upper, "decomposition_oracle", scale * max(0.0, upper - lower)
+                )
+    raise ConvergenceError(
+        f"decomposition oracle gap {scale * (upper - lower):.3e} above target {target_gap:.1e}"
+    )

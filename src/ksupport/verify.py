@@ -16,8 +16,13 @@ import numpy as np
 
 from .core import Tolerance, k_subsets, l0, level_index, support_of
 from .faces import exposed_face_sp, optimal_support_lattice_bounds
-from .norms import NormSpec, ksupport_norm, ksupport_norm_oracle, ksupport_value, lp_norm, top_norm
-from .oracles import brute_optimal_supports, lasso_closed_form, sampled_exposed_face
+from .norms import NormSpec, ksupport_norm, ksupport_value, lp_norm, top_norm
+from .oracles import (
+    brute_optimal_supports,
+    ksupport_norm_oracle,
+    lasso_closed_form,
+    sampled_exposed_face,
+)
 from .polytopes import (
     brute_face_lattice,
     enumerate_proper_faces_top1k,

@@ -10,15 +10,15 @@ from ksupport import norms
 from ksupport.core import ConvergenceError, InvalidInputError, Tolerance
 from ksupport.norms import (
     NormSpec,
+    ksupport_decomposition,
     ksupport_norm,
-    ksupport_norm_oracle,
     ksupport_value,
     lp_norm,
     project_lq_ball,
     project_top_ball,
     top_norm,
 )
-from ksupport.oracles import dual_ascent_ksupport, dykstra_top_ball
+from ksupport.oracles import dual_ascent_ksupport, dykstra_top_ball, ksupport_norm_oracle
 
 INF = math.inf
 
@@ -153,6 +153,80 @@ def test_ksupport_certificate_gap_small():
         rep = ksupport_norm(x, NormSpec(2.0, k))
         assert rep.certified_gap >= 0.0
         assert rep.certified_gap <= 1e-7
+
+
+def test_ksupport_certificate_gap_at_scale():
+    # the pooled tail certifies the value from above, so the gap is the
+    # rounding of the dual pairing at every d
+    rng = np.random.default_rng(16)
+    for d, k in ((50, 10), (10_000, 100), (100_000, 10_000)):
+        x = rng.standard_normal(d)
+        for p in (1.5, 2.0, 3.0):
+            rep = ksupport_norm(x, NormSpec(p, k))
+            assert rep.method == "symmetry_reduction"
+            assert rep.certified_gap <= 1e-12 * rep.value
+    # tied integer entries: any sorting order scatters the same maximizer,
+    # bit for bit the one the stable order gives
+    x = rng.integers(1, 6, 100_000) * rng.choice([-1.0, 1.0], 100_000)
+    for p in (1.5, 2.0, 3.0):
+        spec = NormSpec(p, 10_000)
+        rep = ksupport_norm(x, spec)
+        assert rep.certified_gap <= 1e-12 * rep.value
+        _, y = norms._reduced_ksupport(x, spec)
+        stable = np.empty(x.size)
+        stable[np.argsort(-np.abs(x), kind="stable")] = np.sort(np.abs(y))[::-1]
+        assert np.array_equal(y, np.sign(x) * stable)
+
+
+def test_ksupport_certificate_check_raises(monkeypatch):
+    # a pooled tail whose mean falls below a tail entry certifies nothing
+    pooled = norms._pooled_tail
+    monkeypatch.setattr(norms, "_pooled_tail", lambda top, rest: (0, 0.5 * pooled(top, rest)[1]))
+    with pytest.raises(ArithmeticError):
+        ksupport_norm([3.0, 2.0, 1.0, 0.5], NormSpec(2.0, 2))
+
+
+def _check_witness(x, spec):
+    weights, atoms = ksupport_decomposition(x, spec)
+    value = ksupport_value(x, spec)
+    assert weights.min() >= 0.0 and abs(weights.sum() - 1.0) <= 1e-14
+    assert 1 <= weights.size <= x.size + 1
+    assert np.max(np.abs(weights @ atoms - x)) <= 1e-12 * max(np.abs(x).max(), 1.0)
+    assert all(np.count_nonzero(a) <= spec.k for a in atoms)
+    assert all(abs(lp_norm(a, spec.p) - value) <= 1e-12 * max(value, 1.0) for a in atoms)
+    return weights, atoms
+
+
+def test_ksupport_decomposition_witness():
+    rng = np.random.default_rng(18)
+    for i in range(300):
+        d = int(rng.integers(1, 60))
+        x = rng.standard_normal(d) * 10.0 ** int(rng.integers(-3, 4))
+        if i % 3 == 1:  # ties
+            x = rng.integers(-3, 4, d).astype(float)
+        elif i % 3 == 2:  # 30 % zeros
+            x[rng.random(d) < 0.3] = 0.0
+        for p in (1.0, 1.5, 2.0, 3.0, INF):
+            for k in {1, d, int(rng.integers(1, d + 1))}:
+                _check_witness(x, NormSpec(p, k))
+    # m = 0: at most k nonzero entries are their own single atom
+    for x, k in (([0.0, -2.0, 0.0, 1.0], 3), ([0.0, 0.0], 1), ([5.0, 0.0, 0.0, 0.0], 3)):
+        weights, atoms = _check_witness(np.array(x), NormSpec(2.0, k))
+        assert weights.tolist() == [1.0] and atoms.tolist() == [x]
+    # three equal entries at k = 2 split into the three pairs
+    weights, atoms = _check_witness(np.ones(3), NormSpec(2.0, 2))
+    assert np.allclose(weights, 1 / 3) and sorted(np.count_nonzero(a) for a in atoms) == [2, 2, 2]
+
+
+def test_ksupport_decomposition_cost_matches_oracle():
+    rng = np.random.default_rng(19)
+    for i in range(8):
+        d = int(rng.integers(2, 9))
+        spec = NormSpec((1.5, 2.0, 3.0, INF)[i % 4], int(rng.integers(1, min(3, d) + 1)))
+        x = rng.integers(-3, 4, d).astype(float) if i % 2 else rng.standard_normal(d)
+        weights, atoms = ksupport_decomposition(x, spec)
+        cost = sum(w * lp_norm(a, spec.p) for w, a in zip(weights, atoms))
+        assert abs(cost - ksupport_norm_oracle(x, spec).value) <= 1e-6
 
 
 def test_reduced_matches_full_dual_ascent():
