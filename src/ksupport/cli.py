@@ -5,8 +5,8 @@ Subcommands: ``norm``, ``face``, ``polytope``, ``solve``, ``verify``,
 single-column CSV file (``--input``); ``--p`` accepts ``1``, ``2``, ``inf``,
 or a rational string like ``3/2``.  Output is JSON (CSV for sample-ball).
 
-Exit codes: 0 success, 2 input error, 3 numerical non-convergence,
-4 verification failure.
+Exit codes: 0 success, 1 output pipe closed by the reader, 2 input error,
+3 numerical non-convergence, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -24,8 +25,8 @@ from . import verify as verify_mod
 from .core import ConvergenceError, InvalidInputError, Tolerance, ZeroVectorError, level_index
 from .faces import SupportLattice, exposed_face_sp
 from .norms import EvalReport, NormSpec, ksupport_norm, ksupport_value, lp_norm, top_norm
-from .oracles import ksupport_norm_oracle
-from .polytopes import brute_face_lattice, ksup_inf_ball, top1k_ball
+from .oracles import brute_face_lattice, ksupport_norm_oracle
+from .polytopes import ksup_inf_ball, top1k_ball
 from .solver import (
     SolveOptions,
     logistic_objective,
@@ -34,6 +35,7 @@ from .solver import (
 )
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_INPUT = 2
 EXIT_NONCONVERGED = 3
 EXIT_VERIFY_FAILED = 4
@@ -319,7 +321,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def main_entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (``ksupport ... | head``); point stdout at devnull
+        # so the flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

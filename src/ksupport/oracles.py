@@ -4,12 +4,16 @@ Everything here is deliberately simple and exhaustive: argmax over explicit
 vertex lists, exhaustive subset scans, closed-form soft thresholding,
 sampled gauge bounds by linear programming, Dykstra's alternating
 projections over all C(d,k) cylinders of the top-norm ball, projected
-gradient ascent on that ball, and the decomposition program over all C(d,k)
-blocks.  These never call the analytic paths they validate.  Dykstra
-projects onto each cylinder with :func:`ksupport.norms.project_lq_ball`,
-which the tests check on its own; dual ascent shares with
-:func:`ksupport.norms.ksupport_norm` only the closed forms at p = 1 and
-p = inf and the primal decomposition behind its upper bound.
+gradient ascent on that ball, the decomposition program over all C(d,k)
+blocks, an exact-rational double description (vertex and facet enumeration,
+and both p = inf balls built with it), and the face lattice of a polytope
+as the closure of its facets under intersection.  These never call the
+analytic paths they validate.  Dykstra projects onto each cylinder with
+:func:`ksupport.norms.project_lq_ball`, which the tests check on its own;
+dual ascent shares with :func:`ksupport.norms.ksupport_norm` only the
+closed forms at p = 1 and p = inf and the primal decomposition behind its
+upper bound; the double description shares with :mod:`ksupport.polytopes`
+only the generator lists, the input guard and the exact rank.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from fractions import Fraction
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 from scipy import optimize as _sciopt
@@ -42,17 +47,33 @@ from .norms import (
     project_lq_ball,
     top_norm,
 )
+from .polytopes import (
+    Halfspace,
+    RationalPolytope,
+    Vec,
+    _check_scale,
+    _cube_corners,
+    _dot,
+    _rank,
+    _signed_units,
+    affine_rank,
+)
 
 __all__ = [
     "OracleReport",
     "brute_exposed_face",
+    "brute_face_lattice",
     "brute_optimal_supports",
+    "dd_ksup_inf_ball",
+    "dd_top1k_ball",
     "dykstra_top_ball",
     "dual_ascent_ksupport",
+    "facet_enumeration",
     "ksupport_norm_oracle",
     "lasso_closed_form",
     "sampled_gauge_upper_bound",
     "sampled_exposed_face",
+    "vertex_enumeration",
 ]
 
 
@@ -415,3 +436,148 @@ def ksupport_norm_oracle(
     raise ConvergenceError(
         f"decomposition oracle gap {scale * (upper - lower):.3e} above target {target_gap:.1e}"
     )
+
+
+def _frac_vec(seq: Iterable) -> Vec:
+    return tuple(Fraction(a) for a in seq)
+
+
+def vertex_enumeration(
+    halfspaces: Sequence[Halfspace], d: int, box: Fraction | int = 4
+) -> tuple[Vec, ...]:
+    """Vertices of ``{ x : <a, x> <= b for all (a, b) }`` (incremental DD).
+
+    The polytope must be full-dimensional and strictly contained in the
+    starting box ``[-box, box]^d``.  Each halfspace is inserted in turn; cut
+    points arise on edges, detected exactly by the rank of the common active
+    normals.
+    """
+    box = Fraction(box)
+    hs: list[Halfspace] = []
+    for i in range(d):
+        e = [Fraction(0)] * d
+        e[i] = Fraction(1)
+        hs.append((tuple(e), box))
+        e = [Fraction(0)] * d
+        e[i] = Fraction(-1)
+        hs.append((tuple(e), box))
+    hs.extend((_frac_vec(n), Fraction(b)) for n, b in halfspaces)
+
+    verts: list[Vec] = [
+        tuple(Fraction(s) * box for s in signs) for signs in itertools.product((-1, 1), repeat=d)
+    ]
+    act: list[set[int]] = [
+        {j for j in range(2 * d) if _dot(hs[j][0], v) == hs[j][1]} for v in verts
+    ]
+
+    for idx in range(2 * d, len(hs)):
+        a, b = hs[idx]
+        vals = [b - _dot(a, v) for v in verts]
+        if all(v >= 0 for v in vals):
+            for i, v in enumerate(vals):
+                if v == 0:
+                    act[i].add(idx)
+            continue
+        ins = [i for i, v in enumerate(vals) if v > 0]
+        ons = [i for i, v in enumerate(vals) if v == 0]
+        outs = [i for i, v in enumerate(vals) if v < 0]
+        new_pts: list[Vec] = []
+        new_act: list[set[int]] = []
+        seen: set[Vec] = set()
+        for i in ins:
+            for j in outs:
+                common = act[i] & act[j]
+                if len(common) < d - 1:
+                    continue
+                if _rank([hs[c][0] for c in common], d) != d - 1:
+                    continue
+                u, w = verts[i], verts[j]
+                lam = vals[i] / (vals[i] - vals[j])
+                x = tuple(ut + lam * (wt - ut) for ut, wt in zip(u, w))
+                if x in seen:
+                    continue
+                seen.add(x)
+                tight = {c for c in range(idx + 1) if _dot(hs[c][0], x) == hs[c][1]}
+                new_pts.append(x)
+                new_act.append(tight)
+        keep_idx = ins + ons
+        verts = [verts[i] for i in keep_idx] + new_pts
+        act = [act[i] | ({idx} if i in ons else set()) for i in keep_idx] + new_act
+
+    for i, v in enumerate(verts):
+        if any(j < 2 * d for j in act[i]):
+            raise InvalidInputError("polytope is not strictly inside the starting box")
+    return tuple(sorted(set(verts)))
+
+
+def facet_enumeration(vertices: Sequence[Vec], box: Fraction | int = 16) -> tuple[Halfspace, ...]:
+    """Facets ``<n, x> <= 1`` of ``conv(vertices)`` (0 must be interior).
+
+    Works through polarity: the facet normals are the vertices of the polar
+    polytope ``{ y : <v, y> <= 1 }``, enumerated by the DD kernel.  ``box``
+    must exceed the sup-norm radius of the polar.
+    """
+    vertices = [_frac_vec(v) for v in vertices]
+    d = len(vertices[0])
+    polar_hs = [(v, Fraction(1)) for v in vertices]
+    normals = vertex_enumeration(polar_hs, d, box=box)
+    return tuple(sorted((n, Fraction(1)) for n in normals))
+
+
+def brute_face_lattice(poly: RationalPolytope) -> tuple[tuple[tuple[Vec, ...], int], ...]:
+    """All proper nonempty faces as (vertex list, dimension) records.
+
+    Faces are the closure under intersection of the facet vertex sets
+    (every proper face of a polytope is the intersection of the facets
+    containing it).
+    """
+    verts = poly.vertices
+    facet_sets = []
+    for n, b in poly.facet_inequalities:
+        members = frozenset(i for i, v in enumerate(verts) if _dot(n, v) == b)
+        if members:
+            facet_sets.append(members)
+    faces: set[frozenset[int]] = set(facet_sets)
+    frontier = set(facet_sets)
+    while frontier:
+        nxt: set[frozenset[int]] = set()
+        for F in frontier:
+            for G in facet_sets:
+                H = F & G
+                if H and H not in faces:
+                    faces.add(H)
+                    nxt.add(H)
+        frontier = nxt
+    out = []
+    for F in faces:
+        pts = tuple(sorted(verts[i] for i in F))
+        out.append((pts, affine_rank(pts)))
+    return tuple(sorted(out))
+
+
+def dd_top1k_ball(d: int, k: int) -> RationalPolytope:
+    """:func:`ksupport.polytopes.top1k_ball` by double description.
+
+    The facets are those of the hull of every generator, the signed units
+    and the corners of ``{-1/k, 1/k}^d``; the vertices are enumerated back
+    from the facets, which prunes the redundant generators.
+    """
+    _check_scale(d, k)
+    cand = _signed_units(d) + [tuple(c / k for c in corner) for corner in _cube_corners(d)]
+    facets = facet_enumeration(cand, box=Fraction(4 * d))
+    verts = vertex_enumeration(facets, d, box=Fraction(2))
+    return RationalPolytope(verts, facets)
+
+
+def dd_ksup_inf_ball(d: int, k: int) -> RationalPolytope:
+    """:func:`ksupport.polytopes.ksup_inf_ball` by double description.
+
+    The vertices are enumerated from the H-description ``|x_i| <= 1`` and
+    ``<s, x> <= k`` over the sign corners s, the facets from the vertices.
+    """
+    _check_scale(d, k)
+    hs: list[Halfspace] = [(u, Fraction(1)) for u in _signed_units(d)]
+    hs += [(s, Fraction(k)) for s in _cube_corners(d)]
+    verts = vertex_enumeration(hs, d, box=Fraction(2))
+    facets = facet_enumeration(verts, box=Fraction(4 * d))
+    return RationalPolytope(verts, facets)

@@ -2,12 +2,14 @@
 
 The top-(1,k) ball is the convex hull of the cross-polytope and the scaled
 hypercube; its polar, the k-support ball for the sup source norm, is the
-intersection of the scaled cross-polytope with the hypercube.  Everything
-here runs in exact rational arithmetic: an incremental double-description
-kernel provides vertex and facet enumeration, a Galois-closure of the
-vertex/facet incidence yields brute-force face lattices, and the sign-vector
-facet description plus the hypersimplex test and the normal-fan refinement
-check are built on top.
+intersection of the scaled cross-polytope with the hypercube.  Both are
+written down in exact rationals from their vertex lists: the signed units
+and the corners of ``{-1/k, 1/k}^d`` for the top-(1,k) ball, the k-sparse
+sign vectors for its polar, and polarity makes each list the other ball's
+facet normals.  On top of them sit the sign-vector facet description, the
+proper faces built from sign vectors, the hypersimplex test and the
+normal-fan refinement check.  The double description and the brute-force
+face lattice that check these lists live in :mod:`ksupport.oracles`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import InvalidInputError, ScaleLimitError
 
@@ -26,11 +28,9 @@ __all__ = [
     "FanRefinementReport",
     "top1k_ball",
     "ksup_inf_ball",
+    "sign_vectors",
     "facet_from_sign_vector",
     "enumerate_proper_faces_top1k",
-    "brute_face_lattice",
-    "facet_enumeration",
-    "vertex_enumeration",
     "is_hypersimplex",
     "fan_refinement_check",
 ]
@@ -62,12 +62,9 @@ class FanRefinementReport:
     ok: bool
 
 
-def _frac_vec(seq: Iterable) -> Vec:
-    return tuple(Fraction(a) for a in seq)
-
-
 def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    return sum((ai * bi for ai, bi in zip(a, b)), Fraction(0))
+    # most entries of these vectors are 0, and a Fraction product costs a gcd
+    return sum((ai * bi for ai, bi in zip(a, b) if ai and bi), Fraction(0))
 
 
 def _rank(rows: Sequence[Sequence[Fraction]], d: int) -> int:
@@ -101,123 +98,6 @@ def affine_rank(points: Sequence[Vec]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# double-description kernel
-
-
-def vertex_enumeration(
-    halfspaces: Sequence[Halfspace], d: int, box: Fraction | int = 4
-) -> tuple[Vec, ...]:
-    """Vertices of ``{ x : <a, x> <= b for all (a, b) }`` (incremental DD).
-
-    The polytope must be full-dimensional and strictly contained in the
-    starting box ``[-box, box]^d``.  Each halfspace is inserted in turn; cut
-    points arise on edges, detected exactly by the rank of the common active
-    normals.
-    """
-    box = Fraction(box)
-    hs: list[Halfspace] = []
-    for i in range(d):
-        e = [Fraction(0)] * d
-        e[i] = Fraction(1)
-        hs.append((tuple(e), box))
-        e = [Fraction(0)] * d
-        e[i] = Fraction(-1)
-        hs.append((tuple(e), box))
-    hs.extend((_frac_vec(n), Fraction(b)) for n, b in halfspaces)
-
-    verts: list[Vec] = [
-        tuple(Fraction(s) * box for s in signs) for signs in itertools.product((-1, 1), repeat=d)
-    ]
-    act: list[set[int]] = [
-        {j for j in range(2 * d) if _dot(hs[j][0], v) == hs[j][1]} for v in verts
-    ]
-
-    for idx in range(2 * d, len(hs)):
-        a, b = hs[idx]
-        vals = [b - _dot(a, v) for v in verts]
-        if all(v >= 0 for v in vals):
-            for i, v in enumerate(vals):
-                if v == 0:
-                    act[i].add(idx)
-            continue
-        ins = [i for i, v in enumerate(vals) if v > 0]
-        ons = [i for i, v in enumerate(vals) if v == 0]
-        outs = [i for i, v in enumerate(vals) if v < 0]
-        new_pts: list[Vec] = []
-        new_act: list[set[int]] = []
-        seen: set[Vec] = set()
-        for i in ins:
-            for j in outs:
-                common = act[i] & act[j]
-                if len(common) < d - 1:
-                    continue
-                if _rank([hs[c][0] for c in common], d) != d - 1:
-                    continue
-                u, w = verts[i], verts[j]
-                lam = vals[i] / (vals[i] - vals[j])
-                x = tuple(ut + lam * (wt - ut) for ut, wt in zip(u, w))
-                if x in seen:
-                    continue
-                seen.add(x)
-                tight = {c for c in range(idx + 1) if _dot(hs[c][0], x) == hs[c][1]}
-                new_pts.append(x)
-                new_act.append(tight)
-        keep_idx = ins + ons
-        verts = [verts[i] for i in keep_idx] + new_pts
-        act = [act[i] | ({idx} if i in ons else set()) for i in keep_idx] + new_act
-
-    for i, v in enumerate(verts):
-        if any(j < 2 * d for j in act[i]):
-            raise InvalidInputError("polytope is not strictly inside the starting box")
-    return tuple(sorted(set(verts)))
-
-
-def facet_enumeration(vertices: Sequence[Vec], box: Fraction | int = 16) -> tuple[Halfspace, ...]:
-    """Facets ``<n, x> <= 1`` of ``conv(vertices)`` (0 must be interior).
-
-    Works through polarity: the facet normals are the vertices of the polar
-    polytope ``{ y : <v, y> <= 1 }``, enumerated by the DD kernel.  ``box``
-    must exceed the sup-norm radius of the polar.
-    """
-    vertices = [_frac_vec(v) for v in vertices]
-    d = len(vertices[0])
-    polar_hs = [(v, Fraction(1)) for v in vertices]
-    normals = vertex_enumeration(polar_hs, d, box=box)
-    return tuple(sorted((n, Fraction(1)) for n in normals))
-
-
-def brute_face_lattice(poly: RationalPolytope) -> tuple[tuple[tuple[Vec, ...], int], ...]:
-    """All proper nonempty faces as (vertex list, dimension) records.
-
-    Faces are the closure under intersection of the facet vertex sets
-    (every proper face of a polytope is the intersection of the facets
-    containing it).
-    """
-    verts = poly.vertices
-    facet_sets = []
-    for n, b in poly.facet_inequalities:
-        members = frozenset(i for i, v in enumerate(verts) if _dot(n, v) == b)
-        if members:
-            facet_sets.append(members)
-    faces: set[frozenset[int]] = set(facet_sets)
-    frontier = set(facet_sets)
-    while frontier:
-        nxt: set[frozenset[int]] = set()
-        for F in frontier:
-            for G in facet_sets:
-                H = F & G
-                if H and H not in faces:
-                    faces.add(H)
-                    nxt.add(H)
-        frontier = nxt
-    out = []
-    for F in faces:
-        pts = tuple(sorted(verts[i] for i in F))
-        out.append((pts, affine_rank(pts)))
-    return tuple(sorted(out))
-
-
-# ---------------------------------------------------------------------------
 # the two polytope families
 
 
@@ -242,32 +122,63 @@ def _cube_corners(d: int) -> list[Vec]:
     return [tuple(Fraction(s) for s in signs) for signs in itertools.product((-1, 1), repeat=d)]
 
 
+def sign_vectors(d: int, k: int) -> tuple[Vec, ...]:
+    """The 2^k C(d,k) k-sparse vectors of ``{-1, 0, 1}^d``, sorted."""
+    out = []
+    for supp in itertools.combinations(range(d), k):
+        for signs in itertools.product((1, -1), repeat=k):
+            s = [Fraction(0)] * d
+            for i, sg in zip(supp, signs):
+                s[i] = Fraction(sg)
+            out.append(tuple(s))
+    return tuple(sorted(out))
+
+
+def _top1k_points(cross: list[Vec], cube: list[Vec], d: int, k: int) -> tuple[Vec, ...]:
+    """Signed units ``cross`` and scaled corners ``cube`` that are vertices,
+    pruned at k = 1 and k = d as :func:`facet_from_sign_vector` says."""
+    if k == 1 and d > 1:
+        pts = cube
+    elif k == d and d > 1:
+        pts = cross
+    else:
+        pts = cross + cube
+    return tuple(sorted(set(pts)))
+
+
+def _vertex_lists(d: int, k: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+    """Vertices of the top-(1,k) ball and of its polar, the k-sparse sign vectors."""
+    _check_scale(d, k)
+    corners = [tuple(c / k for c in v) for v in _cube_corners(d)]
+    return _top1k_points(_signed_units(d), corners, d, k), sign_vectors(d, k)
+
+
+def _facets(normals: tuple[Vec, ...]) -> tuple[Halfspace, ...]:
+    return tuple((n, Fraction(1)) for n in normals)
+
+
 def top1k_ball(d: int, k: int) -> RationalPolytope:
     """The unit ball of the top-(1,k) norm: conv of the cross-polytope and
     the hypercube scaled by 1/k.
 
-    Coincides with the hypercube at k = 1 and the cross-polytope at k = d.
-    Redundant generator points (those two extremes) are pruned by the hull.
+    Its vertices are the signed units and the corners of ``{-1/k, 1/k}^d``;
+    it coincides with the hypercube at k = 1 and the cross-polytope at
+    k = d, where the other list drops out.  Its facets are ``<s, x> <= 1``
+    over the k-sparse sign vectors s.
     """
-    _check_scale(d, k)
-    cand = _signed_units(d) + [tuple(c / k for c in corner) for corner in _cube_corners(d)]
-    facets = facet_enumeration(cand, box=Fraction(4 * d))
-    verts = vertex_enumeration(facets, d, box=Fraction(2))
-    return RationalPolytope(verts, facets)
+    top, ksup = _vertex_lists(d, k)
+    return RationalPolytope(top, _facets(ksup))
 
 
 def ksup_inf_ball(d: int, k: int) -> RationalPolytope:
     """The k-support unit ball for the sup source norm: ``k B_1 \\cap B_inf``.
 
-    H-description: ``|x_i| <= 1`` and ``||x||_1 <= k``; the polar of
-    :func:`top1k_ball`.
+    The polar of :func:`top1k_ball`, so the two vertex lists swap: the
+    vertices are the k-sparse sign vectors and the facet normals are the
+    vertices of the top-(1,k) ball.
     """
-    _check_scale(d, k)
-    hs: list[Halfspace] = [(u, Fraction(1)) for u in _signed_units(d)]
-    hs += [(s, Fraction(k)) for s in _cube_corners(d)]
-    verts = vertex_enumeration(hs, d, box=Fraction(2))
-    facets = facet_enumeration(verts, box=Fraction(4 * d))
-    return RationalPolytope(verts, facets)
+    top, ksup = _vertex_lists(d, k)
+    return RationalPolytope(ksup, _facets(top))
 
 
 # ---------------------------------------------------------------------------
@@ -314,15 +225,8 @@ def facet_from_sign_vector(s: Sequence[int], d: int, k: int) -> tuple[Vec, ...]:
     """
     _check_scale(d, k)
     s = _validate_sign_vector(s, d, k)
-    cross = _cross_face(s, d)
     cube = [tuple(c / k for c in v) for v in _cube_face(s, d)]
-    if k == 1 and d > 1:
-        pts = cube
-    elif k == d and d > 1:
-        pts = cross
-    else:
-        pts = cross + cube
-    return tuple(sorted(set(pts)))
+    return _top1k_points(_cross_face(s, d), cube, d, k)
 
 
 def enumerate_proper_faces_top1k(d: int, k: int) -> tuple[tuple[tuple[Vec, ...], int], ...]:
@@ -337,45 +241,40 @@ def enumerate_proper_faces_top1k(d: int, k: int) -> tuple[tuple[tuple[Vec, ...],
     if d > 5:
         raise ScaleLimitError("face-lattice enumeration is limited to d <= 5")
     faces: dict[tuple[Vec, ...], int] = {}
-    supp_sets = itertools.combinations(range(d), k)
-    for supp in supp_sets:
-        for signs in itertools.product((-1, 1), repeat=k):
-            s = [0] * d
-            for i, sg in zip(supp, signs):
-                s[i] = sg
-            cross_full = _cross_face(s, d)
-            cube_full = [tuple(c / k for c in v) for v in _cube_face(s, d)]
-            free = [i for i in range(d) if s[i] == 0]
-            # exposed faces of the simplex F(beta, s): all vertex subsets
-            cross_subs = [
-                [cross_full[i] for i in T]
-                for r in range(k + 1)
-                for T in itertools.combinations(range(k), r)
-            ]
-            # exposed faces of the subcube F(gamma, s): fix signs on any free subset
-            cube_subs: list[list[Vec]] = [[]]
-            for r in range(len(free) + 1):
-                for U in itertools.combinations(range(len(free)), r):
-                    for sigma in itertools.product((-1, 1), repeat=r):
-                        sel = []
-                        for v in cube_full:
-                            if all(v[free[u]] * k == sg for u, sg in zip(U, sigma)):
-                                sel.append(v)
-                        cube_subs.append(sel)
-            n_cross = len(cross_full)
-            n_cube = len(cube_full)
-            for F in cross_subs:
-                for G in cube_subs:
-                    if not F and not G:
-                        continue
-                    if (len(F) == n_cross) != (len(G) == n_cube):
-                        continue
-                    if len(F) == n_cross and len(G) == n_cube:
-                        pts = facet_from_sign_vector(s, d, k)
-                    else:
-                        pts = tuple(sorted(set(F) | set(G)))
-                    if pts not in faces:
-                        faces[pts] = affine_rank(pts)
+    for s in sign_vectors(d, k):
+        cross_full = _cross_face(s, d)
+        cube_full = [tuple(c / k for c in v) for v in _cube_face(s, d)]
+        free = [i for i in range(d) if s[i] == 0]
+        # exposed faces of the simplex F(beta, s): all vertex subsets
+        cross_subs = [
+            [cross_full[i] for i in T]
+            for r in range(k + 1)
+            for T in itertools.combinations(range(k), r)
+        ]
+        # exposed faces of the subcube F(gamma, s): fix signs on any free subset
+        cube_subs: list[list[Vec]] = [[]]
+        for r in range(len(free) + 1):
+            for U in itertools.combinations(range(len(free)), r):
+                for sigma in itertools.product((-1, 1), repeat=r):
+                    sel = []
+                    for v in cube_full:
+                        if all(v[free[u]] * k == sg for u, sg in zip(U, sigma)):
+                            sel.append(v)
+                    cube_subs.append(sel)
+        n_cross = len(cross_full)
+        n_cube = len(cube_full)
+        for F in cross_subs:
+            for G in cube_subs:
+                if not F and not G:
+                    continue
+                if (len(F) == n_cross) != (len(G) == n_cube):
+                    continue
+                if len(F) == n_cross and len(G) == n_cube:
+                    pts = facet_from_sign_vector(s, d, k)
+                else:
+                    pts = tuple(sorted(set(F) | set(G)))
+                if pts not in faces:
+                    faces[pts] = affine_rank(pts)
     return tuple(sorted((pts, dim) for pts, dim in faces.items()))
 
 
@@ -517,3 +416,12 @@ def fan_refinement_check(
         violations=tuple(violations),
         ok=not violations,
     )
+
+
+def __getattr__(name: str):
+    # the brute face lattice lives in ksupport.oracles; its old name here still resolves
+    if name == "brute_face_lattice":
+        from .oracles import brute_face_lattice
+
+        return brute_face_lattice
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -8,7 +8,6 @@ run them at the contract scale.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -18,18 +17,21 @@ from .core import Tolerance, k_subsets, l0, level_index, support_of
 from .faces import exposed_face_sp, optimal_support_lattice_bounds
 from .norms import NormSpec, ksupport_norm, ksupport_value, lp_norm, top_norm
 from .oracles import (
+    brute_face_lattice,
     brute_optimal_supports,
+    dd_ksup_inf_ball,
+    dd_top1k_ball,
     ksupport_norm_oracle,
     lasso_closed_form,
     sampled_exposed_face,
 )
 from .polytopes import (
-    brute_face_lattice,
     enumerate_proper_faces_top1k,
     facet_from_sign_vector,
     fan_refinement_check,
     is_hypersimplex,
     ksup_inf_ball,
+    sign_vectors,
     top1k_ball,
 )
 from .solver import (
@@ -215,7 +217,8 @@ def suite_lattice(trials: int = 500, d_max: int = 8, seed: int = 0) -> dict:
 
 
 def suite_polytope(d_max: int = 4) -> dict:
-    """Sign-vector facet description, brute hull, polarity, and face lattice."""
+    """Closed-form balls against the double description, sign-vector facet
+    description, brute hull, polarity, and face lattice."""
     failures = []
     checked = 0
     for d in range(1, d_max + 1):
@@ -223,14 +226,14 @@ def suite_polytope(d_max: int = 4) -> dict:
             checked += 1
             top = top1k_ball(d, k)
             ksup = ksup_inf_ball(d, k)
+            # the vertex lists equal the double description of the generators
+            # and of the H-description, sort order included
+            if top != dd_top1k_ball(d, k):
+                failures.append(("double-description-top1k", d, k))
+            if ksup != dd_ksup_inf_ball(d, k):
+                failures.append(("double-description-ksupinf", d, k))
             # facet normals of the top ball are exactly the k-sparse sign vectors
-            want_normals = set()
-            for supp in itertools.combinations(range(d), k):
-                for signs in itertools.product((1, -1), repeat=k):
-                    s = [Fraction(0)] * d
-                    for i, sg in zip(supp, signs):
-                        s[i] = Fraction(sg)
-                    want_normals.add(tuple(s))
+            want_normals = set(sign_vectors(d, k))
             got_normals = {n for n, _ in top.facet_inequalities}
             if got_normals != want_normals:
                 failures.append(("facet-normals", d, k))

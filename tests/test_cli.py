@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,6 +87,26 @@ def test_polytope_reports(capsys):
     code, out, _ = run_cli(capsys, "polytope", "--d", "3", "--k", "2", "--report", "vertices")
     data = json.loads(out)
     assert ["1/2", "1/2", "1/2"] in data["vertices"]
+
+
+def test_polytope_output_closed_by_reader():
+    # `ksupport polytope ... | head`: the reader takes one byte of the 400 kB
+    # lattice and closes the pipe while the writer is still blocked on it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["polytope", "--d", "5", "--k", "2", "--report", "faces"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ksupport.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
 def test_solve_quadratic_file(tmp_path, capsys):

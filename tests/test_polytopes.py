@@ -5,18 +5,16 @@ from fractions import Fraction
 import pytest
 
 from ksupport.core import InvalidInputError, ScaleLimitError
+from ksupport.oracles import brute_face_lattice, facet_enumeration, vertex_enumeration
 from ksupport.polytopes import (
     RationalPolytope,
     affine_rank,
-    brute_face_lattice,
     enumerate_proper_faces_top1k,
-    facet_enumeration,
     facet_from_sign_vector,
     fan_refinement_check,
     is_hypersimplex,
     ksup_inf_ball,
     top1k_ball,
-    vertex_enumeration,
 )
 
 F = Fraction
@@ -73,7 +71,7 @@ def test_ksup_inf_ball_examples():
 
 
 def test_facet_counts_match_sign_vectors():
-    for d in range(1, 6):
+    for d in range(1, 7):
         for k in range(1, d + 1):
             p = top1k_ball(d, k)
             assert len(p.facet_inequalities) == 2**k * math.comb(d, k)
@@ -115,7 +113,7 @@ def test_facet_from_sign_vector_examples():
 
 
 def test_facets_are_brute_facets():
-    for d in range(1, 5):
+    for d in range(1, 7):
         for k in range(1, d + 1):
             top = top1k_ball(d, k)
             brute = set()
@@ -174,8 +172,15 @@ def test_is_hypersimplex_examples():
 def test_scale_guards():
     with pytest.raises(ScaleLimitError):
         top1k_ball(7, 2)
+    with pytest.raises(ScaleLimitError):
+        ksup_inf_ball(7, 2)
     with pytest.raises(InvalidInputError):
         top1k_ball(3, 4)
+    with pytest.raises(InvalidInputError):
+        ksup_inf_ball(3, 4)
+    for build in (top1k_ball, ksup_inf_ball):
+        with pytest.raises(InvalidInputError):
+            build(3, 0)
     with pytest.raises(ScaleLimitError):
         enumerate_proper_faces_top1k(6, 2)
 
