@@ -22,11 +22,11 @@ from fractions import Fraction
 import numpy as np
 
 from . import verify as verify_mod
-from .core import ConvergenceError, InvalidInputError, Tolerance, ZeroVectorError, level_index
+from .core import ConvergenceError, InvalidInputError, ZeroVectorError, level_index
 from .faces import SupportLattice, exposed_face_sp
 from .norms import EvalReport, NormSpec, ksupport_norm, ksupport_value, lp_norm, top_norm
-from .oracles import brute_face_lattice, ksupport_norm_oracle
-from .polytopes import ksup_inf_ball, top1k_ball
+from .oracles import ksupport_norm_oracle
+from .polytopes import enumerate_proper_faces_top1k, facet_from_sign_vector, ksup_inf_ball, top1k_ball
 from .solver import (
     SolveOptions,
     logistic_objective,
@@ -123,13 +123,12 @@ def cmd_norm(args: argparse.Namespace) -> int:
 def cmd_face(args: argparse.Namespace) -> int:
     vec = _parse_vector(args)
     spec = NormSpec(_parse_p(args.p), args.k)
-    tol = Tolerance(abs=args.tol_abs, rel=args.tol_rel)
     try:
-        face = exposed_face_sp(vec, spec, tol)
+        face = exposed_face_sp(vec, spec, args.tie)
     except ZeroVectorError:
         print("dual vector must be nonzero", file=sys.stderr)
         return EXIT_INPUT
-    li = level_index(vec, spec.k, tol)
+    li = level_index(vec, spec.k, args.tie)
     _emit(
         {
             "vertices": [list(map(float, v)) for v in face.vertices],
@@ -154,7 +153,12 @@ def cmd_polytope(args: argparse.Namespace) -> int:
         out["count"] = len(poly.vertices)
         out["vertices"] = [list(v) for v in poly.vertices]
     else:  # faces
-        lattice = brute_face_lattice(poly)
+        lattice = enumerate_proper_faces_top1k(args.d, args.k)
+        if args.which == "ksupinf":  # polarity: a face maps to the normals of the facets holding it
+            facets = [(s, set(facet_from_sign_vector(s, args.d, args.k))) for s in poly.vertices]
+            lattice = sorted(
+                (tuple(s for s, fs in facets if fs.issuperset(pts)), args.d - 1 - dim) for pts, dim in lattice
+            )
         out["count"] = len(lattice)
         out["faces"] = [
             {"dim": dim, "vertices": [list(v) for v in pts]} for pts, dim in lattice
@@ -264,8 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", required=True)
     p.add_argument("--k", type=int, required=True)
     add_vec_opts(p)
-    p.add_argument("--tol-abs", type=float, default=1e-9, dest="tol_abs")
-    p.add_argument("--tol-rel", type=float, default=1e-9, dest="tol_rel")
+    p.add_argument("--tie", type=float, default=1e-9, help="ties within tie * max|y| of the level")
     p.set_defaults(func=cmd_face)
 
     p = sub.add_parser("polytope", help="exact p=inf polytope data")

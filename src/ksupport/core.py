@@ -49,7 +49,11 @@ class ScaleLimitError(InvalidInputError):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Absolute/relative comparison tolerances used throughout."""
+    """Absolute/relative tolerances of the optimality certificate and the oracles.
+
+    Ties in level sets are judged by one relative float instead; see
+    :func:`level_index`.
+    """
 
     abs: float = 1e-9
     rel: float = 1e-9
@@ -70,7 +74,7 @@ class LevelIndexData:
 
     ``m_k`` is the k-th largest absolute value, ``strict`` the indices with
     ``|y_i|`` strictly above it, ``weak`` the indices with ``|y_i|`` at or
-    above it (all 1-based, tie-grouped by the tolerance used to build it).
+    above it (all 1-based, tie-grouped relative to ``max|y|``).
     """
 
     m_k: float
@@ -97,15 +101,15 @@ def _check_support(K: Iterable[int], d: int) -> tuple[int, ...]:
     return tuple(sorted(K))
 
 
-def support_of(x: Sequence[float], tol: Tolerance = DEFAULT_TOL) -> tuple[int, ...]:
-    """Indices j with ``|x_j| > tol.abs`` (1-based, sorted)."""
-    arr = as_vector(x)
-    return tuple(int(i) + 1 for i in np.nonzero(np.abs(arr) > tol.abs)[0])
+def support_of(x: Sequence[float], tie: float = 1e-9) -> tuple[int, ...]:
+    """Indices j with ``|x_j| > tie * max|x|`` (1-based, sorted); empty for x = 0."""
+    a = np.abs(as_vector(x))
+    return _one_based(a > _check_tie(tie) * a.max()) if a.any() else ()
 
 
-def l0(x: Sequence[float], tol: Tolerance = DEFAULT_TOL) -> int:
-    """Number of entries with absolute value above ``tol.abs``."""
-    return len(support_of(x, tol))
+def l0(x: Sequence[float], tie: float = 1e-9) -> int:
+    """Number of entries of :func:`support_of`."""
+    return len(support_of(x, tie))
 
 
 def project_support(x: Sequence[float], K: Iterable[int]) -> np.ndarray:
@@ -134,26 +138,35 @@ def abs_sort_permutation(y: Sequence[float]) -> tuple[int, ...]:
     return tuple(i + 1 for i in order)
 
 
-def level_index(y: Sequence[float], k: int, tol: Tolerance = DEFAULT_TOL) -> LevelIndexData:
+def level_index(y: Sequence[float], k: int, tie: float = 1e-9) -> LevelIndexData:
     """Level data of a nonzero dual vector at sparsity budget ``k``.
 
     ``m_k`` is the k-th largest absolute value of ``y``.  ``strict`` collects
-    the indices with ``|y_i| > m_k`` and ``weak`` those with ``|y_i| >= m_k``;
-    comparisons are tol-grouped so that coordinates within ``tol.abs`` of the
-    level count as tied.  When ``m_k`` is zero (fewer than ``k`` effectively
-    nonzero entries) the weak set is all of ``{1..d}``.
+    the indices with ``|y_i| > m_k`` and ``weak`` those with ``|y_i| >= m_k``.
+    This is the package's one tie rule: entries within ``tie * max|y|`` of
+    the level count as tied, and a level at most that far from 0 counts as
+    ``m_k = 0`` (fewer than ``k`` effectively nonzero entries), when the weak
+    set is all of ``{1..d}``.  So the output does not change when y is scaled
+    by any t > 0.
     """
     arr = as_vector(y)
     d = arr.size
     if not 1 <= k <= d:
         raise InvalidInputError(f"k={k} outside [1, {d}]")
     a = np.abs(arr)
-    if a.max() <= tol.abs:
+    if not a.any():
         raise ZeroVectorError("level_index requires a nonzero vector")
+    eps = _check_tie(tie) * float(a.max())
     m = float(np.partition(a, d - k)[d - k])
-    if m <= tol.abs:
-        return LevelIndexData(0.0, _one_based(a > tol.abs), tuple(range(1, d + 1)))
-    return LevelIndexData(m, _one_based(a > m + tol.abs), _one_based(a >= m - tol.abs))
+    if m <= eps:
+        return LevelIndexData(0.0, _one_based(a > eps), tuple(range(1, d + 1)))
+    return LevelIndexData(m, _one_based(a > m + eps), _one_based(a >= m - eps))
+
+
+def _check_tie(tie: float) -> float:
+    if not 0.0 <= tie < 1.0:
+        raise InvalidInputError(f"tie must lie in [0, 1), got {tie}")
+    return tie
 
 
 def _one_based(mask: np.ndarray) -> tuple[int, ...]:

@@ -23,10 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    DEFAULT_TOL,
     InvalidInputError,
     ScaleLimitError,
-    Tolerance,
     ZeroVectorError,
     LevelIndexData,
     as_vector,
@@ -119,24 +117,20 @@ class SupportLattice:
         return heapq.merge(*per_size)
 
 
-def support_lattice(
-    y: Sequence[float],
-    spec: NormSpec,
-    tol: Tolerance = DEFAULT_TOL,
-) -> SupportLattice:
+def support_lattice(y: Sequence[float], spec: NormSpec, tie: float = 1e-9) -> SupportLattice:
     """The supports of cardinality <= k maximizing ``||pi_K y||_q``.
 
     For q < inf these are the sets K with ``L_k(y) <= K <= Lbar_k(y)`` that
     have k elements, except that when ``m_k(y) = 0`` any cardinality from
     ``|L_k|`` to k qualifies.  For q = inf (source norm l1) the argmax
     family is closed upward; its inclusion-minimal members, the singletons
-    of the absolute-value argmax, are the lattice at k = 1.  Ties are grouped
-    within ``tol.abs``.
+    of the absolute-value argmax, are the lattice at k = 1.  Ties are those
+    of :func:`ksupport.core.level_index`.
     """
     arr = as_vector(y)
     spec.check_dim(arr.size)
     k = 1 if math.isinf(spec.q) else spec.k
-    li = level_index(arr, k, tol)
+    li = level_index(arr, k, tie)
     if li.m_k == 0.0:
         return SupportLattice(li.strict, li.weak, range(len(li.strict), k + 1))
     core = li.weak if len(li.weak) == k else li.strict
@@ -144,15 +138,13 @@ def support_lattice(
 
 
 def optimal_supports(
-    y: Sequence[float],
-    spec: NormSpec,
-    tol: Tolerance = DEFAULT_TOL,
+    y: Sequence[float], spec: NormSpec, tie: float = 1e-9
 ) -> tuple[tuple[int, ...], ...]:
     """The members of :func:`support_lattice`, listed in lexicographic order.
 
     Refuses (``ScaleLimitError``) to list more than 200 000 of them.
     """
-    lattice = support_lattice(y, spec, tol)
+    lattice = support_lattice(y, spec, tie)
     if lattice.count > _ENUMERATION_CAP:
         raise ScaleLimitError(f"more than {_ENUMERATION_CAP} tied optimal supports; see support_lattice")
     return tuple(lattice)
@@ -177,26 +169,22 @@ def v_p(y: Sequence[float], p: float) -> np.ndarray:
     return np.sign(arr) * (a / nq) ** (q / p)
 
 
-def exposed_face_sp(
-    y: Sequence[float],
-    spec: NormSpec,
-    tol: Tolerance = DEFAULT_TOL,
-) -> FaceDescription:
+def exposed_face_sp(y: Sequence[float], spec: NormSpec, tie: float = 1e-9) -> FaceDescription:
     """Exposed face of the k-support unit ball at dual vector ``y``.
 
     Vertices are ``v_p(pi_K y)`` over the optimal supports K, deduplicated
-    by l-infinity distance below ``tol.abs`` (keeping the lexicographically
-    smallest representative).  Only 1 < p < inf; the polytopal p = inf case
-    lives in :mod:`ksupport.polytopes`.
+    by l-infinity distance below ``tie`` (they lie on the unit sphere),
+    keeping the lexicographically smallest representative.  Only
+    1 < p < inf; the polytopal p = inf case lives in :mod:`ksupport.polytopes`.
     """
     arr = as_vector(y)
     if not 1 < spec.p < math.inf:
         raise InvalidInputError("exposed_face_sp requires 1 < p < inf")
     kept: list[tuple[np.ndarray, tuple[int, ...]]] = []
-    for K in optimal_supports(arr, spec, tol):
+    for K in optimal_supports(arr, spec, tie):
         vk = v_p(project_support(arr, K), spec.p)
         for i, (vo, Ko) in enumerate(kept):
-            if float(np.max(np.abs(vk - vo))) < tol.abs:
+            if float(np.max(np.abs(vk - vo))) < tie:
                 rep = min((tuple(vo), Ko), (tuple(vk), K))
                 kept[i] = (np.array(rep[0]), rep[1])
                 break
@@ -210,12 +198,7 @@ def exposed_face_sp(
     )
 
 
-def normal_cone_membership(
-    z: Sequence[float],
-    y: Sequence[float],
-    spec: NormSpec,
-    tol: Tolerance = DEFAULT_TOL,
-) -> bool:
+def normal_cone_membership(z: Sequence[float], y: Sequence[float], spec: NormSpec) -> bool:
     """Does ``y`` generate the normal cone of the k-support ball based at ``z``?
 
     True iff some positive multiple y' of y satisfies
@@ -223,20 +206,24 @@ def normal_cone_membership(
     pre-closure generator condition; boundary directions added by the
     closure are deliberately not decided here.  ``z`` must satisfy its own
     projection identity ``pi_{Lbar_k(z)} z = z`` (any positive scaling of
-    ``z`` is accepted since membership is invariant under it).
+    ``z`` is accepted since membership is invariant under it).  Both vectors
+    are scaled to ``max |.| = 1`` first; ties are those of
+    :func:`ksupport.core.level_index`, and both identities are judged at 1e-9.
     """
     zarr = as_vector(z)
     yarr = as_vector(y)
     spec.check_dim(zarr.size)
-    if float(np.abs(zarr).max()) <= tol.abs:
+    if not zarr.any():
         raise ZeroVectorError("cone base must be nonzero")
-    li_z = level_index(zarr, spec.k, tol)
+    zarr = zarr / np.abs(zarr).max()
+    li_z = level_index(zarr, spec.k)
     off = sorted(set(range(1, zarr.size + 1)) - set(li_z.weak))
-    if off and float(np.abs(project_support(zarr, off)).max()) > tol.abs:
+    if off and float(np.abs(project_support(zarr, off)).max()) > 1e-9:
         raise InvalidInputError("z fails its own projection identity pi_Lbar(z) z = z")
-    if float(np.abs(yarr).max()) <= tol.abs:
+    if not yarr.any():
         return False
-    li_y = level_index(yarr, spec.k, tol)
+    yarr = yarr / np.abs(yarr).max()
+    li_y = level_index(yarr, spec.k)
     if set(li_y.weak) != set(li_z.weak):
         return False
     py = project_support(yarr, li_z.weak)
@@ -246,34 +233,26 @@ def normal_cone_membership(
     t = float(py @ zarr) / denom
     if t <= 0.0:
         return False
-    scale = max(1.0, float(np.abs(zarr).max()))
-    return float(np.max(np.abs(t * py - zarr))) <= tol.abs * scale
+    return float(np.max(np.abs(t * py - zarr))) <= 1e-9
 
 
-def normal_cone_of(
-    y: Sequence[float],
-    spec: NormSpec,
-    tol: Tolerance = DEFAULT_TOL,
-) -> NormalConeDescription:
+def normal_cone_of(y: Sequence[float], spec: NormSpec) -> NormalConeDescription:
     """Canonical generator data of the normal cone containing ``y``.
 
     The base is ``pi_{Lbar_k(y)} y`` scaled to unit Euclidean length.
     """
     arr = as_vector(y)
-    li = level_index(arr, spec.k, tol)
-    base = project_support(arr, li.weak)
+    base = project_support(arr, level_index(arr, spec.k).weak)
     base = base / float(np.linalg.norm(base))
-    return NormalConeDescription(base=base, level=level_index(base, spec.k, tol))
+    return NormalConeDescription(base=base, level=level_index(base, spec.k))
 
 
 def optimal_support_lattice_bounds(
-    y: Sequence[float],
-    spec: NormSpec,
-    tol: Tolerance = DEFAULT_TOL,
+    y: Sequence[float], spec: NormSpec
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Intersection and union of the optimal supports of ``y``: the two ends
     of :func:`support_lattice`."""
-    lattice = support_lattice(y, spec, tol)
+    lattice = support_lattice(y, spec)
     return lattice.core, lattice.bound
 
 

@@ -64,8 +64,7 @@ __all__ = [
     "brute_exposed_face",
     "brute_face_lattice",
     "brute_optimal_supports",
-    "dd_ksup_inf_ball",
-    "dd_top1k_ball",
+    "dd_balls",
     "dykstra_top_ball",
     "dual_ascent_ksupport",
     "facet_enumeration",
@@ -555,29 +554,21 @@ def brute_face_lattice(poly: RationalPolytope) -> tuple[tuple[tuple[Vec, ...], i
     return tuple(sorted(out))
 
 
-def dd_top1k_ball(d: int, k: int) -> RationalPolytope:
-    """:func:`ksupport.polytopes.top1k_ball` by double description.
+def dd_balls(d: int, k: int) -> tuple[RationalPolytope, RationalPolytope]:
+    """:func:`ksupport.polytopes.top1k_ball` and its polar
+    :func:`ksupport.polytopes.ksup_inf_ball` by double description.
 
-    The facets are those of the hull of every generator, the signed units
-    and the corners of ``{-1/k, 1/k}^d``; the vertices are enumerated back
-    from the facets, which prunes the redundant generators.
+    The facets of the top-(1,k) ball are those of the hull of every
+    generator, the signed units and the corners of ``{-1/k, 1/k}^d``; its
+    vertices are enumerated back from the facets, which prunes the redundant
+    generators.  The polar halfspaces ``<v, x> <= 1`` of the generators are
+    the H-description ``|x_i| <= 1``, ``<s, x> <= k`` of the k-support ball,
+    so one run gives both balls: the polar's vertices are the facet normals
+    and its facet normals the vertices.
     """
     _check_scale(d, k)
     cand = _signed_units(d) + [tuple(c / k for c in corner) for corner in _cube_corners(d)]
     facets = facet_enumeration(cand, box=Fraction(4 * d))
     verts = vertex_enumeration(facets, d, box=Fraction(2))
-    return RationalPolytope(verts, facets)
-
-
-def dd_ksup_inf_ball(d: int, k: int) -> RationalPolytope:
-    """:func:`ksupport.polytopes.ksup_inf_ball` by double description.
-
-    The vertices are enumerated from the H-description ``|x_i| <= 1`` and
-    ``<s, x> <= k`` over the sign corners s, the facets from the vertices.
-    """
-    _check_scale(d, k)
-    hs: list[Halfspace] = [(u, Fraction(1)) for u in _signed_units(d)]
-    hs += [(s, Fraction(k)) for s in _cube_corners(d)]
-    verts = vertex_enumeration(hs, d, box=Fraction(2))
-    facets = facet_enumeration(verts, box=Fraction(4 * d))
-    return RationalPolytope(verts, facets)
+    polar = RationalPolytope(tuple(n for n, _ in facets), tuple((v, Fraction(1)) for v in verts))
+    return RationalPolytope(verts, facets), polar

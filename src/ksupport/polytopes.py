@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import InvalidInputError, ScaleLimitError
+from .core import InvalidInputError, ScaleLimitError, level_index
 
 __all__ = [
     "RationalPolytope",
@@ -379,27 +379,19 @@ def fan_refinement_check(
         while all(c == 0 for c in y):
             mags = [rng.randint(0, 3) for _ in range(d)]
             y = [Fraction(rng.choice((-1, 1)) * m) for m in mags]
-        mags_sorted = sorted((abs(c) for c in y), reverse=True)
-        m_k = mags_sorted[k - 1]
-        weak = [i for i in range(d) if abs(y[i]) >= m_k] if m_k > 0 else list(range(d))
-        strict = [i for i in range(d) if abs(y[i]) > m_k]
-        z = tuple(y[i] if i in set(weak) else Fraction(0) for i in range(d))
-        # lexicographically first optimal support of size k, padded if m_k = 0
-        if m_k > 0:
-            pool = [i for i in weak if i not in set(strict)]
-            kstar = sorted(strict + pool[: k - len(strict)])
-        else:
-            supp = [i for i in range(d) if z[i] != 0]
-            pad = [i for i in range(d) if i not in set(supp)]
-            kstar = sorted(supp + pad[: k - len(supp)])
-        s = tuple(
-            (1 if z[i] >= 0 else -1) if i in set(kstar) else 0 for i in range(d)
-        )
+        # small integers: the float level data is exact
+        li = level_index([float(c) for c in y], k)
+        m_k, weak = Fraction(li.m_k), set(li.weak)
+        z = tuple(c if i + 1 in weak else Fraction(0) for i, c in enumerate(y))
+        # lexicographically first optimal support of size k (padded if m_k = 0)
+        pad = [i for i in li.weak if i not in li.strict][: k - len(li.strict)]
+        kstar = set(li.strict).union(pad)
+        s = tuple((1 if c >= 0 else -1) if i + 1 in kstar else 0 for i, c in enumerate(z))
         # generators of the cone at z: z itself, positive scalings, and
         # perturbations below the level off the weak set
         gens: list[Vec] = [z, tuple(2 * c for c in z), tuple(c / 3 for c in z)]
         if m_k > 0:
-            off = [i for i in range(d) if i not in set(weak)]
+            off = [i for i in range(d) if i + 1 not in weak]
             for _ in range(4):
                 g = list(z)
                 for i in off:

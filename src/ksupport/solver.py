@@ -189,24 +189,21 @@ def lmo_sp_ball(
 
 
 def identified_support(
-    x: Sequence[float],
-    g: Sequence[float],
-    spec: NormSpec,
-    tol: Tolerance = DEFAULT_TOL,
+    x: Sequence[float], g: Sequence[float], spec: NormSpec, tie: float = 1e-9
 ) -> SupportLattice:
     """Support identification from the dual vector ``g = -grad f(x)``.
 
-    The lattice of optimal supports of g: its union bounds the support of
-    any optimum exposed by g, and a unique optimal support certifies a
-    k-sparse optimum.
+    The lattice of optimal supports of g, with ties within ``tie * max|g|``:
+    its union bounds the support of any optimum exposed by g, and a unique
+    optimal support certifies a k-sparse optimum.
     """
     xarr = as_vector(x)
     garr = as_vector(g)
     if xarr.size != garr.size:
         raise InvalidInputError("x and g must have the same dimension")
-    if float(np.abs(garr).max()) <= tol.abs:
+    if not garr.any():
         raise ZeroGradientError("zero gradient: support identification is vacuous")
-    return support_lattice(garr, spec, tol)
+    return support_lattice(garr, spec, tie)
 
 
 def _fermat_gap(x: np.ndarray, g: np.ndarray, gamma: float, spec: NormSpec) -> float:
@@ -321,12 +318,13 @@ def solve_penalized(
         converged = True
     # tie detection in the dual vector must not be finer than the achieved
     # accuracy, else tied coordinates carrying mass of x fall out of the bound;
-    # an accuracy that cannot tell -g from zero ties every coordinate
+    # an accuracy that cannot tell -g from zero ties every coordinate.  The
+    # threshold is absolute; identification takes it relative to max|g|
     tie_abs = max(DEFAULT_TOL.abs, 200.0 * gap, 1e-8 * top_norm(g, spec))
     gmax = float(np.abs(g).max())
     lattice = None
     if gmax > tie_abs:
-        lattice = identified_support(x, -g, spec, Tolerance(abs=tie_abs, rel=DEFAULT_TOL.rel))
+        lattice = identified_support(x, -g, spec, tie_abs / gmax)
     elif gmax > DEFAULT_TOL.abs:  # the lattice of a constant vector
         lattice = support_lattice(np.ones(d), spec)
     objective = obj.value(x) + gamma * ksupport_value(x, spec)

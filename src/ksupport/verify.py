@@ -19,8 +19,7 @@ from .norms import NormSpec, ksupport_norm, ksupport_value, lp_norm, top_norm
 from .oracles import (
     brute_face_lattice,
     brute_optimal_supports,
-    dd_ksup_inf_ball,
-    dd_top1k_ball,
+    dd_balls,
     ksupport_norm_oracle,
     lasso_closed_form,
     sampled_exposed_face,
@@ -42,7 +41,7 @@ from .solver import (
     solve_penalized,
 )
 
-__all__ = ["SUITES", "run_suite", "run_all"]
+__all__ = ["SUITES", "run_all"]
 
 
 def _result(name: str, trials: int, failures: list, detail: str = "") -> dict:
@@ -227,10 +226,11 @@ def suite_polytope(d_max: int = 4) -> dict:
             top = top1k_ball(d, k)
             ksup = ksup_inf_ball(d, k)
             # the vertex lists equal the double description of the generators
-            # and of the H-description, sort order included
-            if top != dd_top1k_ball(d, k):
+            # and its polar swap, sort order included
+            dd_top, dd_ksup = dd_balls(d, k)
+            if top != dd_top:
                 failures.append(("double-description-top1k", d, k))
-            if ksup != dd_ksup_inf_ball(d, k):
+            if ksup != dd_ksup:
                 failures.append(("double-description-ksupinf", d, k))
             # facet normals of the top ball are exactly the k-sparse sign vectors
             want_normals = set(sign_vectors(d, k))
@@ -316,14 +316,12 @@ def suite_solver(trials: int = 50, seed: int = 0, tol: float = 1e-6) -> dict:
         if not ok:
             failures.append(("certificate", t))
             continue
-        xm = max(float(np.abs(rep.x_star).max()), 1e-300)
-        st = Tolerance(abs=1e-6 * xm)
-        supp = set(support_of(rep.x_star, st))
+        supp = set(support_of(rep.x_star, 1e-6))
         bound_ok = supp <= set(rep.support_bound) if rep.support_bound else not supp
         if not bound_ok:
             failures.append(("bound", t))
             continue
-        if rep.unique_support is not None and l0(rep.x_star, st) > spec.k:
+        if rep.unique_support is not None and l0(rep.x_star, 1e-6) > spec.k:
             failures.append(("unique-sparsity", t))
     return _result("solver", trials, failures)
 
@@ -404,12 +402,6 @@ SUITES = {
     "lasso": suite_lasso,
     "commutation": suite_commutation,
 }
-
-
-def run_suite(name: str, **params) -> dict:
-    if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
-    return SUITES[name](**params)
 
 
 def run_all(seed: int = 0, scale: float = 0.2) -> list[dict]:

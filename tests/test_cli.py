@@ -72,6 +72,22 @@ def test_face_examples(capsys):
     assert "dual vector must be nonzero" in err
 
 
+def test_face_is_scale_invariant(capsys):
+    # ties and the level are judged relative to max|y|: 1e-10 * (1, 1, 1) has the face of (1, 1, 1)
+    faces = []
+    for vec in ("1,1,1", "1e-10,1e-10,1e-10"):
+        code, out, _ = run_cli(capsys, "face", "--p", "2", "--k", "2", "--vec", vec)
+        assert code == 0
+        faces.append(json.loads(out))
+    assert np.allclose(faces[1]["vertices"], faces[0]["vertices"], rtol=0, atol=1e-15)
+    for key in ("generating_supports", "L", "Lbar"):
+        assert faces[1][key] == faces[0][key]
+    # --tie widens the level: 2.9 ties with 3 within 0.1 * 3
+    code, out, _ = run_cli(capsys, "face", "--p", "2", "--k", "1", "--vec", "3,2.9,1", "--tie", "0.1")
+    assert code == 0
+    assert json.loads(out)["Lbar"] == [1, 2]
+
+
 def test_polytope_reports(capsys):
     code, out, _ = run_cli(capsys, "polytope", "--d", "3", "--k", "2", "--which", "top1k", "--report", "facets")
     assert code == 0
@@ -87,6 +103,27 @@ def test_polytope_reports(capsys):
     code, out, _ = run_cli(capsys, "polytope", "--d", "3", "--k", "2", "--report", "vertices")
     data = json.loads(out)
     assert ["1/2", "1/2", "1/2"] in data["vertices"]
+
+
+def test_polytope_faces_of_the_polar_ball(capsys):
+    # the ksupinf lattice comes from the top-(1,k) lattice by polarity
+    from ksupport.oracles import brute_face_lattice
+    from ksupport.polytopes import ksup_inf_ball
+
+    for d in range(1, 5):
+        for k in range(1, d + 1):
+            code, out, _ = run_cli(
+                capsys, "polytope", "--d", str(d), "--k", str(k), "--which", "ksupinf", "--report", "faces"
+            )
+            assert code == 0
+            want = [
+                {"dim": dim, "vertices": [[f"{c.numerator}/{c.denominator}" for c in v] for v in pts]}
+                for pts, dim in brute_face_lattice(ksup_inf_ball(d, k))
+            ]
+            assert json.loads(out)["faces"] == want
+    # the face lattice is refused past d = 5 rather than printed by the megabyte
+    code, _, err = run_cli(capsys, "polytope", "--d", "6", "--k", "3", "--report", "faces")
+    assert code == 2 and "d <= 5" in err
 
 
 def test_polytope_output_closed_by_reader():

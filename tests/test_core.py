@@ -4,9 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksupport.core import (
-    DEFAULT_TOL,
     InvalidInputError,
-    Tolerance,
     ZeroVectorError,
     abs_sort_permutation,
     k_subsets,
@@ -26,7 +24,7 @@ finite_vec = st.lists(
 def test_support_of_examples():
     assert support_of([0, 0, 0]) == ()
     assert support_of([3, 0, -2]) == (1, 3)
-    assert support_of([1e-12, 1, 0], Tolerance(abs=1e-9)) == (2,)
+    assert support_of([1e-12, 1, 0], 1e-9) == (2,)
 
 
 def test_l0_examples():
@@ -81,6 +79,26 @@ def test_level_index_rejects_zero_and_bad_k():
         level_index([1.0, 2.0], 3)
     with pytest.raises(InvalidInputError):
         level_index([1.0, 2.0], 0)
+    for tie in (-1e-9, 1.0, float("nan")):
+        with pytest.raises(InvalidInputError):
+            level_index([1.0, 2.0], 1, tie)
+        with pytest.raises(InvalidInputError):
+            support_of([1.0, 2.0], tie)
+
+
+def test_ties_are_relative_to_max():
+    # every nonzero vector has level data, and ties scale with it
+    li = level_index(1e-10 * np.array([3, 2, 2, 1]), 2)
+    assert (li.strict, li.weak) == ((1,), (1, 2, 3))
+    assert support_of(1e-10 * np.array([3, 2, 2, 1])) == (1, 2, 3, 4)
+    for t in (1.0, 1e12):
+        li = level_index(t * np.array([1, 1 + 1e-12, 5e-12]), 1)
+        assert (li.strict, li.weak) == ((), (1, 2))
+    li = level_index([2e-300, 1e-300, 0], 2)
+    assert (li.m_k, li.strict, li.weak) == (1e-300, (1,), (1, 2))
+    # an entry below 1e-9 * max|y| counts as zero
+    li = level_index([1, 1e-10, 0], 2)
+    assert (li.m_k, li.strict, li.weak) == (0.0, (1,), (1, 2, 3))
 
 
 def test_k_subsets_examples():
@@ -125,7 +143,7 @@ def test_abs_sort_permutation_is_bijection_and_sorted(x):
 @given(finite_vec, st.integers(min_value=1, max_value=8))
 def test_level_index_consistency(x, k):
     x = np.array(x)
-    if k > x.size or np.abs(x).max() <= DEFAULT_TOL.abs:
+    if k > x.size or not x.any():
         return
     li = level_index(x, k)
     assert set(li.strict) <= set(li.weak)

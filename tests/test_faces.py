@@ -30,6 +30,10 @@ def test_optimal_supports_examples():
     assert optimal_supports([5, 0, 0], NormSpec(2.0, 2)) == ((1,), (1, 2), (1, 3))
     with pytest.raises(ZeroVectorError):
         optimal_supports([0.0, 0.0], NormSpec(2.0, 1))
+    # ties are judged relative to max|y|, so scaling keeps the answer
+    assert optimal_supports(1e-10 * np.array([3, 2, 2, 1]), NormSpec(2.0, 2)) == ((1, 2), (1, 3))
+    y = np.array([1, 1 + 1e-12, 5e-12])
+    assert support_lattice(1e12 * y, NormSpec(2.0, 1)) == support_lattice(y, NormSpec(2.0, 1))
 
 
 def test_optimal_supports_q_inf_minimal_representatives():

@@ -1,0 +1,101 @@
+"""The level-set family does not change under positive scaling, permutation
+or sign flips of its input.
+
+Inputs are small integers, so ties are exact; each draw applies a
+permutation, a sign flip and a scale of 2^e (e in [-660, 660]) or 10^e
+(e in [-200, 200]) at once, and maps the answer back to the original
+coordinates.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ksupport.core import level_index, project_support, support_of
+from ksupport.faces import exposed_face_sp, normal_cone_membership, optimal_supports, support_lattice
+from ksupport.norms import NormSpec
+
+int_vec = st.lists(st.integers(-4, 4), min_size=1, max_size=7).filter(any).map(
+    lambda v: np.array(v, dtype=float)
+)
+scales = st.one_of(
+    st.integers(-660, 660).map(lambda e: 2.0**e),
+    st.integers(-200, 200).map(lambda e: 10.0**e),
+)
+
+
+@st.composite
+def transforms(draw, d):
+    """(t, perm, signs) for y -> t * signs * y[perm]."""
+    perm = np.array(draw(st.permutations(range(d))), dtype=int)
+    signs = np.array(draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=d, max_size=d)))
+    return draw(scales), perm, signs
+
+
+@st.composite
+def cases(draw, ps):
+    y = draw(int_vec)
+    k = draw(st.integers(1, y.size))
+    return y, NormSpec(draw(st.sampled_from(ps)), k), draw(transforms(y.size))
+
+
+def _apply(y, tr):
+    t, perm, signs = tr
+    return t * signs * y[perm]
+
+
+def _unmap(K, tr):
+    # index j of the transformed vector is index perm[j - 1] + 1 of the original
+    return tuple(sorted(int(tr[1][j - 1]) + 1 for j in K))
+
+
+def _unmap_point(v, tr):
+    _, perm, signs = tr
+    w = np.empty_like(v)
+    w[perm] = signs * v
+    return w
+
+
+@settings(max_examples=200, deadline=None)
+@given(cases((1.0, 1.5, 2.0, 3.0, np.inf)))
+def test_support_lattice_and_optimal_supports_invariant(case):
+    y, spec, tr = case
+    want, got = support_lattice(y, spec), support_lattice(_apply(y, tr), spec)
+    assert (_unmap(got.core, tr), _unmap(got.bound, tr), got.sizes) == (want.core, want.bound, want.sizes)
+    mapped = sorted(_unmap(K, tr) for K in optimal_supports(_apply(y, tr), spec))
+    assert tuple(mapped) == optimal_supports(y, spec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_vec.flatmap(lambda y: st.tuples(st.just(y), transforms(y.size))))
+def test_support_of_invariant(case):
+    y, tr = case
+    assert _unmap(support_of(_apply(y, tr)), tr) == support_of(y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cases((1.5, 2.0, 3.0)))
+def test_exposed_face_vertices_invariant(case):
+    y, spec, tr = case
+    want = exposed_face_sp(y, spec).vertices
+    got = [_unmap_point(v, tr) for v in exposed_face_sp(_apply(y, tr), spec).vertices]
+    assert len(got) == len(want)
+    for v in got:
+        assert min(float(np.max(np.abs(v - w))) for w in want) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(cases((2.0,)), int_vec, st.booleans(), scales)
+def test_normal_cone_membership_invariant(case, y2, inside, t2):
+    y, spec, tr = case
+    d = y.size
+    z = project_support(y, level_index(y, spec.k).weak)
+    y2 = np.resize(y2, d)
+    if inside or not y2.any():
+        # 4z plus entries below 4 m_k off the weak set: a generator of the cone at z
+        off = np.ones(d, dtype=bool)
+        off[np.array(level_index(z, spec.k).weak) - 1] = False
+        y2 = 4.0 * z + np.where(off, np.clip(y2, -3, 3), 0.0)
+        assert normal_cone_membership(z, y2, spec)
+    want = normal_cone_membership(z, y2, spec)
+    assert normal_cone_membership(_apply(z, tr), _apply(y2, (t2,) + tr[1:]), spec) == want
