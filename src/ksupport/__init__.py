@@ -8,13 +8,14 @@ norms
     lp / top-(q,k) / k-support norm evaluation, its primal decomposition and
     the exact top-ball projection.
 faces
-    Optimal supports, exposed faces, normal cones, finite atom engine.
+    Optimal supports as a lattice interval, exposed faces, normal cones.
 polytopes
     Exact rational combinatorics of the p = inf case.
 solver
     Accelerated proximal-gradient solver for k-support-penalized minimization.
 oracles
-    Independent brute-force ground truth for tests and verification.
+    Independent brute-force ground truth for tests and verification,
+    including the face of a finite atom set (``atomset_face``).
 cli
     Command-line interface (``ksupport`` entry point).
 """
@@ -38,7 +39,6 @@ from .faces import (
     FaceDescription,
     NormalConeDescription,
     SupportLattice,
-    atomset_face,
     exposed_face_sp,
     normal_cone_membership,
     normal_cone_of,
@@ -57,7 +57,7 @@ from .norms import (
     project_top_ball,
     top_norm,
 )
-from .oracles import dual_ascent_ksupport, ksupport_norm_oracle
+from .oracles import atomset_face, dual_ascent_ksupport, ksupport_norm_oracle
 from .polytopes import (
     FanRefinementReport,
     RationalPolytope,

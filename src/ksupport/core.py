@@ -49,7 +49,8 @@ class ScaleLimitError(InvalidInputError):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Absolute/relative tolerances of the optimality certificate and the oracles.
+    """Absolute/relative tolerances of the optimality certificate,
+    :func:`ksupport.solver.certify_optimality`.
 
     Ties in level sets are judged by one relative float instead; see
     :func:`level_index`.

@@ -7,9 +7,9 @@ lattice interval between the strict and weak level sets ``L_k`` and
 sizes; its members are listed only on request.  The union ``Lbar_k`` bounds
 the support of every point of the exposed face.  The exposed face of the
 k-support ball (1 < p < inf) is the convex hull of the Hoelder-equality
-points of the projections onto the optimal supports.  A finite atom-set
-engine provides the same face computation for arbitrary finite atom
-collections.
+points of the projections onto the optimal supports, one vertex per
+support.  The brute-force face of a finite atom set,
+:func:`ksupport.oracles.atomset_face`, lives with the other oracles.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ __all__ = [
     "normal_cone_membership",
     "normal_cone_of",
     "optimal_support_lattice_bounds",
-    "atomset_face",
 ]
 
 _ENUMERATION_CAP = 200_000
@@ -54,9 +53,8 @@ _ENUMERATION_CAP = 200_000
 class FaceDescription:
     """Vertex description of an exposed face of the k-support unit ball.
 
-    ``vertices`` and ``generating_supports`` correspond one to one (after
-    deduplication each kept vertex carries its lexicographically smallest
-    generating support); ``dual`` is the exposing vector.
+    ``vertices`` and ``generating_supports`` correspond one to one, sorted
+    by vertex; ``dual`` is the exposing vector.
     """
 
     vertices: tuple[np.ndarray, ...]
@@ -144,7 +142,10 @@ def optimal_supports(
 
     Refuses (``ScaleLimitError``) to list more than 200 000 of them.
     """
-    lattice = support_lattice(y, spec, tie)
+    return _members(support_lattice(y, spec, tie))
+
+
+def _members(lattice: SupportLattice) -> tuple[tuple[int, ...], ...]:
     if lattice.count > _ENUMERATION_CAP:
         raise ScaleLimitError(f"more than {_ENUMERATION_CAP} tied optimal supports; see support_lattice")
     return tuple(lattice)
@@ -172,25 +173,22 @@ def v_p(y: Sequence[float], p: float) -> np.ndarray:
 def exposed_face_sp(y: Sequence[float], spec: NormSpec, tie: float = 1e-9) -> FaceDescription:
     """Exposed face of the k-support unit ball at dual vector ``y``.
 
-    Vertices are ``v_p(pi_K y)`` over the optimal supports K, deduplicated
-    by l-infinity distance below ``tie`` (they lie on the unit sphere),
-    keeping the lexicographically smallest representative.  Only
-    1 < p < inf; the polytopal p = inf case lives in :mod:`ksupport.polytopes`.
+    Vertices are ``v_p(pi_K y)`` over the optimal supports K.  At a
+    positive level every member has k entries of ``y`` that are nonzero, so
+    distinct members give distinct vertices: one per member.  At
+    ``m_k = 0`` the members differ only by entries counted as 0, and the
+    face is the single vertex of the first member.  ``tie`` is the tie of
+    :func:`ksupport.core.level_index`.  Only 1 < p < inf; the polytopal
+    p = inf case lives in :mod:`ksupport.polytopes`.
     """
     arr = as_vector(y)
     if not 1 < spec.p < math.inf:
         raise InvalidInputError("exposed_face_sp requires 1 < p < inf")
-    kept: list[tuple[np.ndarray, tuple[int, ...]]] = []
-    for K in optimal_supports(arr, spec, tie):
-        vk = v_p(project_support(arr, K), spec.p)
-        for i, (vo, Ko) in enumerate(kept):
-            if float(np.max(np.abs(vk - vo))) < tie:
-                rep = min((tuple(vo), Ko), (tuple(vk), K))
-                kept[i] = (np.array(rep[0]), rep[1])
-                break
-        else:
-            kept.append((vk, K))
-    kept.sort(key=lambda item: tuple(item[0]))
+    lattice = support_lattice(arr, spec, tie)
+    supports = [next(iter(lattice))] if len(lattice.sizes) > 1 else _members(lattice)
+    kept = sorted(
+        ((v_p(project_support(arr, K), spec.p), K) for K in supports), key=lambda vk: tuple(vk[0])
+    )
     return FaceDescription(
         vertices=tuple(v for v, _ in kept),
         generating_supports=tuple(K for _, K in kept),
@@ -254,73 +252,3 @@ def optimal_support_lattice_bounds(
     of :func:`support_lattice`."""
     lattice = support_lattice(y, spec)
     return lattice.core, lattice.bound
-
-
-# ---------------------------------------------------------------------------
-# finite atom sets
-
-
-def _dot(a: Sequence, b: Sequence):
-    return sum(ai * bi for ai, bi in zip(a, b))
-
-
-def _restrict(v: Sequence, K: tuple[int, ...], d: int) -> tuple:
-    # 0 * v[i] keeps the coordinate type (Fraction stays Fraction)
-    members = set(K)
-    return tuple(v[i] if (i + 1) in members else 0 * v[i] for i in range(d))
-
-
-def atomset_face(
-    atoms: Sequence[Sequence],
-    k: int,
-    y: Sequence,
-    tol: float | None = None,
-):
-    """Sparse-atom face of ``conv(union of pi_K(atoms))`` exposed by ``y``.
-
-    Scans every support K with ``|K| <= k``: the optimal supports maximize
-    ``max_{x in atoms} <x, pi_K y>`` and the returned points are the
-    projections onto each optimal support of the atoms attaining that
-    maximum.  The exposed face itself is the convex hull of the returned
-    points.  Works on exact (Fraction) or float coordinates; ``tol=None``
-    means exact comparisons.
-
-    Returns ``(points, optimal_supports)``.
-    """
-    atoms = [tuple(a) for a in atoms]
-    if not atoms:
-        raise InvalidInputError("atom set must be nonempty")
-    d = len(atoms[0])
-    if any(len(a) != d for a in atoms) or len(y) != d:
-        raise InvalidInputError("dimension mismatch between atoms and dual vector")
-    if not 0 <= k <= d:
-        raise InvalidInputError(f"k={k} outside [0, {d}]")
-    y = tuple(y)
-    slack = 0 if tol is None else tol
-
-    subsets = []
-    for j in range(k + 1):
-        subsets.extend(itertools.combinations(range(1, d + 1), j))
-    scores = {}
-    for K in subsets:
-        py = _restrict(y, K, d)
-        scores[K] = max(_dot(a, py) for a in atoms)
-    best = max(scores.values())
-    winners = sorted(K for K, s in scores.items() if s >= best - slack)
-
-    points: list[tuple] = []
-    for K in winners:
-        py = _restrict(y, K, d)
-        smax = scores[K]
-        for a in atoms:
-            if _dot(a, py) >= smax - slack:
-                pa = _restrict(a, K, d)
-                if tol is None:
-                    if pa not in points:
-                        points.append(pa)
-                else:
-                    if all(
-                        max(abs(u - v) for u, v in zip(pa, other)) > tol for other in points
-                    ):
-                        points.append(pa)
-    return sorted(points), tuple(winners)

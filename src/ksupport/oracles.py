@@ -1,7 +1,8 @@
 """Brute-force ground truth used by the test and verification suites.
 
-Everything here is deliberately simple and exhaustive: argmax over explicit
-vertex lists, exhaustive subset scans, closed-form soft thresholding,
+Everything here is deliberately simple and exhaustive: the scans over
+explicit lists of vertices, supports and atoms pick their maximizers with
+one argmax, :func:`_argmax`; beside them sit closed-form soft thresholding,
 sampled gauge bounds by linear programming, Dykstra's alternating
 projections over all C(d,k) cylinders of the top-norm ball, projected
 gradient ascent on that ball, the decomposition program over all C(d,k)
@@ -28,11 +29,9 @@ import numpy as np
 from scipy import optimize as _sciopt
 
 from .core import (
-    DEFAULT_TOL,
     ConvergenceError,
     InvalidInputError,
     ScaleLimitError,
-    Tolerance,
     ZeroVectorError,
     as_vector,
     k_subsets,
@@ -61,6 +60,7 @@ from .polytopes import (
 
 __all__ = [
     "OracleReport",
+    "atomset_face",
     "brute_exposed_face",
     "brute_face_lattice",
     "brute_optimal_supports",
@@ -85,19 +85,80 @@ class OracleReport:
     params: dict
 
 
+def _argmax(items: Iterable, score, slack=0) -> list:
+    """The items whose score is within ``slack`` of the best, in input order.
+
+    At ``slack = 0`` the comparison is exact, so Fraction scores stay exact.
+    """
+    items = list(items)
+    scores = [score(x) for x in items]
+    best = max(scores)
+    return [x for x, s in zip(items, scores) if s >= best - slack]
+
+
+def _restrict(v: Sequence, K: tuple[int, ...]) -> tuple:
+    # pi_K v; 0 * v[i] keeps the coordinate type (Fraction stays Fraction)
+    members = set(K)
+    return tuple(c if i in members else 0 * c for i, c in enumerate(v, start=1))
+
+
 def brute_exposed_face(
-    vertices: Sequence[Sequence[float]],
-    y: Sequence[float],
-    tol: Tolerance = DEFAULT_TOL,
-) -> list[tuple[float, ...]]:
-    """Vertices maximizing ``<v, y>`` within ``tol.abs`` of the maximum."""
-    verts = [tuple(float(c) for c in v) for v in vertices]
+    vertices: Sequence[Sequence], y: Sequence, tol: float = 1e-9
+) -> list[tuple]:
+    """Vertices maximizing ``<v, y>`` within ``tol`` of the maximum.
+
+    The coordinates keep their type; with Fractions and ``tol = 0`` the
+    argmax is exact.
+    """
+    verts = [tuple(v) for v in vertices]
     if not verts:
         raise InvalidInputError("empty vertex list")
-    yv = [float(c) for c in y]
-    scores = [sum(a * b for a, b in zip(v, yv)) for v in verts]
-    best = max(scores)
-    return [v for v, s in zip(verts, scores) if s >= best - tol.abs]
+    y = tuple(y)
+    return _argmax(verts, lambda v: _dot(v, y), tol)
+
+
+def atomset_face(
+    atoms: Sequence[Sequence],
+    k: int,
+    y: Sequence,
+    tol: float | None = None,
+):
+    """Sparse-atom face of ``conv(union of pi_K(atoms))`` exposed by ``y``.
+
+    Scans every support K with ``|K| <= k``: the optimal supports maximize
+    ``max_{x in atoms} <x, pi_K y>`` and the returned points are the
+    projections onto each optimal support of the atoms attaining that
+    maximum.  The exposed face itself is the convex hull of the returned
+    points.  Works on exact (Fraction) or float coordinates; ``tol=None``
+    means exact comparisons.
+
+    Returns ``(points, optimal_supports)``.
+    """
+    atoms = [tuple(a) for a in atoms]
+    if not atoms:
+        raise InvalidInputError("atom set must be nonempty")
+    d = len(atoms[0])
+    if any(len(a) != d for a in atoms) or len(y) != d:
+        raise InvalidInputError("dimension mismatch between atoms and dual vector")
+    y = tuple(y)
+    slack = 0 if tol is None else tol
+
+    def score(K):
+        py = _restrict(y, K)
+        return max(_dot(a, py) for a in atoms)
+
+    winners = _argmax(k_subsets(d, k, at_most=True), score, slack)
+    points: list[tuple] = []
+    for K in winners:
+        py = _restrict(y, K)
+        for a in _argmax(atoms, lambda a: _dot(a, py), slack):
+            pa = _restrict(a, K)
+            if tol is None:
+                if pa not in points:
+                    points.append(pa)
+            elif all(max(abs(u - v) for u, v in zip(pa, other)) > tol for other in points):
+                points.append(pa)
+    return sorted(points), tuple(winners)
 
 
 def _q_norm(vals: Sequence[float], q: float) -> float:
@@ -116,11 +177,11 @@ def _q_norm(vals: Sequence[float], q: float) -> float:
 def brute_optimal_supports(
     y: Sequence[float],
     spec: NormSpec,
-    tol: Tolerance = DEFAULT_TOL,
+    tol: float = 1e-9,
 ) -> tuple[tuple[int, ...], ...]:
     """Exhaustive argmax of ``||pi_K y||_q`` over every K with 1 <= |K| <= k.
 
-    Returns every maximizer within ``tol.abs`` (including non-minimal ones
+    Returns every maximizer within ``tol`` (including non-minimal ones
     for q = inf, where the argmax family is closed upward).
     """
     arr = as_vector(y)
@@ -129,15 +190,10 @@ def brute_optimal_supports(
         raise InvalidInputError(f"k={spec.k} exceeds dimension {d}")
     if d > 16:
         raise ScaleLimitError("brute support scan limited to d <= 16")
-    if float(np.abs(arr).max()) <= tol.abs:
+    if float(np.abs(arr).max()) <= tol:
         raise ZeroVectorError("optimal supports are undefined for the zero vector")
-    scored: list[tuple[tuple[int, ...], float]] = []
-    for r in range(1, spec.k + 1):
-        for K in itertools.combinations(range(1, d + 1), r):
-            vals = [arr[i - 1] for i in K]
-            scored.append((K, _q_norm(vals, spec.q)))
-    best = max(s for _, s in scored)
-    return tuple(sorted(K for K, s in scored if s >= best - tol.abs))
+    supports = k_subsets(d, spec.k, at_most=True)[1:]
+    return tuple(_argmax(supports, lambda K: _q_norm([arr[i - 1] for i in K], spec.q), tol))
 
 
 def lasso_closed_form(a: Sequence[float], gamma: float) -> np.ndarray:
@@ -148,16 +204,20 @@ def lasso_closed_form(a: Sequence[float], gamma: float) -> np.ndarray:
     return np.sign(arr) * np.maximum(np.abs(arr) - gamma, 0.0)
 
 
+def _to_sphere(g: np.ndarray, p: float) -> np.ndarray:
+    # every nonzero row scaled to unit lp norm; zero rows stay zero
+    if math.isinf(p):
+        scale = np.abs(g).max(axis=1)
+    else:
+        scale = (np.abs(g) ** p).sum(axis=1) ** (1.0 / p)
+    scale[scale == 0.0] = 1.0
+    return g / scale[:, None]
+
+
 def _sphere_points(rng: np.random.Generator, n: int, dim: int, p: float) -> np.ndarray:
     g = rng.standard_normal((n, dim))
     g[np.all(g == 0.0, axis=1)] = 1.0
-    if math.isinf(p):
-        scale = np.abs(g).max(axis=1)
-    elif p == 1:
-        scale = np.abs(g).sum(axis=1)
-    else:
-        scale = (np.abs(g) ** p).sum(axis=1) ** (1.0 / p)
-    return g / scale[:, None]
+    return _to_sphere(g, p)
 
 
 def sampled_gauge_upper_bound(
@@ -244,14 +304,8 @@ def sampled_exposed_face(
             if incumbent is None:
                 pts = _sphere_points(rng, per, spec.k, spec.p)
             else:
-                radius = 0.35**t
-                pts = incumbent[None, :] + radius * rng.standard_normal((per, spec.k))
-                if math.isinf(spec.p):
-                    scale = np.abs(pts).max(axis=1)
-                else:
-                    scale = (np.abs(pts) ** spec.p).sum(axis=1) ** (1.0 / spec.p)
-                scale[scale == 0.0] = 1.0
-                pts = pts / scale[:, None]
+                step = 0.35**t * rng.standard_normal((per, spec.k))
+                pts = _to_sphere(incumbent[None, :] + step, spec.p)
             vals = pts @ yk
             i = int(np.argmax(vals))
             if vals[i] > best_vals[j]:
@@ -277,7 +331,7 @@ def sampled_exposed_face(
 def dykstra_top_ball(
     y0: Sequence[float],
     spec: NormSpec,
-    tol: Tolerance = DEFAULT_TOL,
+    tol: float = 1e-9,
     max_sweeps: int = 100_000,
 ) -> np.ndarray:
     """Euclidean projection onto ``{ y : top_norm(y, spec) <= 1 }`` by Dykstra.
@@ -286,7 +340,7 @@ def dykstra_top_ball(
     ``{ ||pi_K y||_q <= 1 }``; Dykstra's alternating projections over them
     converge to the projection.  A sweep ends the iteration only when it
     changes no intermediate iterate and no correction by more than
-    ``tol.abs``: the iterate at the end of a sweep can repeat while the
+    ``tol``: the iterate at the end of a sweep can repeat while the
     corrections still move.  Raises :class:`ConvergenceError` at the cap.
     Desk scale: C(d,k) <= 20 000.
     """
@@ -308,7 +362,7 @@ def dykstra_top_ball(
             moved = max(moved, float(np.max(np.abs(w - x[idx]))), float(np.max(np.abs(v - w - corr[j]))))
             corr[j] = v - w
             x[idx] = w
-        if moved <= tol.abs:
+        if moved <= tol:
             return x
     raise ConvergenceError("Dykstra projection did not converge within the sweep cap")
 
@@ -316,7 +370,7 @@ def dykstra_top_ball(
 def dual_ascent_ksupport(
     x: Sequence[float],
     spec: NormSpec,
-    tol: Tolerance = DEFAULT_TOL,
+    tol: float = 1e-9,
     max_iter: int = 5000,
 ) -> EvalReport:
     """k-support norm by full-space projected gradient ascent.
@@ -341,13 +395,12 @@ def dual_ascent_ksupport(
     y = np.sign(arr) * np.abs(arr) ** (q / p)
     y = y / top_norm(y, spec)
     eta = 1.0 / float(np.linalg.norm(arr))
-    proj_tol = Tolerance(abs=min(tol.abs, 1e-10), rel=tol.rel)
     converged = False
     for it in range(max_iter):
-        y_new = dykstra_top_ball(y + eta * arr, spec, proj_tol)
+        y_new = dykstra_top_ball(y + eta * arr, spec, min(tol, 1e-10))
         move = float(np.max(np.abs(y_new - y)))
         y = y_new
-        if move < max(tol.abs, 1e-11) and it >= 2:
+        if move < max(tol, 1e-11) and it >= 2:
             converged = True
             break
     if not converged:

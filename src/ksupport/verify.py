@@ -9,6 +9,7 @@ run them at the contract scale.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,8 @@ from .core import Tolerance, k_subsets, l0, level_index, support_of
 from .faces import exposed_face_sp, optimal_support_lattice_bounds
 from .norms import NormSpec, ksupport_norm, ksupport_value, lp_norm, top_norm
 from .oracles import (
+    _restrict,
+    brute_exposed_face,
     brute_face_lattice,
     brute_optimal_supports,
     dd_balls,
@@ -237,16 +240,10 @@ def suite_polytope(d_max: int = 4) -> dict:
             got_normals = {n for n, _ in top.facet_inequalities}
             if got_normals != want_normals:
                 failures.append(("facet-normals", d, k))
-            # sign-vector facets equal brute hull facets (as vertex sets)
-            brute_facets = set()
-            for n, b in top.facet_inequalities:
-                members = tuple(
-                    sorted(v for v in top.vertices if sum(a * c for a, c in zip(n, v)) == b)
-                )
-                brute_facets.add(members)
-            thm_facets = set()
-            for s in got_normals:
-                thm_facets.add(tuple(sorted(facet_from_sign_vector(s, d, k))))
+            # sign-vector facets equal the brute lattice's facets (as vertex sets)
+            brute = set(brute_face_lattice(top))
+            brute_facets = {pts for pts, dim in brute if dim == d - 1}
+            thm_facets = {tuple(sorted(facet_from_sign_vector(s, d, k))) for s in got_normals}
             if brute_facets != thm_facets:
                 failures.append(("facets", d, k))
             # polarity: ksup ball vertices are the top ball facet normals and
@@ -260,9 +257,7 @@ def suite_polytope(d_max: int = 4) -> dict:
             ):
                 failures.append(("polar-inequality", d, k))
             # constructed face lattice equals the brute lattice
-            brute = {(pts, dim) for pts, dim in brute_face_lattice(top)}
-            cor = {(pts, dim) for pts, dim in enumerate_proper_faces_top1k(d, k)}
-            if brute != cor:
+            if brute != set(enumerate_proper_faces_top1k(d, k)):
                 failures.append(("lattice", d, k))
     return _result("polytope", checked, failures)
 
@@ -337,7 +332,7 @@ def suite_lasso(trials: int = 100, seed: int = 0, tol: float = 1e-6) -> dict:
         gamma = float(rng.uniform(0.1, 1.2) * np.abs(a).max())
         obj = quadratic_objective(np.eye(d), a)
         spec = NormSpec(1.0, 1)
-        rep = solve_penalized(obj, gamma, spec, SolveOptions(tol=1e-10, max_iter=5000))
+        rep = solve_penalized(obj, gamma, spec, SolveOptions(tol=1e-10))
         want = lasso_closed_form(a, gamma)
         if float(np.max(np.abs(rep.x_star - want))) > tol:
             failures.append(("value", t))
@@ -346,16 +341,16 @@ def suite_lasso(trials: int = 100, seed: int = 0, tol: float = 1e-6) -> dict:
         expected = tuple(
             int(j) + 1 for j in np.nonzero(g >= g.max() * (1 - 1e-6) - 1e-12)[0]
         )
-        if rep.support_bound and set(rep.support_bound) != set(expected):
+        if set(rep.support_bound) != set(expected):
             failures.append(("bound", t, rep.support_bound, expected))
     return _result("lasso", trials, failures)
 
 
 def suite_commutation(trials: int = 500, seed: int = 0) -> dict:
-    """Projection/argmax commutation on exact rational atom sets."""
-    import random as _random
-
-    rng = _random.Random(seed)
+    """Projection/argmax commutation on exact rational atom sets: the argmax
+    of ``<., y>`` over the projected atoms is the projection of the argmax
+    of ``<., pi_K y>`` over the atoms."""
+    rng = random.Random(seed)
     failures = []
     for t in range(trials):
         d = rng.randint(2, 4)
@@ -366,24 +361,8 @@ def suite_commutation(trials: int = 500, seed: int = 0) -> dict:
         ]
         y = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d))
         for K in k_subsets(d, 2, at_most=True):
-            members = set(K)
-            piKy = tuple(y[i] if (i + 1) in members else Fraction(0) for i in range(d))
-            piX = [
-                tuple(a[i] if (i + 1) in members else Fraction(0) for i in range(d))
-                for a in atoms
-            ]
-            # lhs: argmax over projected atoms of <., y>
-            vals = [sum(p * yy for p, yy in zip(px, y)) for px in piX]
-            best = max(vals)
-            lhs = {px for px, v in zip(piX, vals) if v == best}
-            # rhs: project the argmax over atoms of <., pi_K y>
-            vals2 = [sum(ax * py for ax, py in zip(a, piKy)) for a in atoms]
-            best2 = max(vals2)
-            rhs = {
-                tuple(a[i] if (i + 1) in members else Fraction(0) for i in range(d))
-                for a, v in zip(atoms, vals2)
-                if v == best2
-            }
+            lhs = set(brute_exposed_face([_restrict(a, K) for a in atoms], y, 0))
+            rhs = {_restrict(a, K) for a in brute_exposed_face(atoms, _restrict(y, K), 0)}
             if lhs != rhs:
                 failures.append((t, K))
     return _result("commutation", trials, failures)

@@ -9,8 +9,6 @@ import math
 import numpy as np
 
 from ksupport.norms import NormSpec, ksupport_value
-from ksupport.oracles import lasso_closed_form
-from ksupport.solver import SolveOptions, quadratic_objective, solve_penalized
 from ksupport.verify import (
     suite_commutation,
     suite_degeneracies,
@@ -18,6 +16,7 @@ from ksupport.verify import (
     suite_faces,
     suite_fan,
     suite_hypersimplex,
+    suite_lasso,
     suite_lattice,
     suite_norm_oracle,
     suite_polytope,
@@ -126,24 +125,9 @@ def test_criterion_11_solver_support_identification():
 
 
 def test_criterion_12_l1_specialization():
-    rng = np.random.default_rng(112)
-    failures = 0
-    for _ in range(100):
-        d = int(rng.integers(2, 11))
-        a = rng.standard_normal(d) * rng.uniform(0.5, 3)
-        gamma = float(rng.uniform(0.1, 1.2) * np.abs(a).max())
-        obj = quadratic_objective(np.eye(d), a)
-        rep = solve_penalized(obj, gamma, NormSpec(1.0, 1), SolveOptions(tol=1e-10))
-        want = lasso_closed_form(a, gamma)
-        if float(np.max(np.abs(rep.x_star - want))) > 1e-6:
-            failures += 1
-            continue
-        g = np.abs(obj.grad(rep.x_star))
-        expected = {int(j) + 1 for j in np.nonzero(g >= g.max() * (1 - 1e-6) - 1e-12)[0]}
-        if set(rep.support_bound) != expected:
-            failures += 1
+    r = suite_lasso(trials=100, seed=112, tol=1e-6)
     _report(12, "l1 specialization: soft-threshold match within 1e-6 and argmax support bound, 100 runs",
-            failures == 0, f"failures={failures}")
+            r["passed"], f"failures={r['failures']}")
 
 
 def test_criterion_13_projection_argmax_commutation():

@@ -7,7 +7,6 @@ import pytest
 
 from ksupport.core import InvalidInputError, ZeroVectorError, l0, level_index
 from ksupport.faces import (
-    atomset_face,
     exposed_face_sp,
     normal_cone_membership,
     normal_cone_of,
@@ -17,7 +16,7 @@ from ksupport.faces import (
     v_p,
 )
 from ksupport.norms import NormSpec, ksupport_value, top_norm
-from ksupport.oracles import brute_optimal_supports
+from ksupport.oracles import atomset_face, brute_exposed_face, brute_optimal_supports
 
 INF = math.inf
 
@@ -121,6 +120,40 @@ def test_exposed_face_examples():
 
     with pytest.raises(InvalidInputError):
         exposed_face_sp([1, 0], NormSpec(INF, 1))
+
+
+def test_exposed_face_fully_tied_has_one_vertex_per_support():
+    # 924 and 3 432 vertices; the cost is linear in the number of supports
+    for d, k in ((12, 6), (14, 7)):
+        f = exposed_face_sp(np.ones(d), NormSpec(2.0, k))
+        assert len(f.vertices) == math.comb(d, k)
+        assert sorted(f.generating_supports) == list(itertools.combinations(range(1, d + 1), k))
+        for v, K in zip(f.vertices, f.generating_supports):
+            assert tuple(np.nonzero(v)[0] + 1) == K
+        assert [tuple(v) for v in f.vertices] == sorted(tuple(v) for v in f.vertices)
+
+
+def test_exposed_face_keeps_vertices_closer_than_the_tie():
+    # the level 1e-8 is above the tie, so the face is the segment between two
+    # vertices, although v_p maps 1e-8 to 1e-16 at p = 1.5
+    f = exposed_face_sp([1.0, 1e-8, 1e-8], NormSpec(1.5, 2))
+    assert f.generating_supports == ((1, 3), (1, 2))
+    assert f.vertices[0][2] == f.vertices[1][1] > 0
+
+
+def test_exposed_face_at_zero_level_is_one_vertex():
+    # m_k = 0: every member K of the lattice gives the same face point
+    y = np.zeros(40)
+    y[3] = 2.0
+    f = exposed_face_sp(y, NormSpec(2.0, 20))
+    assert f.generating_supports == ((1, 2, 3, 4),)  # the first member in lexicographic order
+    assert np.array_equal(f.vertices[0], np.eye(40)[3])
+    # entries within tie * max|y| of 0 count as 0 at every p, however large
+    # v_p makes them
+    for p in (1.1, 1.5, 2.0, 3.0, 10.0, 1e3):
+        f = exposed_face_sp([1.0, 1e-12, 0.0], NormSpec(p, 2))
+        assert f.generating_supports == ((1,),)
+        assert f.vertices[0].tolist() == [1.0, 0.0, 0.0]
 
 
 def test_face_value_consistency_and_sparsity():
@@ -282,9 +315,7 @@ def test_orthant_monotone_linf_faces_match_polytope():
         if not any(y):
             y[0] = Fraction(1)
         verts = [tuple(map(Fraction, v)) for v in ball.vertices]
-        scores = [sum(a * b for a, b in zip(v, y)) for v in verts]
-        best = max(scores)
-        lhs = {v for v, s in zip(verts, scores) if s == best}
+        lhs = set(brute_exposed_face(verts, y, 0))
         subsets = []
         for r in range(1, k + 1):
             subsets.extend(itertools.combinations(range(d), r))

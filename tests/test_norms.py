@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import optimize as sciopt
 
 from ksupport import norms
-from ksupport.core import ConvergenceError, InvalidInputError, Tolerance
+from ksupport.core import ConvergenceError, InvalidInputError
 from ksupport.norms import (
     NormSpec,
     ksupport_decomposition,
@@ -442,7 +442,7 @@ def test_project_top_ball_matches_dykstra():
             spec = NormSpec(p, int(rng.integers(2, d)))
             y = rng.integers(-3, 4, d).astype(float) if i % 2 else 2.0 * rng.standard_normal(d)
             assert top_norm(y, spec) > 1
-            want = dykstra_top_ball(y, spec, Tolerance(1e-12, 1e-12))
+            want = dykstra_top_ball(y, spec, 1e-12)
             assert np.max(np.abs(project_top_ball(y, spec) - want)) <= 1e-9
 
 

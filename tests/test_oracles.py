@@ -1,9 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ksupport.core import InvalidInputError, ScaleLimitError, Tolerance, ZeroVectorError
+from ksupport.core import InvalidInputError, ScaleLimitError, ZeroVectorError
 from ksupport.norms import NormSpec, ksupport_value, project_top_ball, top_norm
 from ksupport.oracles import (
     brute_exposed_face,
@@ -27,6 +28,16 @@ def test_brute_exposed_face_examples():
     assert len(brute_exposed_face(square, (0, 0))) == 4
     with pytest.raises(InvalidInputError):
         brute_exposed_face([], (1, 0))
+
+
+def test_brute_exposed_face_keeps_fractions_exact():
+    # the scores 1 and 1 - 1e-20 / 2 are equal once rounded to floats
+    eps = Fraction(1, 10**20)
+    verts = [(Fraction(1), Fraction(0)), (1 - eps, Fraction(1, 3))]
+    y = (Fraction(1), 3 * eps / 2)
+    got = brute_exposed_face(verts, y, 0)
+    assert got == [verts[0]] and all(type(c) is Fraction for c in got[0])
+    assert brute_exposed_face(verts, y) == verts  # within the default 1e-9
 
 
 def test_brute_optimal_supports_examples():
@@ -97,7 +108,7 @@ def test_dykstra_stops_only_when_corrections_settle():
     y = np.array([0.0, 0.0, 0.0, 3.0, 2.0])
     spec = NormSpec(2.0, 4)
     want = y / np.linalg.norm(y)
-    assert np.max(np.abs(dykstra_top_ball(y, spec, Tolerance(1e-12, 1e-12)) - want)) <= 1e-9
+    assert np.max(np.abs(dykstra_top_ball(y, spec, 1e-12) - want)) <= 1e-9
     assert np.max(np.abs(project_top_ball(y, spec) - want)) <= 1e-15
     with pytest.raises(ScaleLimitError):
         dykstra_top_ball(np.full(30, 2.0), NormSpec(2.0, 8))
