@@ -175,22 +175,23 @@ def exposed_face_sp(y: Sequence[float], spec: NormSpec, tie: float = 1e-9) -> Fa
 
     Vertices are ``v_p(pi_K y)`` over the optimal supports K.  At a
     positive level every member has k entries of ``y`` that are nonzero, so
-    distinct members give distinct vertices: one per member.  At
-    ``m_k = 0`` the members differ only by entries counted as 0, and the
-    face is the single vertex of the first member.  ``tie`` is the tie of
-    :func:`ksupport.core.level_index`.  Only 1 < p < inf; the polytopal
-    p = inf case lives in :mod:`ksupport.polytopes`.
+    distinct members give distinct vertices: one per member.  Near p = 1
+    ``v_p`` can underflow entries to 0, so equal neighbours of the sorted
+    list are merged.  At ``m_k = 0`` the members differ only by
+    entries counted as 0, and the face is the single vertex of the core.
+    ``tie`` is the tie of :func:`ksupport.core.level_index`.  Only
+    1 < p < inf; the polytopal p = inf case lives in
+    :mod:`ksupport.polytopes`.
     """
     arr = as_vector(y)
     if not 1 < spec.p < math.inf:
         raise InvalidInputError("exposed_face_sp requires 1 < p < inf")
     lattice = support_lattice(arr, spec, tie)
-    supports = [next(iter(lattice))] if len(lattice.sizes) > 1 else _members(lattice)
-    kept = sorted(
-        ((v_p(project_support(arr, K), spec.p), K) for K in supports), key=lambda vk: tuple(vk[0])
-    )
+    supports = [lattice.core] if len(lattice.sizes) > 1 else _members(lattice)
+    kept = sorted(((tuple(v_p(project_support(arr, K), spec.p)), K) for K in supports))
+    kept = [vk for i, vk in enumerate(kept) if i == 0 or vk[0] != kept[i - 1][0]]
     return FaceDescription(
-        vertices=tuple(v for v, _ in kept),
+        vertices=tuple(np.array(v) for v, _ in kept),
         generating_supports=tuple(K for _, K in kept),
         dual=arr.copy(),
     )

@@ -121,7 +121,7 @@ def atomset_face(
     atoms: Sequence[Sequence],
     k: int,
     y: Sequence,
-    tol: float | None = None,
+    tol: float = 0,
 ):
     """Sparse-atom face of ``conv(union of pi_K(atoms))`` exposed by ``y``.
 
@@ -129,7 +129,7 @@ def atomset_face(
     ``max_{x in atoms} <x, pi_K y>`` and the returned points are the
     projections onto each optimal support of the atoms attaining that
     maximum.  The exposed face itself is the convex hull of the returned
-    points.  Works on exact (Fraction) or float coordinates; ``tol=None``
+    points.  Works on exact (Fraction) or float coordinates; ``tol = 0``
     means exact comparisons.
 
     Returns ``(points, optimal_supports)``.
@@ -141,22 +141,18 @@ def atomset_face(
     if any(len(a) != d for a in atoms) or len(y) != d:
         raise InvalidInputError("dimension mismatch between atoms and dual vector")
     y = tuple(y)
-    slack = 0 if tol is None else tol
 
     def score(K):
         py = _restrict(y, K)
         return max(_dot(a, py) for a in atoms)
 
-    winners = _argmax(k_subsets(d, k, at_most=True), score, slack)
+    winners = _argmax(k_subsets(d, k, at_most=True), score, tol)
     points: list[tuple] = []
     for K in winners:
         py = _restrict(y, K)
-        for a in _argmax(atoms, lambda a: _dot(a, py), slack):
+        for a in _argmax(atoms, lambda a: _dot(a, py), tol):
             pa = _restrict(a, K)
-            if tol is None:
-                if pa not in points:
-                    points.append(pa)
-            elif all(max(abs(u - v) for u, v in zip(pa, other)) > tol for other in points):
+            if all(max(abs(u - v) for u, v in zip(pa, other)) > tol for other in points):
                 points.append(pa)
     return sorted(points), tuple(winners)
 

@@ -139,6 +139,11 @@ def test_exposed_face_keeps_vertices_closer_than_the_tie():
     f = exposed_face_sp([1.0, 1e-8, 1e-8], NormSpec(1.5, 2))
     assert f.generating_supports == ((1, 3), (1, 2))
     assert f.vertices[0][2] == f.vertices[1][1] > 0
+    # at p = 1.01 v_p maps 1e-8 to (1e-8)^100 = 0: both supports give the
+    # vertex e_1, listed once
+    f = exposed_face_sp([1.0, 1e-8, 1e-8], NormSpec(1.01, 2))
+    assert f.generating_supports == ((1, 2),)
+    assert f.vertices[0].tolist() == [1.0, 0.0, 0.0]
 
 
 def test_exposed_face_at_zero_level_is_one_vertex():
@@ -146,14 +151,17 @@ def test_exposed_face_at_zero_level_is_one_vertex():
     y = np.zeros(40)
     y[3] = 2.0
     f = exposed_face_sp(y, NormSpec(2.0, 20))
-    assert f.generating_supports == ((1, 2, 3, 4),)  # the first member in lexicographic order
+    assert f.generating_supports == ((4,),)  # the core of the lattice
     assert np.array_equal(f.vertices[0], np.eye(40)[3])
     # entries within tie * max|y| of 0 count as 0 at every p, however large
-    # v_p makes them
+    # v_p makes them, and wherever they stand
     for p in (1.1, 1.5, 2.0, 3.0, 10.0, 1e3):
         f = exposed_face_sp([1.0, 1e-12, 0.0], NormSpec(p, 2))
         assert f.generating_supports == ((1,),)
         assert f.vertices[0].tolist() == [1.0, 0.0, 0.0]
+        f = exposed_face_sp([1e-12, 1.0, 0.0], NormSpec(p, 2))
+        assert f.generating_supports == ((2,),)
+        assert f.vertices[0].tolist() == [0.0, 1.0, 0.0]
 
 
 def test_face_value_consistency_and_sparsity():
@@ -252,13 +260,13 @@ def test_atomset_face_examples():
     points, sups = atomset_face(X, 1, (1.0, 0.0), tol=1e-12)
     assert points == [(1.0, 0.0)]
 
-    points, sups = atomset_face([(1, 1)], 1, (1.0, 0.0), tol=None)
+    points, sups = atomset_face([(1, 1)], 1, (1.0, 0.0))
     assert sups == ((1,),)
     assert points == [(1, 0)]
 
     # k = d on a symmetric atom set reduces to the plain argmax
     X = [(2, 1), (-2, -1), (1, 2), (-1, -2)]
-    points, sups = atomset_face(X, 2, (1, 0), tol=None)
+    points, sups = atomset_face(X, 2, (1, 0))
     best = max(X, key=lambda a: a[0])
     assert (2, 1) in points and sups[-1] == (1, 2)
     with pytest.raises(InvalidInputError):
