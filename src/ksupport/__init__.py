@@ -21,7 +21,6 @@ cli
 """
 
 from .core import (
-    DEFAULT_TOL,
     ConvergenceError,
     InvalidInputError,
     LevelIndexData,

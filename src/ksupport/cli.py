@@ -60,13 +60,11 @@ def _parse_vector(args: argparse.Namespace) -> np.ndarray:
         except ValueError as exc:
             raise InvalidInputError(f"cannot parse vector {args.vec!r}") from exc
     if getattr(args, "input", None):
-        vals = []
-        with open(args.input) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    vals.append(float(line))
-        return np.array(vals)
+        try:
+            with open(args.input) as fh:
+                return np.array([float(line) for line in fh if line.strip()])
+        except (OSError, ValueError) as exc:
+            raise InvalidInputError(f"cannot read vector from {args.input!r}: {exc}") from exc
     try:
         if not sys.stdin.isatty():
             text = sys.stdin.read().replace(",", " ")
@@ -168,16 +166,20 @@ def cmd_polytope(args: argparse.Namespace) -> int:
 
 
 def _load_objective(path: str):
-    with open(path) as fh:
-        data = json.load(fh)
-    kind = data.get("type")
-    if kind == "quadratic":
-        return quadratic_objective(np.array(data["A"], dtype=float), np.array(data["b"], dtype=float))
-    if kind == "logistic":
-        return logistic_objective(
-            np.array(data["X"], dtype=float), np.array(data["labels"], dtype=float)
-        )
-    raise InvalidInputError(f"objective type must be 'quadratic' or 'logistic', got {kind!r}")
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:  # missing, a directory, not JSON
+        raise InvalidInputError(f"cannot read objective from {path!r}: {exc}") from exc
+    kind = data.get("type") if isinstance(data, dict) else None
+    fields = {"quadratic": ("A", "b"), "logistic": ("X", "labels")}.get(kind)
+    if fields is None:
+        raise InvalidInputError(f"objective type must be 'quadratic' or 'logistic', got {kind!r}")
+    try:
+        arrays = [np.array(data[f], dtype=float) for f in fields]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{kind} objective needs numeric {' and '.join(fields)}: {exc!r}") from exc
+    return (quadratic_objective if kind == "quadratic" else logistic_objective)(*arrays)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -283,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--p", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=1e-6, help="stop at this relative Fermat gap (fw_gap)")
     p.add_argument("--max-iter", type=int, default=50_000, dest="max_iter")
     p.set_defaults(func=cmd_solve)
 
@@ -315,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (InvalidInputError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ConvergenceError as exc:

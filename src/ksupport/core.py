@@ -19,7 +19,6 @@ __all__ = [
     "ConvergenceError",
     "ScaleLimitError",
     "Tolerance",
-    "DEFAULT_TOL",
     "LevelIndexData",
     "as_vector",
     "support_of",
@@ -49,14 +48,15 @@ class ScaleLimitError(InvalidInputError):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Absolute/relative tolerances of the optimality certificate,
-    :func:`ksupport.solver.certify_optimality`.
+    """Tolerances of the optimality certificate,
+    :func:`ksupport.solver.certify_optimality`: it accepts ``gamma`` times the
+    relative Fermat gap up to ``abs + rel * gamma`` (relative only, by default).
 
     Ties in level sets are judged by one relative float instead; see
     :func:`level_index`.
     """
 
-    abs: float = 1e-9
+    abs: float = 0.0
     rel: float = 1e-9
 
     def __post_init__(self) -> None:
@@ -64,9 +64,6 @@ class Tolerance:
             raise InvalidInputError("tolerances must be finite")
         if self.abs < 0 or self.rel < 0:
             raise InvalidInputError("tolerances must be nonnegative")
-
-
-DEFAULT_TOL = Tolerance()
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ from fractions import Fraction
 from typing import Any, Iterable, Sequence
 
 import numpy as np
-from scipy import optimize as _sciopt
 
 from .core import (
     ConvergenceError,
@@ -229,6 +228,8 @@ def sampled_gauge_upper_bound(
     nonnegative combination reproducing ``x``.  Converges to the norm from
     above with sample density.  Desk scale: d <= 4.
     """
+    from scipy.optimize import linprog  # the only scipy user; kept off ``import ksupport``
+
     arr = as_vector(x)
     d = arr.size
     if spec.k > d:
@@ -253,7 +254,7 @@ def sampled_gauge_upper_bound(
         e[1, i] = -1.0
         cols.append(e)
     atoms = np.vstack(cols)
-    res = _sciopt.linprog(
+    res = linprog(
         np.ones(atoms.shape[0]),
         A_eq=atoms.T,
         b_eq=arr,

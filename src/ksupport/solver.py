@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import DEFAULT_TOL, InvalidInputError, Tolerance, ZeroVectorError, as_vector
+from .core import InvalidInputError, Tolerance, ZeroVectorError, as_vector
 from .faces import SupportLattice, support_lattice, v_p
 from .norms import NormSpec, ksupport_value, project_top_ball, top_norm
 
@@ -121,6 +121,9 @@ def check_gradient(
 
 @dataclass(frozen=True)
 class SolveOptions:
+    """``tol``: stop once the relative Fermat gap (``SolveReport.fw_gap``) is
+    at most this; ``max_iter``: the iteration cap."""
+
     tol: float = 1e-6
     max_iter: int = 50_000
 
@@ -130,12 +133,14 @@ class SolveReport:
     """Outcome of :func:`solve_penalized`.
 
     ``x_star``: the last iterate; ``objective``: its ``f + gamma * ksupport``;
-    ``fw_gap``: the Fermat gap there (the name is kept from an earlier
-    Frank-Wolfe solver); ``iterations``: iterations run; ``converged``: the
-    gap reached ``SolveOptions.tol``.  ``identified_supports``: the lattice of
-    optimal supports of ``-grad f(x_star)``, None for a zero gradient;
-    ``unique_support``: its single member, if any; ``support_bound``: its
-    union (empty for a zero gradient), which bounds ``supp(x_star)`` at an optimum.
+    ``fw_gap``: the relative Fermat gap there, in units of gamma, the
+    residual that ``certify_optimality`` reads (the name is kept from an
+    earlier Frank-Wolfe solver); ``iterations``: iterations run;
+    ``converged``: the gap reached ``SolveOptions.tol``.
+    ``identified_supports``: the lattice of optimal supports of
+    ``-grad f(x_star)``, None for a zero gradient; ``unique_support``: its
+    single member, if any; ``support_bound``: its union (empty for a zero
+    gradient), which bounds ``supp(x_star)`` at an optimum.
     """
 
     x_star: np.ndarray
@@ -207,15 +212,17 @@ def identified_support(
 
 
 def _fermat_gap(x: np.ndarray, g: np.ndarray, gamma: float, spec: NormSpec) -> float:
-    # -g must lie in gamma * top-ball (dual feasibility) and pair with x at
-    # gamma * ksupport(x) (alignment); both violations vanish iff x is optimal.
-    topg = top_norm(g, spec)
-    dual_viol = max(0.0, topg - gamma)
-    if float(np.abs(x).max()) == 0.0:
-        return dual_viol
-    ks = ksupport_value(x, spec)
-    align_viol = max(0.0, gamma * ks - float(-g @ x))
-    return max(dual_viol, align_viol)
+    """Relative Fermat residual of ``f + gamma * ksupport`` at x, with ``g = grad f(x)``.
+
+    ``max(top_norm(g) - gamma, gamma - <-g, x> / ksupport(x))_+ / gamma``, the
+    second term for x != 0 only: -g must lie in gamma times the top-norm ball
+    and expose x.  By Hoelder's inequality it is 0 exactly at an optimum, and
+    it does not change when f and gamma are scaled together or x* is scaled.
+    """
+    r = top_norm(g, spec) - gamma
+    if x.any():
+        r = max(r, gamma + float(g @ x) / ksupport_value(x, spec))
+    return max(r, 0.0) / gamma
 
 
 def certify_optimality(
@@ -223,30 +230,22 @@ def certify_optimality(
     obj: SmoothObjective,
     gamma: float,
     spec: NormSpec,
-    tol: Tolerance = DEFAULT_TOL,
+    tol: Tolerance = Tolerance(),
 ) -> tuple[bool, float]:
-    """Check the two-branch Fermat condition at ``x``.
+    """Check the Fermat condition of ``f + gamma * ksupport`` at ``x``.
 
-    At x = 0 the requirement is ``top_norm(-grad f(0)) <= gamma``; otherwise
-    ``x`` must expose itself: ``<x, -grad f> = ksupport(x) * top_norm(grad f)``
-    (alignment) together with ``top_norm(-grad f) = gamma`` (dual feasibility
-    at the kink).  Returns (certified, worst violation).
+    Reads the relative residual r of the solver's stop rule: -grad f(x) must
+    lie in gamma times the top-norm ball and, for x != 0, pair with x at
+    ``gamma * ksupport(x)``.  Certified when ``gamma * r <= tol.abs +
+    tol.rel * gamma``, so a solve that converged at ``SolveOptions.tol`` is
+    certified by ``Tolerance(0, tol)``.  Returns (certified, r).
     """
     if gamma <= 0:
         raise InvalidInputError("gamma must be positive")
     xarr = as_vector(x)
     spec.check_dim(xarr.size)
-    g = obj.grad(xarr)
-    topg = top_norm(g, spec)
-    if float(np.abs(xarr).max()) <= tol.abs:
-        gap = max(0.0, topg - gamma)
-        return topg <= gamma * (1.0 + tol.rel) + tol.abs, gap
-    ks = ksupport_value(xarr, spec)
-    pairing = float(-g @ xarr)
-    align_ok = pairing >= ks * topg * (1.0 - tol.rel) - tol.abs
-    dual_ok = abs(topg - gamma) <= gamma * tol.rel + tol.abs
-    gap = max(0.0, ks * topg - pairing, abs(topg - gamma))
-    return align_ok and dual_ok, gap
+    r = _fermat_gap(xarr, obj.grad(xarr), gamma, spec)
+    return gamma * r <= tol.abs + tol.rel * gamma, r
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +274,8 @@ def solve_penalized(
     dropped whenever the step turns against the last move (O'Donoghue and
     Candes' gradient restart).  The step is ``1 / obj.lipschitz`` for a
     quadratic objective; otherwise it starts there (or at 1) and halves
-    until the quadratic upper bound holds.  Stops when the Fermat gap drops
-    below ``opts.tol``; hitting the iteration cap is flagged on the report
+    until the quadratic upper bound holds.  Stops when the relative Fermat
+    gap drops below ``opts.tol``; hitting the iteration cap is flagged on the report
     rather than raised.
     """
     if gamma <= 0:
@@ -318,15 +317,12 @@ def solve_penalized(
         converged = True
     # tie detection in the dual vector must not be finer than the achieved
     # accuracy, else tied coordinates carrying mass of x fall out of the bound;
-    # an accuracy that cannot tell -g from zero ties every coordinate.  The
-    # threshold is absolute; identification takes it relative to max|g|
-    tie_abs = max(DEFAULT_TOL.abs, 200.0 * gap, 1e-8 * top_norm(g, spec))
+    # an accuracy that cannot tell -g from a constant vector ties every coordinate
     gmax = float(np.abs(g).max())
     lattice = None
-    if gmax > tie_abs:
-        lattice = identified_support(x, -g, spec, tie_abs / gmax)
-    elif gmax > DEFAULT_TOL.abs:  # the lattice of a constant vector
-        lattice = support_lattice(np.ones(d), spec)
+    if gmax > 0.0:
+        tie = max(200.0 * gamma * gap, 1e-8 * top_norm(g, spec)) / gmax
+        lattice = support_lattice(np.ones(d), spec) if tie >= 1.0 else identified_support(x, -g, spec, tie)
     objective = obj.value(x) + gamma * ksupport_value(x, spec)
     return SolveReport(
         x_star=x,

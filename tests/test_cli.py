@@ -126,6 +126,30 @@ def test_polytope_faces_of_the_polar_ball(capsys):
     assert code == 2 and "d <= 5" in err
 
 
+def test_input_file_with_a_non_numeric_line(tmp_path, capsys):
+    path = tmp_path / "vec.csv"
+    path.write_text("1.0\nabc\n2.0\n")
+    code, _, err = run_cli(capsys, "norm", "--kind", "top", "--p", "2", "--k", "1", "--input", str(path))
+    assert code == 2 and "Traceback" not in err
+
+
+def test_input_given_a_directory(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "norm", "--kind", "top", "--p", "2", "--k", "1", "--input", str(tmp_path))
+    assert code == 2 and "Traceback" not in err
+
+
+def test_objective_without_its_data(tmp_path, capsys):
+    path = tmp_path / "obj.json"
+    for payload in (
+        {"type": "quadratic", "A": [[1.0]]},
+        {"type": "logistic", "X": [[1.0]]},
+        {"type": "quadratic", "A": [["x"]], "b": [1.0]},
+    ):
+        path.write_text(json.dumps(payload))
+        code, _, err = run_cli(capsys, "solve", "--objective", str(path), "--gamma", "1", "--p", "2", "--k", "1")
+        assert code == 2 and "needs numeric" in err
+
+
 def test_polytope_output_closed_by_reader():
     # `ksupport polytope ... | head`: the reader takes one byte of the 400 kB
     # lattice and closes the pipe while the writer is still blocked on it

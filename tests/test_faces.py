@@ -273,37 +273,6 @@ def test_atomset_face_examples():
         atomset_face([], 1, (1.0,))
 
 
-def test_atomset_projection_argmax_commutation_exact():
-    # argmax over projected atoms == projection of argmax against projected dual
-    import random
-
-    rng = random.Random(6)
-    for _ in range(120):
-        d = rng.randint(2, 4)
-        atoms = [
-            tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d))
-            for _ in range(rng.randint(2, 6))
-        ]
-        y = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d))
-        for r in range(0, 3):
-            for K in itertools.combinations(range(1, d + 1), min(r, d)):
-                members = set(K)
-                piKy = tuple(y[i] if (i + 1) in members else Fraction(0) for i in range(d))
-                piX = [
-                    tuple(a[i] if (i + 1) in members else Fraction(0) for i in range(d))
-                    for a in atoms
-                ]
-                vals = [sum(px_i * y_i for px_i, y_i in zip(px, y)) for px in piX]
-                lhs = {px for px, v in zip(piX, vals) if v == max(vals)}
-                vals2 = [sum(a_i * py_i for a_i, py_i in zip(a, piKy)) for a in atoms]
-                rhs = {
-                    tuple(a[i] if (i + 1) in members else Fraction(0) for i in range(d))
-                    for a, v in zip(atoms, vals2)
-                    if v == max(vals2)
-                }
-                assert lhs == rhs
-
-
 def test_orthant_monotone_linf_faces_match_polytope():
     # Orthant-monotone source (sup norm): the k-sparse points of the ball face
     # are the union over optimal supports K* of the projected cube-face pieces

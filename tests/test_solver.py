@@ -225,3 +225,53 @@ def test_lmo_randomized_tie_break_stays_optimal():
     a1 = lmo_sp_ball(u, NormSpec(2.0, 2))
     a2 = lmo_sp_ball(u, NormSpec(2.0, 2))
     assert np.array_equal(a1, a2)
+
+
+def _lattice(rep):
+    lat = rep.identified_supports
+    return lat.core, lat.bound, tuple(lat.sizes)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, INF])
+def test_solver_is_scale_free(p):
+    # (sA, sb, s^2 gamma) has the same minimizer and (A, sb, s gamma) the
+    # minimizer scaled by s; the relative Fermat gap sees neither scaling
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((12, 10))
+    b = rng.standard_normal(12)
+    spec = NormSpec(p, 3)
+    base = solve_penalized(quadratic_objective(A, b), 1.0, spec)
+    assert base.converged
+    if p == 2.0:  # an absolute stop rule returned x = 0 here at s = 1e-6
+        assert l0(base.x_star, 1e-6) == 8
+    for s in (1e-6, 1.0, 1e3):
+        for obj, gamma, x_scale in (
+            (quadratic_objective(s * A, s * b), s * s, 1.0),
+            (quadratic_objective(A, s * b), s, s),
+        ):
+            rep = solve_penalized(obj, gamma, spec)
+            assert rep.converged and rep.iterations == base.iterations, (s, rep.iterations)
+            assert _lattice(rep) == _lattice(base)
+            err = np.max(np.abs(rep.x_star / x_scale - base.x_star))
+            assert err <= 1e-9 * np.max(np.abs(base.x_star))
+
+
+def test_converged_solve_is_certified_at_its_tolerance():
+    # the generator of acceptance criterion 11; the certificate reads the
+    # same relative gap as the stop rule, so converged implies certified
+    rng = np.random.default_rng(111)
+    small_gamma = 0
+    for _ in range(50):
+        d = int(rng.integers(4, 11))
+        A = rng.standard_normal((d + 2, d))
+        b = rng.standard_normal(d + 2)
+        obj = quadratic_objective(A, b)
+        spec = NormSpec(float(rng.choice([2.0, INF])), int(rng.integers(1, 4)))
+        gamma = float(rng.uniform(0.2, 2.5))
+        for tol in (1e-4, 1e-6):
+            rep = solve_penalized(obj, gamma, spec, SolveOptions(tol=tol, max_iter=5000))
+            if rep.converged:
+                ok, r = certify_optimality(rep.x_star, obj, gamma, spec, Tolerance(0.0, tol))
+                assert ok and r == rep.fw_gap
+        small_gamma += gamma < 1
+    assert small_gamma > 0
