@@ -194,6 +194,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "fw_gap": rep.fw_gap,
             "iterations": rep.iterations,
             "converged": rep.converged,
+            "stop": rep.stop,
             "identified_supports": rep.identified_supports,
             "unique_support": rep.unique_support,
             "support_bound": rep.support_bound,

@@ -147,49 +147,71 @@ def _lq_roots(a: np.ndarray, c: float, q: float) -> np.ndarray:
     return z if q > 2 else z**e
 
 
-def _newton_increasing(fun, lo: float, hi: float, x: float) -> float:
-    """Root in ``[lo, hi]`` of an increasing function ``fun`` -> (value, slope).
+def _newton_increasing(fun, lo: float, hi: float, x: float) -> tuple[float, tuple]:
+    """Root in ``[lo, hi]`` of an increasing function ``fun`` -> (value, slope, ...).
 
     Newton steps from x that fall back to bisection of the bracket whenever
-    they leave it; stops once a step is below the rounding of x.
+    they leave it; stops once a step is below the rounding of x.  Returns
+    the root and the evaluation of ``fun`` there.
     """
     for _ in range(200):
-        g, dg = fun(x)
+        ev = fun(x)
+        g, dg = ev[0], ev[1]
         if g > 0.0:
             hi = x
         elif g < 0.0:
             lo = x
         else:
-            return x
+            return x, ev
         step = g / dg if dg > 0.0 else math.inf
         if abs(step) <= 4e-16 * x or hi - lo <= 4e-16 * hi:
-            return x
+            return x, ev
         x = x - step if lo < x - step < hi else 0.5 * (lo + hi)
-    return x
+    return x, fun(x)
 
 
 def project_lq_ball(v: np.ndarray, q: float) -> np.ndarray:
-    """Euclidean projection of ``v`` onto the unit lq ball.
+    """Euclidean projection of ``v`` onto the unit lq ball; of each row of a 2-D ``v``.
 
-    Closed form for q in {1, 2, inf}.  Otherwise every entry solves
-    ``w + c w^{q-1} = |v|`` (:func:`_lq_roots`) for the one multiplier c that
-    puts w on the unit sphere; the q-th power sum of w decreases in c, which
-    is bracketed by ``[0, ||v||_p]``.
+    Closed form for q in {1, 2, inf}, on the last axis.  Otherwise every
+    entry solves ``w + c w^{q-1} = |v|`` (:func:`_lq_roots`) for the one
+    multiplier c that puts w on the unit sphere (:func:`_project_lq_newton`,
+    one row at a time).
     """
     v = np.asarray(v, dtype=float)
+    if v.size == 0:
+        return v.copy()
+    if math.isinf(q):
+        return np.clip(v, -1.0, 1.0)
+    if q == 2:
+        # the 1-D norm is the dot-product form of np.linalg.norm, rows reduce on the last axis
+        nrm = np.linalg.norm(v, axis=None if v.ndim == 1 else -1, keepdims=True)
+        return v / np.maximum(nrm, 1.0)
+    if q == 1:
+        # sort and threshold: theta is the soft threshold with sum(max(a - theta, 0)) = 1,
+        # read at the last index r with u_r (r + 1) > excess_r
+        a = np.abs(v)
+        u = np.sort(a, axis=-1)[..., ::-1]
+        excess = np.cumsum(u, axis=-1) - 1.0
+        hit = u * np.arange(1, u.shape[-1] + 1) > excess
+        r = u.shape[-1] - 1 - np.argmax(hit[..., ::-1], axis=-1)[..., None]
+        theta = np.take_along_axis(excess, r, axis=-1) / (r + 1)
+        inside = a.sum(axis=-1, keepdims=True) <= 1.0
+        return np.where(inside, v, np.sign(v) * np.maximum(a - theta, 0.0))
+    if v.ndim == 1:
+        return _project_lq_newton(v, q)
+    return np.stack([_project_lq_newton(row, q) for row in v])
+
+
+def _project_lq_newton(v: np.ndarray, q: float) -> np.ndarray:
+    """:func:`project_lq_ball` of a vector for 1 < q < inf, q != 2.
+
+    The q-th power sum of w decreases in c, which is bracketed by
+    ``[0, ||v||_p]``.
+    """
     a = np.abs(v)
     if _lp_of_abs(a, q) <= 1.0:
         return v.copy()
-    if q == 2:
-        return v / np.linalg.norm(v)
-    if math.isinf(q):
-        return np.clip(v, -1.0, 1.0)
-    if q == 1:
-        # sort and threshold: theta is the soft threshold with sum(max(a - theta, 0)) = 1
-        u = np.sort(a)[::-1]
-        excess = np.cumsum(u) - 1.0
-        r = np.flatnonzero(u * np.arange(1, u.size + 1) > excess)[-1]
-        return np.sign(v) * np.maximum(a - excess[r] / (r + 1), 0.0)
     pos = a > 0.0
     ap = a[pos]
 
@@ -202,7 +224,7 @@ def project_lq_ball(v: np.ndarray, q: float) -> np.ndarray:
         return s ** (-1.0 / q) - 1.0, s ** (-1.0 / q - 1.0) * ds
 
     with np.errstate(divide="ignore"):  # entries that underflow to 0 have slope 0
-        c = _newton_increasing(outside, 0.0, _lp_of_abs(ap, q / (q - 1.0)), 0.0)
+        c, _ = _newton_increasing(outside, 0.0, _lp_of_abs(ap, q / (q - 1.0)), 0.0)
     w = np.zeros_like(a)
     w[pos] = _lq_roots(ap, c, q)
     return np.sign(v) * w
@@ -273,8 +295,7 @@ def _top_ball_abs(a: np.ndarray, k: int, q: float) -> np.ndarray:
     if g_hi <= 0.0:
         w[:k] = project_lq_ball(a[:k], q)
         return w
-    theta = _newton_increasing(lambda t: level(t)[:2], 0.0, hi, hi / (g_hi + 1.0))
-    _, _, j, n, ws = level(theta)
+    theta, (_, _, j, n, ws) = _newton_increasing(level, 0.0, hi, hi / (g_hi + 1.0))
     w[:j] = ws
     w[j:n] = theta
     return w

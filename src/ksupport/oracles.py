@@ -409,21 +409,6 @@ def dual_ascent_ksupport(
     return EvalReport(lower, "dual_ascent", max(0.0, upper - lower))
 
 
-def _prox_lp_norm(v: np.ndarray, p: float, mu: float) -> np.ndarray:
-    """prox of ``mu * ||.||_p`` via the Moreau identity with the lq ball."""
-    if mu <= 0.0:
-        return v.copy()
-    if p == 2:
-        nrm = float(np.linalg.norm(v))
-        if nrm <= mu:
-            return np.zeros_like(v)
-        return v * (1.0 - mu / nrm)
-    if p == 1:
-        return np.sign(v) * np.maximum(np.abs(v) - mu, 0.0)
-    q = 1.0 if math.isinf(p) else p / (p - 1.0)
-    return v - mu * project_lq_ball(v / mu, q)
-
-
 def ksupport_norm_oracle(
     x: Sequence[float],
     spec: NormSpec,
@@ -433,13 +418,15 @@ def ksupport_norm_oracle(
     """Independent k-support value via the decomposition program.
 
     Solves ``min sum_K ||z_K||_p`` over all C(d,k) blocks supported on the
-    size-k sets with ``sum_K z_K = x`` by block proximal minimization of the
-    augmented Lagrangian in sharing form: every pass applies the lp-norm
-    prox to each block against the averaged residual, then updates the
-    multiplier.  The decomposition value plus an l1 patch of the residual is
-    the upper bound; the multiplier, rescaled onto the top-ball boundary, is
-    a feasible dual point pairing to the lower bound.  Stops once the
-    certified gap is below ``target_gap``, else raises
+    size-k sets with ``sum_K z_K = x`` by proximal minimization of the
+    augmented Lagrangian in Jacobi sharing form.  The blocks are the rows of
+    one ``(m, k)`` array, and every pass updates all of them at once against
+    the averaged residual: the lp-norm prox of each row, by the Moreau
+    identity ``v - project_lq_ball(v, q)`` (a soft threshold at p = 1), then
+    the multiplier.  The decomposition value plus an l1 patch of the
+    residual is the upper bound; the multiplier, rescaled onto the top-ball
+    boundary, is a feasible dual point pairing to the lower bound.  Stops
+    once the certified gap is below ``target_gap``, else raises
     :class:`ConvergenceError`.
 
     Desk scale only: d <= 8 and k <= 3.
@@ -449,34 +436,33 @@ def ksupport_norm_oracle(
     spec.check_dim(d)
     if d > 8 or spec.k > 3:
         raise ScaleLimitError("decomposition oracle is limited to d <= 8, k <= 3")
-    p, k = spec.p, spec.k
+    p, q, k = spec.p, spec.q, spec.k
     scale = float(np.abs(arr).max())
     if scale == 0.0:
         return EvalReport(0.0, "decomposition_oracle", 0.0)
     xs = arr / scale
-    supports = [np.array(K, dtype=int) - 1 for K in k_subsets(d, k)]
-    m = len(supports)
-    z = np.zeros((m, d))
+    blocks = np.array(k_subsets(d, k)) - 1
+    m = blocks.shape[0]
+    flat = blocks.ravel()
+    z = np.zeros((m, k))
+    zsum = np.zeros(d)  # the column sums of the blocks, in ascending block order
     u = np.zeros(d)
     target = target_gap / scale
     upper = float(np.abs(xs).sum())
     lower = 0.0
     for it in range(max_iter):
-        zbar = z.mean(axis=0)
-        base = xs / m - u - zbar
-        for j, idx in enumerate(supports):
-            v = z[j][idx] + base[idx]
-            z[j] = 0.0
-            z[j][idx] = _prox_lp_norm(v, p, 1.0)
-        u = u + z.mean(axis=0) - xs / m
+        base = xs / m - u - zsum / m
+        v = z + base[blocks]
+        z = v - project_lq_ball(v, q)
+        zsum = np.bincount(flat, z.ravel(), minlength=d)
+        u = u + zsum / m - xs / m
         if it % 20 == 19 or it == max_iter - 1:
             for cand in (m * u, -m * u):
                 t = top_norm(cand, spec)
                 if t > 0:
                     lower = max(lower, float(xs @ cand) / t)
-            resid = xs - z.sum(axis=0)
-            cand_up = sum(_lp_of_abs(np.abs(z[j]), p) for j in range(m))
-            cand_up += float(np.abs(resid).sum())
+            cand_up = sum(_lp_of_abs(row, p) for row in np.abs(z))
+            cand_up += float(np.abs(xs - zsum).sum())
             upper = min(upper, cand_up)
             if upper - lower <= target:
                 return EvalReport(

@@ -136,7 +136,10 @@ class SolveReport:
     ``fw_gap``: the relative Fermat gap there, in units of gamma, the
     residual that ``certify_optimality`` reads (the name is kept from an
     earlier Frank-Wolfe solver); ``iterations``: iterations run;
-    ``converged``: the gap reached ``SolveOptions.tol``.
+    ``converged``: the gap reached ``SolveOptions.tol``; ``stop``: why the
+    iterations ended: ``"tol"`` (converged), ``"fixed_point"`` (the
+    prox-gradient step left x exactly where it was, short of the tolerance)
+    or ``"max_iter"``.
     ``identified_supports``: the lattice of optimal supports of
     ``-grad f(x_star)``, None for a zero gradient; ``unique_support``: its
     single member, if any; ``support_bound``: its union (empty for a zero
@@ -149,6 +152,7 @@ class SolveReport:
     iterations: int
     converged: bool
     identified_supports: SupportLattice | None
+    stop: str
 
     @property
     def unique_support(self) -> tuple[int, ...] | None:
@@ -275,7 +279,9 @@ def solve_penalized(
     Candes' gradient restart).  The step is ``1 / obj.lipschitz`` for a
     quadratic objective; otherwise it starts there (or at 1) and halves
     until the quadratic upper bound holds.  Stops when the relative Fermat
-    gap drops below ``opts.tol``; hitting the iteration cap is flagged on the report
+    gap drops below ``opts.tol``, or at an exact fixed point of the step (a
+    tolerance below the rounding of ``grad f`` cannot be met); the stop
+    reason is on the report, and hitting the iteration cap is flagged there
     rather than raised.
     """
     if gamma <= 0:
@@ -284,16 +290,16 @@ def solve_penalized(
     d = obj.dim
     spec.check_dim(d)
     backtrack = obj.quad is None or obj.lipschitz is None
+    affine = obj.quad is not None  # the gradient is affine in x
     step = 1.0 / obj.lipschitz if obj.lipschitz else 1.0
     x = z = np.zeros(d)
     g = gz = obj.grad(x)
     momentum = 1.0
-    converged = False
+    stop = "max_iter"
     iterations = 0
     for it in range(1, opts.max_iter + 1):
         iterations = it
         if _fermat_gap(x, g, gamma, spec) <= opts.tol:
-            converged = True
             break
         while True:
             x_new = _prox(z - step * gz, step * gamma, spec)
@@ -304,17 +310,22 @@ def solve_penalized(
             if not backtrack or float((g_new - gz) @ move) <= 0.5 / step * float(move @ move):
                 break
             step *= 0.5
+        if not move.any() and np.array_equal(x_new, x):
+            stop = "fixed_point"
+            break
         if float(move @ (x_new - x)) < 0.0:  # the step opposes the last move
-            momentum, z = 1.0, x_new
+            momentum, z, gz = 1.0, x_new, g_new
         else:
             nxt = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum**2))
-            z = x_new + (momentum - 1.0) / nxt * (x_new - x)
+            beta = (momentum - 1.0) / nxt
+            z = x_new + beta * (x_new - x)
+            gz = g_new + beta * (g_new - g) if affine else obj.grad(z)
             momentum = nxt
         x, g = x_new, g_new
-        gz = g if z is x else obj.grad(z)
     gap = _fermat_gap(x, g, gamma, spec)
-    if gap <= opts.tol:
-        converged = True
+    converged = gap <= opts.tol
+    if converged:
+        stop = "tol"
     # tie detection in the dual vector must not be finer than the achieved
     # accuracy, else tied coordinates carrying mass of x fall out of the bound;
     # an accuracy that cannot tell -g from a constant vector ties every coordinate
@@ -331,4 +342,5 @@ def solve_penalized(
         iterations=iterations,
         converged=converged,
         identified_supports=lattice,
+        stop=stop,
     )

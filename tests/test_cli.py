@@ -180,7 +180,7 @@ def test_solve_quadratic_file(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     assert np.allclose(data["x_star"], [0.5, 0, 0], atol=1e-8)
-    assert data["converged"] is True
+    assert data["converged"] is True and data["stop"] == "tol"
     assert data["support_bound"] == [1]
 
     # gamma above the dual threshold gives the zero solution

@@ -304,6 +304,19 @@ def test_oracle_agreement_small():
         assert o.certified_gap <= 1e-8 + 1e-12
 
 
+def test_oracle_at_p1_is_the_l1_norm():
+    # p = 1: every block prox is a soft threshold (the clip of the q = inf ball)
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        d = int(rng.integers(2, 7))
+        spec = NormSpec(1.0, int(rng.integers(1, min(3, d) + 1)))
+        x = rng.standard_normal(d)
+        o = ksupport_norm_oracle(x, spec)
+        assert ksupport_value(x, spec) == np.abs(x).sum()
+        assert abs(o.value - np.abs(x).sum()) <= 1e-6
+        assert o.certified_gap <= 1e-8 + 1e-12
+
+
 def test_oracle_examples():
     assert ksupport_norm_oracle([1, 0, 0, 0], NormSpec(2.0, 2)).value == pytest.approx(1.0, abs=1e-8)
     assert ksupport_norm_oracle([1, 1, 1], NormSpec(2.0, 2)).value == pytest.approx(
@@ -369,6 +382,30 @@ def test_project_lq_ball_against_references():
         w = project_lq_ball(np.array(v), 1.0)
         assert np.max(np.abs(w - want)) <= 1e-15
         assert np.max(np.abs(w - _l1_ball_project_by_sort(np.array(v)))) <= 1e-15
+
+
+def test_project_lq_ball_rows_match_vectors():
+    # a 2-D input is projected row by row, each row as the 1-D call would
+    rng = np.random.default_rng(12)
+    for d in (1, 2, 3, 6):
+        rows = [
+            rng.standard_normal(d) * 3,
+            rng.standard_normal(d) * 0.1,  # inside every ball of this q range
+            np.zeros(d),
+            np.full(d, -1.5),  # exactly tied
+            rng.integers(-2, 3, d).astype(float),  # ties and zeros
+            rng.standard_normal(d) * 50,
+        ]
+        v = np.array(rows + [rng.standard_normal(d) * 2 for _ in range(6)])
+        for q in (1.0, 1.5, 2.0, 3.0, 4.0, INF):
+            w = project_lq_ball(v, q)
+            assert w.shape == v.shape
+            for row, got in zip(v, w):
+                want = project_lq_ball(row, q)
+                if q == 2.0:  # the row norms are reduced in another order than the 1-D norm
+                    assert np.all(np.abs(got - want) <= 4e-16 * np.abs(want))
+                else:
+                    assert got.tobytes() == want.tobytes(), (q, row)
 
 
 def test_project_top_ball_examples():

@@ -87,6 +87,9 @@ def test_solve_vanishing_penalty():
     obj = quadratic_objective(np.eye(3), a)
     rep = solve_penalized(obj, 1e-8, NormSpec(2.0, 2), SolveOptions(tol=1e-9))
     assert np.max(np.abs(rep.x_star - a)) <= 1e-6
+    # the tolerance is below the rounding of grad f: the solve ends at the
+    # exact fixed point of its step, flagged and not converged
+    assert rep.stop == "fixed_point" and not rep.converged and rep.iterations == 2
 
 
 def test_certify_examples():
