@@ -1,9 +1,12 @@
 """Generalized top-k / k-support norms and the geometry of their unit balls.
 
+The package and its command line need numpy only; the test suite needs the
+``test`` extra as well.
+
 Submodules
 ----------
 core
-    Supports, projections, sorting permutations, level-index machinery.
+    Supports, projections, level-index machinery.
 norms
     lp / top-(q,k) / k-support norm evaluation, its primal decomposition and
     the exact top-ball projection.
@@ -27,7 +30,6 @@ from .core import (
     ScaleLimitError,
     Tolerance,
     ZeroVectorError,
-    abs_sort_permutation,
     k_subsets,
     l0,
     level_index,
@@ -36,11 +38,9 @@ from .core import (
 )
 from .faces import (
     FaceDescription,
-    NormalConeDescription,
     SupportLattice,
     exposed_face_sp,
     normal_cone_membership,
-    normal_cone_of,
     optimal_support_lattice_bounds,
     optimal_supports,
     support_lattice,

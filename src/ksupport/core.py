@@ -24,7 +24,6 @@ __all__ = [
     "support_of",
     "l0",
     "project_support",
-    "abs_sort_permutation",
     "level_index",
     "k_subsets",
 ]
@@ -123,17 +122,6 @@ def project_support(x: Sequence[float], K: Iterable[int]) -> np.ndarray:
         idx = np.array(K, dtype=int) - 1
         out[idx] = arr[idx]
     return out
-
-
-def abs_sort_permutation(y: Sequence[float]) -> tuple[int, ...]:
-    """Permutation nu with ``|y_nu(1)| >= ... >= |y_nu(d)|``.
-
-    Ties are broken by ascending original index, so the output is
-    deterministic.  Returned as a 1-based tuple.
-    """
-    arr = as_vector(y)
-    order = sorted(range(arr.size), key=lambda i: (-abs(arr[i]), i))
-    return tuple(i + 1 for i in order)
 
 
 def level_index(y: Sequence[float], k: int, tie: float = 1e-9) -> LevelIndexData:

@@ -26,7 +26,6 @@ from .core import (
     InvalidInputError,
     ScaleLimitError,
     ZeroVectorError,
-    LevelIndexData,
     as_vector,
     level_index,
     project_support,
@@ -35,14 +34,12 @@ from .norms import NormSpec
 
 __all__ = [
     "FaceDescription",
-    "NormalConeDescription",
     "SupportLattice",
     "support_lattice",
     "optimal_supports",
     "v_p",
     "exposed_face_sp",
     "normal_cone_membership",
-    "normal_cone_of",
     "optimal_support_lattice_bounds",
 ]
 
@@ -60,14 +57,6 @@ class FaceDescription:
     vertices: tuple[np.ndarray, ...]
     generating_supports: tuple[tuple[int, ...], ...]
     dual: np.ndarray
-
-
-@dataclass(frozen=True)
-class NormalConeDescription:
-    """Generator data of a normal cone: the unit base direction and its level sets."""
-
-    base: np.ndarray
-    level: LevelIndexData
 
 
 @dataclass(frozen=True)
@@ -233,17 +222,6 @@ def normal_cone_membership(z: Sequence[float], y: Sequence[float], spec: NormSpe
     if t <= 0.0:
         return False
     return float(np.max(np.abs(t * py - zarr))) <= 1e-9
-
-
-def normal_cone_of(y: Sequence[float], spec: NormSpec) -> NormalConeDescription:
-    """Canonical generator data of the normal cone containing ``y``.
-
-    The base is ``pi_{Lbar_k(y)} y`` scaled to unit Euclidean length.
-    """
-    arr = as_vector(y)
-    base = project_support(arr, level_index(arr, spec.k).weak)
-    base = base / float(np.linalg.norm(base))
-    return NormalConeDescription(base=base, level=level_index(base, spec.k))
 
 
 def optimal_support_lattice_bounds(

@@ -3,7 +3,7 @@
 Everything here is deliberately simple and exhaustive: the scans over
 explicit lists of vertices, supports and atoms pick their maximizers with
 one argmax, :func:`_argmax`; beside them sit closed-form soft thresholding,
-sampled gauge bounds by linear programming, Dykstra's alternating
+an exposed face found by sampling sparse atoms, Dykstra's alternating
 projections over all C(d,k) cylinders of the top-norm ball, projected
 gradient ascent on that ball, the decomposition program over all C(d,k)
 blocks, an exact-rational double description (vertex and facet enumeration,
@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -58,7 +57,6 @@ from .polytopes import (
 )
 
 __all__ = [
-    "OracleReport",
     "atomset_face",
     "brute_exposed_face",
     "brute_face_lattice",
@@ -69,19 +67,9 @@ __all__ = [
     "facet_enumeration",
     "ksupport_norm_oracle",
     "lasso_closed_form",
-    "sampled_gauge_upper_bound",
     "sampled_exposed_face",
     "vertex_enumeration",
 ]
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    """Payload of a brute-force computation plus its reproducibility data."""
-
-    payload: Any
-    method: str
-    params: dict
 
 
 def _argmax(items: Iterable, score, slack=0) -> list:
@@ -181,8 +169,7 @@ def brute_optimal_supports(
     """
     arr = as_vector(y)
     d = arr.size
-    if spec.k > d:
-        raise InvalidInputError(f"k={spec.k} exceeds dimension {d}")
+    spec.check_dim(d)
     if d > 16:
         raise ScaleLimitError("brute support scan limited to d <= 16")
     if float(np.abs(arr).max()) <= tol:
@@ -209,84 +196,25 @@ def _to_sphere(g: np.ndarray, p: float) -> np.ndarray:
     return g / scale[:, None]
 
 
-def _sphere_points(rng: np.random.Generator, n: int, dim: int, p: float) -> np.ndarray:
-    g = rng.standard_normal((n, dim))
-    g[np.all(g == 0.0, axis=1)] = 1.0
-    return _to_sphere(g, p)
-
-
-def sampled_gauge_upper_bound(
-    x: Sequence[float],
-    spec: NormSpec,
-    atom_samples: int = 20_000,
-    seed: int = 0,
-) -> OracleReport:
-    """Upper bound on the k-support norm by a gauge LP over sampled atoms.
-
-    Samples k-sparse points of the source-norm unit sphere, always including
-    the signed coordinate vectors, and minimizes the total weight of a
-    nonnegative combination reproducing ``x``.  Converges to the norm from
-    above with sample density.  Desk scale: d <= 4.
-    """
-    from scipy.optimize import linprog  # the only scipy user; kept off ``import ksupport``
-
-    arr = as_vector(x)
-    d = arr.size
-    if spec.k > d:
-        raise InvalidInputError(f"k={spec.k} exceeds dimension {d}")
-    if d > 4:
-        raise ScaleLimitError("sampled gauge bound limited to d <= 4")
-    params = {"d": d, "k": spec.k, "p": spec.p, "atom_samples": atom_samples, "seed": seed}
-    if float(np.abs(arr).max()) == 0.0:
-        return OracleReport(0.0, "sampled_gauge_lp", params)
-    rng = np.random.default_rng(seed)
-    supports = list(itertools.combinations(range(d), spec.k))
-    per = max(1, atom_samples // len(supports))
-    cols = []
-    for K in supports:
-        pts = _sphere_points(rng, per, spec.k, spec.p)
-        block = np.zeros((pts.shape[0], d))
-        block[:, list(K)] = pts
-        cols.append(block)
-    for i in range(d):
-        e = np.zeros((2, d))
-        e[0, i] = 1.0
-        e[1, i] = -1.0
-        cols.append(e)
-    atoms = np.vstack(cols)
-    res = linprog(
-        np.ones(atoms.shape[0]),
-        A_eq=atoms.T,
-        b_eq=arr,
-        bounds=(0, None),
-        method="highs",
-    )
-    if res.status != 0:
-        raise InvalidInputError("gauge LP infeasible for the sampled atom set")
-    value = float(res.fun)
-    return OracleReport(value, "sampled_gauge_lp", params)
-
-
 def sampled_exposed_face(
     y: Sequence[float],
     spec: NormSpec,
     n_atoms: int = 100_000,
     seed: int = 0,
     rounds: int = 10,
-) -> OracleReport:
+) -> tuple[list[np.ndarray], float]:
     """Brute-force face finder: argmax of ``<., y>`` over sampled sparse atoms.
 
     Allocates the atom budget across every size-k support and across
     progressively narrowing sampling rounds around the per-support incumbent
     (the objective restricted to one support is linear, hence unimodal on
-    the sphere patch, so refinement cannot be trapped).  Returns the sampled
-    argmax points of every support whose maximum ties the global one, plus
-    the best value found.
+    the sphere patch, so refinement cannot be trapped).  Returns
+    ``(points, value)``: the sampled argmax points of every support whose
+    maximum ties the global one, and the best value found.
     """
     arr = as_vector(y)
     d = arr.size
-    if spec.k > d:
-        raise InvalidInputError(f"k={spec.k} exceeds dimension {d}")
+    spec.check_dim(d)
     if float(np.abs(arr).max()) == 0.0:
         raise ZeroVectorError("face sampling needs a nonzero dual vector")
     rng = np.random.default_rng(seed)
@@ -299,10 +227,11 @@ def sampled_exposed_face(
         incumbent = None
         for t in range(rounds):
             if incumbent is None:
-                pts = _sphere_points(rng, per, spec.k, spec.p)
+                g = rng.standard_normal((per, spec.k))
+                g[np.all(g == 0.0, axis=1)] = 1.0
             else:
-                step = 0.35**t * rng.standard_normal((per, spec.k))
-                pts = _to_sphere(incumbent[None, :] + step, spec.p)
+                g = incumbent[None, :] + 0.35**t * rng.standard_normal((per, spec.k))
+            pts = _to_sphere(g, spec.p)
             vals = pts @ yk
             i = int(np.argmax(vals))
             if vals[i] > best_vals[j]:
@@ -321,8 +250,7 @@ def sampled_exposed_face(
     for w in winners:
         if all(float(np.max(np.abs(w - o))) > 1e-6 for o in points):
             points.append(w)
-    params = {"d": d, "k": spec.k, "p": spec.p, "n_atoms": n_atoms, "seed": seed, "rounds": rounds}
-    return OracleReport({"points": points, "value": top}, "sampled_face_argmax", params)
+    return points, top
 
 
 def dykstra_top_ball(

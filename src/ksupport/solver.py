@@ -163,37 +163,31 @@ class SolveReport:
         return () if self.identified_supports is None else self.identified_supports.bound
 
 
-def lmo_sp_ball(
-    u: Sequence[float],
-    spec: NormSpec,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
+def lmo_sp_ball(u: Sequence[float], spec: NormSpec) -> np.ndarray:
     """Extreme point of the k-support unit ball maximizing ``<a, u>``.
 
-    The support K is the lexicographically first member of largest size in
-    the exact-tie support lattice of ``u``: k largest entries, or for p = 1
-    one largest entry.  On K the point is the exposed-face vertex
-    ``v_p(pi_K u)`` for 1 < p < inf and the sign pattern of ``u`` for p = 1
-    and p = inf.  Satisfies ``<lmo(u), u> = top_norm(u)`` by construction.
-    Passing ``rng`` randomizes the tie-break among exactly tied optimal
-    supports (for stress tests); by default it is deterministic.
+    The support K is the lexicographically first member of largest size of
+    ``support_lattice(u, spec, 0.0)``: the core plus the first indices of
+    the bound outside it, k in all (one for p = 1).  Ties are those of
+    :func:`ksupport.core.level_index` at tie 0, that is exact.  On K the
+    point is the exposed-face vertex ``v_p(pi_K u)`` for 1 < p < inf and the
+    sign pattern of ``u`` (+1 at a zero entry) for p = 1 and p = inf.
+    Satisfies ``<lmo(u), u> = top_norm(u)`` by construction.
     """
     arr = as_vector(u)
     spec.check_dim(arr.size)
-    k, a = (1 if spec.p == 1 else spec.k), np.abs(arr)
-    level = np.partition(a, a.size - k)[a.size - k]
-    if level == 0.0 and not a.any():
+    if not arr.any():
         raise ZeroVectorError("lmo_sp_ball requires a nonzero direction")
-    core, tied = np.flatnonzero(a > level), np.flatnonzero(a == level)
-    take = k - core.size
-    if rng is not None and tied.size > take:
-        tied = rng.choice(tied, size=take, replace=False)
-    idx = np.concatenate((core, tied[:take]))
+    lattice = support_lattice(arr, spec, 0.0)
+    core, free = np.array(lattice.core, dtype=int) - 1, np.zeros(arr.size, dtype=bool)
+    free[np.array(lattice.bound, dtype=int) - 1] = True
+    free[core] = False
+    idx = np.sort(np.concatenate((core, np.flatnonzero(free)[: lattice.sizes[-1] - core.size])))
     out = np.zeros(arr.size)
     if 1 < spec.p < math.inf:
-        out[idx] = arr[idx]
-        return v_p(out, spec.p)
-    out[idx] = np.where(arr[idx] >= 0, 1.0, -1.0)
+        out[idx] = v_p(arr[idx], spec.p)
+    else:
+        out[idx] = np.where(arr[idx] >= 0, 1.0, -1.0)
     return out
 
 

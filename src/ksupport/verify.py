@@ -178,8 +178,8 @@ def suite_faces(
             if abs(float(v @ y) - topv) > 1e-9 * max(1.0, topv):
                 failures.append(("value", t, d, k, p))
                 break
-        rep = sampled_exposed_face(y, spec, n_atoms=n_atoms, seed=seed + t)
-        dist = _hausdorff(list(face.vertices), rep.payload["points"])
+        points, _ = sampled_exposed_face(y, spec, n_atoms=n_atoms, seed=seed + t)
+        dist = _hausdorff(list(face.vertices), points)
         if dist > hausdorff_tol:
             failures.append(("hausdorff", t, d, k, p, dist))
     return _result("faces", trials, failures)

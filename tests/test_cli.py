@@ -150,17 +150,20 @@ def test_objective_without_its_data(tmp_path, capsys):
         assert code == 2 and "needs numeric" in err
 
 
+def _subprocess_env() -> dict:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_polytope_output_closed_by_reader():
     # `ksupport polytope ... | head`: the reader takes one byte of the 400 kB
     # lattice and closes the pipe while the writer is still blocked on it
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     argv = ["polytope", "--d", "5", "--k", "2", "--report", "faces"]
     proc = subprocess.Popen(
         [sys.executable, "-m", "ksupport.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=_subprocess_env(),
     )
     assert proc.stdout.read(1) == b"{"
     proc.stdout.close()
@@ -259,6 +262,21 @@ def test_verify_all_small(capsys):
     data = json.loads(out)
     assert data["passed"] is True
     assert len(data["results"]) == 11
+
+
+def test_verify_runs_without_scipy():
+    # the runtime is numpy only: a None entry in sys.modules makes `import scipy` fail
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from ksupport import cli\n"
+        "sys.exit(cli.main(['verify', '--suite', 'all', '--scale', '0.05', '--seed', '0']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_subprocess_env(), timeout=600
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["passed"] is True
 
 
 def test_sample_ball_csv(capsys):

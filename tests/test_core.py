@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from ksupport.core import (
     InvalidInputError,
     ZeroVectorError,
-    abs_sort_permutation,
     k_subsets,
     l0,
     level_index,
@@ -55,12 +54,6 @@ def test_vector_validation():
         support_of([np.nan, 1.0])
     with pytest.raises(InvalidInputError):
         support_of([np.inf, 1.0])
-
-
-def test_abs_sort_permutation_examples():
-    assert abs_sort_permutation([3, -1, 2]) == (1, 3, 2)
-    assert abs_sort_permutation([0, 0, 0]) == (1, 2, 3)
-    assert abs_sort_permutation([2, 2, 5]) == (3, 1, 2)
 
 
 def test_level_index_examples():
@@ -128,15 +121,6 @@ def test_projection_idempotent(x, data):
     K = tuple(sorted(data.draw(st.sets(st.integers(min_value=1, max_value=len(x))))))
     once = project_support(x, K)
     assert project_support(once, K).tolist() == once.tolist()
-
-
-@settings(max_examples=100, deadline=None)
-@given(finite_vec)
-def test_abs_sort_permutation_is_bijection_and_sorted(x):
-    perm = abs_sort_permutation(x)
-    assert sorted(perm) == list(range(1, len(x) + 1))
-    mags = [abs(x[i - 1]) for i in perm]
-    assert all(a >= b for a, b in zip(mags, mags[1:]))
 
 
 @settings(max_examples=150, deadline=None)

@@ -5,11 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ksupport.core import InvalidInputError, ZeroVectorError, l0, level_index
+from ksupport.core import InvalidInputError, ZeroVectorError, l0, level_index, project_support
 from ksupport.faces import (
     exposed_face_sp,
     normal_cone_membership,
-    normal_cone_of,
     optimal_support_lattice_bounds,
     optimal_supports,
     support_lattice,
@@ -235,8 +234,7 @@ def test_cone_face_adjunction():
         y = rng.integers(-3, 4, size=d).astype(float)
         if not np.abs(y).max():
             y[0] = 1.0
-        cone = normal_cone_of(y, spec)
-        z = cone.base
+        z = project_support(y, level_index(y, k).weak)
         y2 = rng.integers(-3, 4, size=d).astype(float)
         if not np.abs(y2).max():
             y2[0] = 1.0

@@ -1,21 +1,17 @@
-import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ksupport.core import InvalidInputError, ScaleLimitError, ZeroVectorError
-from ksupport.norms import NormSpec, ksupport_value, project_top_ball, top_norm
+from ksupport.norms import NormSpec, project_top_ball, top_norm
 from ksupport.oracles import (
     brute_exposed_face,
     brute_optimal_supports,
     dykstra_top_ball,
     lasso_closed_form,
     sampled_exposed_face,
-    sampled_gauge_upper_bound,
 )
-
-INF = math.inf
 
 
 def test_brute_exposed_face_examples():
@@ -56,32 +52,6 @@ def test_lasso_closed_form_examples():
     assert lasso_closed_form(a, 2.5).tolist() == [0.0, 0.0, 0.0]
 
 
-def test_sampled_gauge_upper_bound_examples():
-    spec = NormSpec(2.0, 2)
-    rep = sampled_gauge_upper_bound([0.0, 0.0, 0.0], spec)
-    assert rep.payload == 0.0
-    rep = sampled_gauge_upper_bound([1.0, 0.0, 0.0], spec, atom_samples=2000, seed=1)
-    assert rep.payload == pytest.approx(1.0, abs=1e-9)
-    rep = sampled_gauge_upper_bound([1.0, 1.0, 1.0], spec, atom_samples=40_000, seed=2)
-    true = 3 / math.sqrt(2)
-    assert true - 1e-9 <= rep.payload <= true + 1e-3
-    with pytest.raises(ScaleLimitError):
-        sampled_gauge_upper_bound(np.ones(5), NormSpec(2.0, 2))
-
-
-def test_sampled_gauge_always_upper_bound():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        d = int(rng.integers(2, 5))
-        k = int(rng.integers(1, min(3, d) + 1))
-        p = float(rng.choice([2.0, INF, 1.5]))
-        spec = NormSpec(p, k)
-        x = rng.standard_normal(d)
-        rep = sampled_gauge_upper_bound(x, spec, atom_samples=5000, seed=int(rng.integers(1e6)))
-        assert rep.payload >= ksupport_value(x, spec) - 1e-9
-        assert rep.params["seed"] is not None
-
-
 def test_sampled_exposed_face_converges():
     rng = np.random.default_rng(4)
     for _ in range(5):
@@ -89,12 +59,11 @@ def test_sampled_exposed_face_converges():
         k = int(rng.integers(1, min(3, d) + 1))
         spec = NormSpec(2.0, k)
         y = rng.standard_normal(d)
-        rep = sampled_exposed_face(y, spec, n_atoms=30_000, seed=7)
-        assert rep.payload["value"] == pytest.approx(top_norm(y, spec), abs=1e-6)
+        pts, value = sampled_exposed_face(y, spec, n_atoms=30_000, seed=7)
+        assert value == pytest.approx(top_norm(y, spec), abs=1e-6)
         from ksupport.faces import exposed_face_sp
 
         face = exposed_face_sp(y, spec)
-        pts = rep.payload["points"]
         assert len(pts) == len(face.vertices)
         for v in face.vertices:
             assert min(float(np.linalg.norm(v - p)) for p in pts) <= 1e-3

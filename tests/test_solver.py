@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ksupport.core import InvalidInputError, Tolerance, ZeroVectorError, l0, support_of
+from ksupport.faces import support_lattice
 from ksupport.norms import NormSpec, ksupport_value, top_norm
 from ksupport.solver import (
     SolveOptions,
@@ -212,22 +213,27 @@ def test_logistic_solve_smoke():
     assert ok
 
 
-def test_lmo_randomized_tie_break_stays_optimal():
+def test_lmo_tie_break_is_first_lattice_member():
+    # exact ties (tie 0): the core, then the rest of the bound in index order
     rng = np.random.default_rng(7)
-    u = np.array([2.0, 1.0, 1.0, 1.0])  # exact tie group below the top entry
-    for spec in (NormSpec(2.0, 2), NormSpec(INF, 2), NormSpec(1.0, 2)):
-        seen = set()
-        for _ in range(20):
-            a = lmo_sp_ball(u, spec, rng=rng)
-            assert float(a @ u) == pytest.approx(top_norm(u, spec), abs=1e-12)
-            assert ksupport_value(a, spec) == pytest.approx(1.0, abs=1e-9)
-            seen.add(tuple(np.round(a, 12)))
-        if spec.p != 1.0:
-            assert len(seen) > 1  # the tie is actually explored
-    # deterministic without rng
-    a1 = lmo_sp_ball(u, NormSpec(2.0, 2))
-    a2 = lmo_sp_ball(u, NormSpec(2.0, 2))
-    assert np.array_equal(a1, a2)
+    for _ in range(400):
+        d = int(rng.integers(1, 9))
+        spec = NormSpec(float(rng.choice([1.0, 1.5, 2.0, INF])), int(rng.integers(1, d + 1)))
+        u = rng.integers(-2, 3, size=d).astype(float)
+        if not u.any():
+            u[0] = 1.0
+        lat = support_lattice(u, spec, 0.0)
+        free = [i for i in lat.bound if i not in lat.core]
+        on = np.zeros(d, dtype=bool)
+        on[np.array(lat.core + tuple(free[: lat.sizes[-1] - len(lat.core)])) - 1] = True
+        a = lmo_sp_ball(u, spec)
+        assert not a[~on].any()
+        if spec.p in (1.0, INF):
+            assert np.array_equal(a[on], np.where(u[on] >= 0, 1.0, -1.0))
+        else:
+            assert np.array_equal(np.sign(a[on]), np.sign(u[on]))
+        assert float(a @ u) == pytest.approx(top_norm(u, spec), abs=1e-12)
+        assert ksupport_value(a, spec) == pytest.approx(1.0, abs=1e-9)
 
 
 def _lattice(rep):
