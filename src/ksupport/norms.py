@@ -100,7 +100,8 @@ def _lp_of_abs(a: np.ndarray, p: float) -> float:
     if p == 1:
         return float(a.sum())
     if p == 2:
-        return float(np.linalg.norm(a))
+        # outside this range the squares overflow or underflow: take them at unit scale
+        return float(np.linalg.norm(a)) if 1e-140 <= m <= 1e140 else m * float(np.linalg.norm(a / m))
     return m * float(np.sum((a / m) ** p)) ** (1.0 / p)
 
 
@@ -240,6 +241,11 @@ def project_top_ball(y0: Sequence[float], spec: NormSpec) -> np.ndarray:
     """
     y = as_vector(y0)
     spec.check_dim(y.size)
+    return _project_top_ball(y, spec)
+
+
+def _project_top_ball(y: np.ndarray, spec: NormSpec) -> np.ndarray:
+    """:func:`project_top_ball` of a finite float vector with at least k entries, unchecked."""
     q, k = spec.q, spec.k
     a = np.abs(y)
     order = np.argsort(-a, kind="stable")

@@ -12,6 +12,7 @@ the exposed-face vertex of a dual vector.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .core import InvalidInputError, Tolerance, ZeroVectorError, as_vector
 from .faces import SupportLattice, support_lattice, v_p
-from .norms import NormSpec, ksupport_value, project_top_ball, top_norm
+from .norms import NormSpec, _project_top_ball, ksupport_value, top_norm
 
 __all__ = [
     "SmoothObjective",
@@ -63,6 +64,8 @@ def quadratic_objective(A: Sequence[Sequence[float]], b: Sequence[float]) -> Smo
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.size:
         raise InvalidInputError("A must be (m, d) and b length m")
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise InvalidInputError("A and b must be finite")
 
     def value(x: np.ndarray) -> float:
         r = A @ x - b
@@ -81,6 +84,8 @@ def logistic_objective(X: Sequence[Sequence[float]], labels: Sequence[float]) ->
     y = np.asarray(labels, dtype=float)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.size:
         raise InvalidInputError("X must be (m, d) and labels length m")
+    if not np.isfinite(X).all():
+        raise InvalidInputError("X must be finite")
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise InvalidInputError("labels must be -1 or +1")
 
@@ -122,10 +127,17 @@ def check_gradient(
 @dataclass(frozen=True)
 class SolveOptions:
     """``tol``: stop once the relative Fermat gap (``SolveReport.fw_gap``) is
-    at most this; ``max_iter``: the iteration cap."""
+    at most this, finite and at least 0; ``max_iter``: the iteration cap, an
+    integer at least 0."""
 
     tol: float = 1e-6
     max_iter: int = 50_000
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise InvalidInputError(f"tol={self.tol} must be finite and nonnegative")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 0:
+            raise InvalidInputError(f"max_iter={self.max_iter} must be a nonnegative integer")
 
 
 @dataclass(frozen=True)
@@ -209,18 +221,30 @@ def identified_support(
     return support_lattice(garr, spec, tie)
 
 
-def _fermat_gap(x: np.ndarray, g: np.ndarray, gamma: float, spec: NormSpec) -> float:
+def _fermat_gap(
+    x: np.ndarray, g: np.ndarray, gamma: float, spec: NormSpec, tol: float = math.inf
+) -> float:
     """Relative Fermat residual of ``f + gamma * ksupport`` at x, with ``g = grad f(x)``.
 
     ``max(top_norm(g) - gamma, gamma - <-g, x> / ksupport(x))_+ / gamma``, the
     second term for x != 0 only: -g must lie in gamma times the top-norm ball
     and expose x.  By Hoelder's inequality it is 0 exactly at an optimum, and
     it does not change when f and gamma are scaled together or x* is scaled.
+    Once the first term alone, over gamma, exceeds ``tol`` it is returned
+    without ``ksupport(x)``: the residual is at least that, so it is above
+    ``tol`` too.  ``top_norm`` also checks that g is finite.
     """
     r = top_norm(g, spec) - gamma
+    if r / gamma > tol:
+        return r / gamma
     if x.any():
         r = max(r, gamma + float(g @ x) / ksupport_value(x, spec))
     return max(r, 0.0) / gamma
+
+
+def _check_gamma(gamma: float) -> None:
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise InvalidInputError(f"gamma={gamma} must be finite and positive")
 
 
 def certify_optimality(
@@ -238,8 +262,7 @@ def certify_optimality(
     tol.rel * gamma``, so a solve that converged at ``SolveOptions.tol`` is
     certified by ``Tolerance(0, tol)``.  Returns (certified, r).
     """
-    if gamma <= 0:
-        raise InvalidInputError("gamma must be positive")
+    _check_gamma(gamma)
     xarr = as_vector(x)
     spec.check_dim(xarr.size)
     r = _fermat_gap(xarr, obj.grad(xarr), gamma, spec)
@@ -253,10 +276,11 @@ def certify_optimality(
 def _prox(v: np.ndarray, lam: float, spec: NormSpec) -> np.ndarray:
     """prox of ``lam * ksupport`` at v: ``v - lam * project_top_ball(v / lam)``.
 
-    Entries the projection leaves unchanged are exactly zero in the prox.
+    Entries the projection leaves unchanged are exactly zero in the prox.  v
+    must be finite; it is not checked here.
     """
     u = v / lam
-    w = project_top_ball(u, spec)
+    w = _project_top_ball(u, spec)
     return np.where(w == u, 0.0, v - lam * w)
 
 
@@ -278,8 +302,7 @@ def solve_penalized(
     reason is on the report, and hitting the iteration cap is flagged there
     rather than raised.
     """
-    if gamma <= 0:
-        raise InvalidInputError("gamma must be positive")
+    _check_gamma(gamma)
     opts = opts or SolveOptions()
     d = obj.dim
     spec.check_dim(d)
@@ -293,15 +316,16 @@ def solve_penalized(
     iterations = 0
     for it in range(1, opts.max_iter + 1):
         iterations = it
-        if _fermat_gap(x, g, gamma, spec) <= opts.tol:
+        if _fermat_gap(x, g, gamma, spec, opts.tol) <= opts.tol:
             break
         while True:
             x_new = _prox(z - step * gz, step * gamma, spec)
             move = x_new - z
             g_new = obj.grad(x_new)
             # the quadratic upper bound of f holds along the move (by convexity);
-            # gradients keep the test clear of the rounding of f near the optimum
-            if not backtrack or float((g_new - gz) @ move) <= 0.5 / step * float(move @ move):
+            # gradients keep the test clear of the rounding of f near the optimum;
+            # a NaN passes, for the gap's top_norm to reject the gradient
+            if not backtrack or not float((g_new - gz) @ move) > 0.5 / step * float(move @ move):
                 break
             step *= 0.5
         if not move.any() and np.array_equal(x_new, x):
@@ -313,7 +337,8 @@ def solve_penalized(
             nxt = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum**2))
             beta = (momentum - 1.0) / nxt
             z = x_new + beta * (x_new - x)
-            gz = g_new + beta * (g_new - g) if affine else obj.grad(z)
+            # the prox does not validate, so a gradient the gap has not read is checked here
+            gz = g_new + beta * (g_new - g) if affine else as_vector(obj.grad(z))
             momentum = nxt
         x, g = x_new, g_new
     gap = _fermat_gap(x, g, gamma, spec)

@@ -1,5 +1,5 @@
 """The level-set family does not change under positive scaling, permutation
-or sign flips of its input.
+or sign flips of its input, and the norms and the prox scale with it.
 
 Inputs are small integers, so ties are exact; each draw applies a
 permutation, a sign flip and a scale of 2^e (e in [-660, 660]) or 10^e
@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from ksupport.core import level_index, project_support, support_of
 from ksupport.faces import exposed_face_sp, normal_cone_membership, optimal_supports, support_lattice
-from ksupport.norms import NormSpec
+from ksupport.norms import NormSpec, ksupport_value, top_norm
+from ksupport.solver import _prox
 
 int_vec = st.lists(st.integers(-4, 4), min_size=1, max_size=7).filter(any).map(
     lambda v: np.array(v, dtype=float)
@@ -99,3 +100,21 @@ def test_normal_cone_membership_invariant(case, y2, inside, t2):
         assert normal_cone_membership(z, y2, spec)
     want = normal_cone_membership(z, y2, spec)
     assert normal_cone_membership(_apply(z, tr), _apply(y2, (t2,) + tr[1:]), spec) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(cases((1.0, 1.5, 2.0, 3.0, np.inf)))
+def test_norm_values_invariant(case):
+    y, spec, tr = case
+    for norm in (top_norm, ksupport_value):
+        want = tr[0] * norm(y, spec)
+        assert abs(norm(_apply(y, tr), spec) - want) <= 1e-12 * want, norm.__name__
+
+
+@settings(max_examples=200, deadline=None)
+@given(cases((1.0, 1.5, 2.0, 3.0, np.inf)), st.sampled_from((0.25, 0.5, 0.75, 1.0, 1.5, 3.0)), st.integers(-500, 500))
+def test_prox_positively_homogeneous(case, lam, e):
+    # a power of two scales every rounding step exactly
+    y, spec, _ = case
+    t = 2.0**e
+    assert np.array_equal(_prox(t * y, t * lam, spec), t * _prox(y, lam, spec))

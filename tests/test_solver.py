@@ -7,6 +7,7 @@ from ksupport.core import InvalidInputError, Tolerance, ZeroVectorError, l0, sup
 from ksupport.faces import support_lattice
 from ksupport.norms import NormSpec, ksupport_value, top_norm
 from ksupport.solver import (
+    SmoothObjective,
     SolveOptions,
     ZeroGradientError,
     certify_optimality,
@@ -100,8 +101,89 @@ def test_certify_examples():
     assert ok and gap <= 1e-8
     ok, gap = certify_optimality([0, 0, 0], obj, 0.5, NormSpec(1.0, 1))
     assert not ok and gap > 0
-    with pytest.raises(InvalidInputError):
-        certify_optimality([0, 0, 0], obj, 0.0, NormSpec(1.0, 1))
+    for gamma in (0.0, -1.0, INF, math.nan):
+        with pytest.raises(InvalidInputError):
+            certify_optimality([0, 0, 0], obj, gamma, NormSpec(1.0, 1))
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, INF, math.nan])
+def test_solve_rejects_gamma_not_finite_positive(gamma):
+    obj = quadratic_objective(np.eye(3), [2.0, 1.0, 0.0])
+    with pytest.raises(InvalidInputError, match="gamma"):
+        solve_penalized(obj, gamma, NormSpec(2.0, 2))
+
+
+def test_solve_options_validation():
+    for tol in (math.nan, INF, -INF, -1.0):
+        with pytest.raises(InvalidInputError, match="tol"):
+            SolveOptions(tol=tol)
+    for max_iter in (-1, 2.5, 10.0, "10", None):
+        with pytest.raises(InvalidInputError, match="max_iter"):
+            SolveOptions(max_iter=max_iter)
+    assert SolveOptions(tol=0.0, max_iter=0) == SolveOptions(0.0, 0)
+    assert SolveOptions(max_iter=np.int64(7)).max_iter == 7
+
+
+def test_objectives_reject_nonfinite_data():
+    A, b = np.eye(3), np.array([2.0, 1.0, 0.0])
+    for bad in (math.nan, INF):
+        A_bad, b_bad = A.copy(), b.copy()
+        A_bad[1, 2], b_bad[0] = bad, bad
+        with pytest.raises(InvalidInputError, match="finite"):
+            quadratic_objective(A_bad, b)
+        with pytest.raises(InvalidInputError, match="finite"):
+            quadratic_objective(A, b_bad)
+        with pytest.raises(InvalidInputError, match="finite"):
+            logistic_objective(A_bad, [1.0, -1.0, 1.0])
+
+
+def test_early_exit_gap_decides_as_the_full_gap():
+    # the solver's stop test reads the gap with its tolerance, which skips
+    # ksupport(x) once top_norm(g) alone settles the test
+    from ksupport.solver import _fermat_gap
+
+    rng = np.random.default_rng(12)
+    checked = early = 0
+    for _ in range(300):
+        d = int(rng.integers(1, 9))
+        spec = NormSpec(float(rng.choice([1.0, 1.5, 2.0, 3.0, INF])), int(rng.integers(1, d + 1)))
+        g = rng.integers(-3, 4, size=d).astype(float) if rng.random() < 0.5 else rng.standard_normal(d)
+        if not g.any():
+            g[0] = 1.0
+        x = np.zeros(d) if rng.random() < 0.3 else rng.integers(-2, 3, size=d).astype(float)
+        gamma = top_norm(g, spec) * float(rng.choice([0.5, 0.9, 1.0, 1.1, 2.0]))
+        full = _fermat_gap(x, g, gamma, spec)
+        head = (top_norm(g, spec) - gamma) / gamma
+        for tol in (0.0, 1e-9, 1e-3, 0.5, full, np.nextafter(full, 0.0), np.nextafter(full, INF), abs(head)):
+            got = _fermat_gap(x, g, gamma, spec, tol)
+            assert (got <= tol) == (full <= tol), (g, x, gamma, tol)
+            if full <= tol:
+                assert got == full
+            checked += 1
+            early += got != full
+    assert early > 0 and checked - early > 0
+
+
+@pytest.mark.parametrize("bad_call", [2, 3, 4, 5, 6])
+def test_nan_gradient_raises_in_solve(bad_call):
+    # a gradient that turns NaN at a given call, with and without backtracking
+    # (the call may be the one at the new iterate or at the extrapolated
+    # point): the prox does not validate, so the solver must reject it
+    rng = np.random.default_rng(8)
+    A = rng.standard_normal((8, 6))
+    b = rng.standard_normal(8)
+    quad = quadratic_objective(A, b)
+    for spec in (NormSpec(2.0, 2), NormSpec(1.5, 3), NormSpec(INF, 2), NormSpec(1.0, 1)):
+        for keep_quad in (True, False):
+            calls = [0]
+
+            def grad(x):
+                calls[0] += 1
+                return quad.grad(x) * (math.nan if calls[0] >= bad_call else 1.0)
+
+            obj = SmoothObjective(6, quad.value, grad, quad.lipschitz, quad.quad if keep_quad else None)
+            with pytest.raises(InvalidInputError, match="finite"):
+                solve_penalized(obj, 0.1, spec, SolveOptions(tol=1e-12, max_iter=100))
 
 
 def test_certificate_soundness_against_probes():

@@ -1,0 +1,55 @@
+"""Fingerprint of every solve of the two solve benchmark workloads.
+
+Runs the seeded instances of ``solve-curved`` and ``solve-polytope`` (the
+cases of ``perfbench/workloads.py``) at the given seeds and passes.  Prints
+one line per solve (iterations, stop reason, relative gap, objective and the
+identified support lattice, the floats in hex) and then a sha256 over those
+lines and the bytes of every ``x_star``.  Two source trees that print the
+same digest solve every instance bit for bit alike.  The wall time of each
+workload pass goes to stderr, so stdout can be compared with ``diff``.
+
+    PYTHONPATH=src python3 tools/solve_digest.py [--seeds 0 7919] [--passes 6]
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import workloads  # noqa: E402
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--seeds", type=int, nargs="+", default=[0, 7919])
+    ap.add_argument("--passes", type=int, default=6)
+    args = ap.parse_args()
+    digest = hashlib.sha256()
+    for name in ("solve-curved", "solve-polytope"):
+        wl = workloads.SolveWorkload(name)
+        for seed in args.seeds:
+            for pass_index in range(args.passes):
+                t0 = time.perf_counter()
+                for op in wl.inputs(seed, pass_index):
+                    rep, _ = op.run()
+                    lat = rep.identified_supports
+                    lattice = None if lat is None else (lat.core, lat.bound, tuple(lat.sizes))
+                    line = (
+                        f"{name} seed={seed} pass={pass_index} {op.label} iterations={rep.iterations} "
+                        f"stop={rep.stop} fw_gap={rep.fw_gap.hex()} objective={rep.objective.hex()} "
+                        f"lattice={lattice}"
+                    )
+                    print(line)
+                    digest.update(line.encode())
+                    digest.update(rep.x_star.tobytes())
+                print(f"{name} seed={seed} pass={pass_index}: {time.perf_counter() - t0:.2f} s", file=sys.stderr)
+    print(f"sha256 {digest.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()
