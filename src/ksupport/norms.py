@@ -9,10 +9,10 @@ symmetry reduction gives exactly: on sorted |x| the maximizer keeps the top
 entries as singletons and pools the tail into one block, whose start has a
 closed form.  That tail writes x as a convex combination of at most d + 1
 k-sparse points of lp norm the value (:func:`ksupport_decomposition`), the
-primal certificate.  It also gives the exact Euclidean projection onto the
-top-norm ball (one monotone search in the level of its k-th entry: a finite
-breakpoint search at q = 1, Newton for 1 < q < inf), and through the
-Moreau identity the prox of the k-support norm.
+primal certificate.  The exact Euclidean projection onto the top-norm ball,
+and through the Moreau identity the prox of the k-support norm, finds the
+level of its k-th entry on the sorted |y| (a finite breakpoint search at
+q = 1, Newton for 1 < q < inf), then writes one entrywise map of |y|.
 """
 
 from __future__ import annotations
@@ -134,6 +134,8 @@ def _lq_roots(a: np.ndarray, c: float, q: float) -> np.ndarray:
     if q == 2:
         return a / (1.0 + c)
     alpha, beta, e = (1.0, c, q - 1.0) if q > 2 else (c, 1.0, 1.0 / (q - 1.0))
+    if beta == 0.0:  # the root is a; Newton would take a^q, which can overflow
+        return a.copy()
     if e == 2:
         z = 2.0 * a / (alpha + np.hypot(alpha, 2.0 * np.sqrt(beta) * np.sqrt(a)))
     else:
@@ -164,7 +166,7 @@ def _newton_increasing(fun, lo: float, hi: float, x: float) -> tuple[float, tupl
             lo = x
         else:
             return x, ev
-        step = g / dg if dg > 0.0 else math.inf
+        step = g / dg if 0.0 < dg < math.inf else math.inf
         if abs(step) <= 4e-16 * x or hi - lo <= 4e-16 * hi:
             return x, ev
         x = x - step if lo < x - step < hi else 0.5 * (lo + hi)
@@ -175,19 +177,33 @@ def project_lq_ball(v: np.ndarray, q: float) -> np.ndarray:
     """Euclidean projection of ``v`` onto the unit lq ball; of each row of a 2-D ``v``.
 
     Closed form for q in {1, 2, inf}, on the last axis.  Otherwise every
-    entry solves ``w + c w^{q-1} = |v|`` (:func:`_lq_roots`) for the one
-    multiplier c that puts w on the unit sphere (:func:`_project_lq_newton`,
-    one row at a time).
+    entry solves ``w + c w^{q-1} = |v|`` (:func:`_level_map` at level 0) for
+    the one multiplier c that puts w on the unit sphere (:func:`_lq_multiplier`,
+    one row at a time).  Raises :class:`InvalidInputError` unless ``v`` is a
+    nonempty finite vector or matrix and q lies in [1, inf].
     """
     v = np.asarray(v, dtype=float)
-    if v.size == 0:
-        return v.copy()
+    if v.size == 0 or v.ndim not in (1, 2):
+        raise InvalidInputError("expected a nonempty vector or matrix")
+    if not np.all(np.isfinite(v)):
+        raise InvalidInputError("entries must be finite")
+    if not q >= 1:
+        raise InvalidInputError(f"q={q} must lie in [1, inf]")
+    return _project_lq_ball(v, q)
+
+
+def _project_lq_ball(v: np.ndarray, q: float) -> np.ndarray:
+    """:func:`project_lq_ball` of a nonempty finite float vector or matrix, unchecked."""
     if math.isinf(q):
         return np.clip(v, -1.0, 1.0)
     if q == 2:
-        # the 1-D norm is the dot-product form of np.linalg.norm, rows reduce on the last axis
-        nrm = np.linalg.norm(v, axis=None if v.ndim == 1 else -1, keepdims=True)
-        return v / np.maximum(nrm, 1.0)
+        # rows past 1e140 are normed at unit scale, as their squares overflow (a vector's norm
+        # is the dot-product form of np.linalg.norm, rows reduce on the last axis)
+        m = np.abs(v).max(axis=-1, keepdims=True)
+        unit = np.where(m > 1e140, m, 1.0)
+        u = v / unit
+        nrm = np.linalg.norm(u, axis=None if v.ndim == 1 else -1, keepdims=True)
+        return u / np.maximum(nrm, 1.0 / unit)
     if q == 1:
         # sort and threshold: theta is the soft threshold with sum(max(a - theta, 0)) = 1,
         # read at the last index r with u_r (r + 1) > excess_r
@@ -199,45 +215,54 @@ def project_lq_ball(v: np.ndarray, q: float) -> np.ndarray:
         theta = np.take_along_axis(excess, r, axis=-1) / (r + 1)
         inside = a.sum(axis=-1, keepdims=True) <= 1.0
         return np.where(inside, v, np.sign(v) * np.maximum(a - theta, 0.0))
-    if v.ndim == 1:
-        return _project_lq_newton(v, q)
-    return np.stack([_project_lq_newton(row, q) for row in v])
-
-
-def _project_lq_newton(v: np.ndarray, q: float) -> np.ndarray:
-    """:func:`project_lq_ball` of a vector for 1 < q < inf, q != 2.
-
-    The q-th power sum of w decreases in c, which is bracketed by
-    ``[0, ||v||_p]``.
-    """
+    if v.ndim == 2:
+        return np.stack([_project_lq_ball(row, q) for row in v])
     a = np.abs(v)
     if _lp_of_abs(a, q) <= 1.0:
         return v.copy()
-    pos = a > 0.0
-    ap = a[pos]
+    return _level_map(v, a, 0.0, 0.0, _lq_multiplier(a[a > 0.0], q), q)
+
+
+def _lq_multiplier(a: np.ndarray, q: float) -> float:
+    """The multiplier c whose roots of ``w + c w^{q-1} = a > 0`` lie on the unit lq sphere.
+
+    Closed form at q = 2; else the q-th power sum of w decreases in c, within ``[0, ||a||_p]``.
+    """
+    if q == 2:
+        return _lp_of_abs(a, 2.0) - 1.0
 
     def outside(c: float) -> tuple[float, float]:
         # 1 / ||w(c)||_q - 1, close to linear in c, and its derivative
-        w = _lq_roots(ap, c, q)
+        w = _lq_roots(a, c, q)
         wq1 = w ** (q - 1.0)
         s = float(np.sum(w * wq1))
         ds = float(np.sum(wq1**2 / (1.0 + c * (q - 1.0) * w ** (q - 2.0))))
         return s ** (-1.0 / q) - 1.0, s ** (-1.0 / q - 1.0) * ds
 
-    with np.errstate(divide="ignore"):  # entries that underflow to 0 have slope 0
-        c, _ = _newton_increasing(outside, 0.0, _lp_of_abs(ap, q / (q - 1.0)), 0.0)
-    w = np.zeros_like(a)
-    w[pos] = _lq_roots(ap, c, q)
-    return np.sign(v) * w
+    # entries that underflow to 0 have slope 0; overflowing power sums read g = -1: bisect
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return _newton_increasing(outside, 0.0, _lp_of_abs(a, q / (q - 1.0)), 0.0)[0]
+
+
+def _level_map(y: np.ndarray, a: np.ndarray, theta: float, t: float, c: float, q: float) -> np.ndarray:
+    """The projection at the level ``(theta, t, c)``, written on ``a = |y|`` with y's signs.
+
+    Entries with ``a - theta > t`` solve ``w + c w^{q-1} = a`` (:func:`_lq_roots`),
+    the others above theta tie at theta, and the rest stay.
+    """
+    w = np.minimum(a, theta)
+    hit = a - theta > t
+    w[hit] = _lq_roots(a[hit], c, q)
+    return np.sign(y) * w
 
 
 def project_top_ball(y0: Sequence[float], spec: NormSpec) -> np.ndarray:
     """Euclidean projection onto ``{ y : top_norm(y, spec) <= 1 }``.
 
-    The ball is invariant under permutations and sign flips, so the
-    projection keeps the signs and the order of ``|y|`` and is computed on
-    sorted ``a = |y|`` (:func:`_top_ball_abs`).  At q = inf or k = 1 the
-    ball is a box, and the projection a clip.
+    The ball is invariant under permutations and sign flips: the level of its
+    k-th entry is found on ``np.sort(|y|)`` (:func:`_top_level`), and the
+    projection is an entrywise map of ``|y|`` (:func:`_level_map`).  At
+    q = inf or k = 1 the ball is a box, and the projection a clip.
     """
     y = as_vector(y0)
     spec.check_dim(y.size)
@@ -248,41 +273,33 @@ def _project_top_ball(y: np.ndarray, spec: NormSpec) -> np.ndarray:
     """:func:`project_top_ball` of a finite float vector with at least k entries, unchecked."""
     q, k = spec.q, spec.k
     a = np.abs(y)
-    order = np.argsort(-a, kind="stable")
-    a = a[order]
-    if _lp_of_abs(a[:k], q) <= 1.0:
+    s = -np.sort(-a)
+    if _lp_of_abs(s[:k], q) <= 1.0:
         return y.copy()
     if math.isinf(q) or k == 1:
         return np.clip(y, -1.0, 1.0)
-    w = np.empty(y.size)
-    w[order] = _top_ball_abs(a, k, q)
-    return np.sign(y) * w
+    level = _top_level(s, k, q) if q > 1 else _top1_level(s, k) if k < y.size else None
+    if level is None:  # q = 1: the l1 projection of the whole vector
+        return _project_lq_ball(y, 1.0)
+    return _level_map(y, a, *level, q)
 
 
-def _top_ball_abs(a: np.ndarray, k: int, q: float) -> np.ndarray:
-    """Projection of decreasing ``a >= 0``, outside the top ball, onto it (k >= 2).
+def _top_level(a: np.ndarray, k: int, q: float) -> tuple[float, float, float]:
+    """Level ``(theta, t, c)`` of the projection of decreasing ``a >= 0`` onto the top ball.
 
-    The k-th entry of the projection sits at a level theta.  At a level
-    theta, t, the pooled tail mean of ``(a - theta)_+`` (:func:`_pooled_tail`),
-    splits the entries: those above ``theta + t`` solve
-    ``w + c w^{q-1} = a`` with ``c = t / theta^{q-1}``, those in between tie
-    at theta, and the rest stay as they are.  For 1 < q < inf the top norm
-    of that point increases with theta and is 1 at the answer, which
-    safeguarded Newton finds in ``(0, a[k])``; if it is at most 1 at
-    ``theta = a[k]``, the lq projection of the top k stays at or above
-    ``a[k]`` and is the answer.  At q = 1 the search is a finite breakpoint
-    search (:func:`_top1_ball_abs`).
+    For a outside the ball, 2 <= k <= d (``a[d]`` reads 0) and 1 < q < inf.  At
+    a level theta, t, the pooled tail mean of ``(a - theta)_+`` (:func:`_pooled_tail`),
+    splits the entries: those above ``theta + t`` solve ``w + c w^{q-1} = a``
+    with ``c = t / theta^{q-1}``, those in between tie at theta, and the rest
+    stay.  The top norm of that point increases with theta and is 1 at the
+    answer, which safeguarded Newton finds in ``(0, a[k])``; if it is at most
+    1 at ``theta = a[k]``, the lq projection of the top k is the answer:
+    ``(a[k], 0, c)``, with c the lq multiplier of the positive top-k entries.
     """
-    if k == a.size:
-        return project_lq_ball(a, q)
-    if q == 1:
-        return _top1_ball_abs(a, k)
-    w = a.copy()
     neg = -a
 
-    def level(theta: float) -> tuple[float, float, int, int, np.ndarray]:
-        # top_norm - 1 at level theta, its derivative, the singleton count j,
-        # the count n of entries above theta and the singleton values
+    def level(theta: float) -> tuple[float, float, float, float]:
+        # top_norm - 1 at level theta, its derivative, t and c
         n = int(neg.searchsorted(-theta))
         top = a[:k] - theta
         j, t = _pooled_tail(np.maximum(top, 0.0, out=top), float((a[k:n] - theta).sum()))
@@ -293,29 +310,29 @@ def _top_ball_abs(a: np.ndarray, k: int, q: float) -> np.ndarray:
         dws = -wq1 / (1.0 + c * (q - 1.0) * ws ** (q - 2.0))
         s = float((ws * wq1).sum()) + (k - j) * theta**q
         ds = float((wq1 * dws).sum()) * dc + (k - j) * theta ** (q - 1.0)
-        return s ** (1.0 / q) - 1.0, s ** (1.0 / q - 1.0) * ds, j, n, ws
+        return s ** (1.0 / q) - 1.0, s ** (1.0 / q - 1.0) * ds, t, c
 
     # the level is an entry of a point of the ball; past 1 the top norm exceeds 1 for k >= 2
-    hi = min(float(a[k]), 1.0)
+    ak = float(a[k]) if k < a.size else 0.0
+    hi = min(ak, 1.0)
     g_hi = level(hi)[0] if hi > 0.0 else 0.0
     if g_hi <= 0.0:
-        w[:k] = project_lq_ball(a[:k], q)
-        return w
-    theta, (_, _, j, n, ws) = _newton_increasing(level, 0.0, hi, hi / (g_hi + 1.0))
-    w[:j] = ws
-    w[j:n] = theta
-    return w
+        return ak, 0.0, _lq_multiplier(a[:k][a[:k] > 0.0], q)
+    theta, (_, _, t, c) = _newton_increasing(level, 0.0, hi, hi / (g_hi + 1.0))
+    return theta, t, c
 
 
-def _top1_ball_abs(a: np.ndarray, k: int) -> np.ndarray:
-    """The q = 1 case of :func:`_top_ball_abs`, by an exact breakpoint search.
+def _top1_level(a: np.ndarray, k: int) -> tuple[float, float, float] | None:
+    """The q = 1 case of :func:`_top_level` (k < d), by an exact breakpoint search.
 
-    The answer is ``a - clip(a - theta, 0, t)`` at the root of the decreasing,
-    piecewise linear ``F(theta) = sum_{i<k} min(a_i - theta, t) - R``, where
+    The answer ``a - clip(a - theta, 0, t)``, the level ``(theta, t, t)``, sits
+    at the root of the decreasing, piecewise linear
+    ``F(theta) = sum_{i<k} min(a_i - theta, t) - R``, where
     ``R = sum(a[:k]) - 1`` and ``k t = R + sum_{i>=k} (a_i - theta)_+``.  A
     vectorized search over the tail entries brackets the root on a piece with
     n of them above theta.  There F is the least of the lines in which t
     applies to the s largest entries, so its root is the least of theirs.
+    None when the answer is the l1 projection of the whole vector.
     """
     C = np.zeros(a.size + 1)  # prefix sums
     a.cumsum(out=C[1:])
@@ -326,9 +343,9 @@ def _top1_ball_abs(a: np.ndarray, k: int) -> np.ndarray:
         return s * t + 1.0 - C[s] - (k - s) * theta
 
     if a[k - 1] - (C[k] - 1.0) / k >= a[k]:  # F(a[k]) >= 0: the l1 projection of the top k
-        return np.concatenate((a[:k] - (C[k] - 1.0) / k, a[k:]))
-    if F(0.0, a.size - k) <= 0.0:  # the l1 projection of the whole vector
-        return project_lq_ball(a, 1.0)
+        return float(a[k]), 0.0, float((C[k] - 1.0) / k)
+    if F(0.0, a.size - k) <= 0.0:
+        return None
     # n: the first m with F(a[k + m], m) >= 0 (a[d] reads 0), 1024 points a round
     lo, up = 1, a.size - k
     while lo < up:
@@ -338,10 +355,8 @@ def _top1_ball_abs(a: np.ndarray, k: int) -> np.ndarray:
     s = np.arange(k)  # s = k leaves no entry at the level: not the root
     theta = (s * (C[k + lo] - 1.0) - k * (C[:k] - 1.0)) / (s * lo + k * (k - s))
     s = int(np.argmin(theta))
-    w = a.copy()
-    w[:s] -= (C[k + lo] - 1.0 - lo * theta[s]) / k
-    w[s : k + lo] = theta[s]
-    return w
+    t = float((C[k + lo] - 1.0 - lo * theta[s]) / k)
+    return float(theta[s]), t, t
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +426,8 @@ def _reduced_ksupport(
     keeps the first j sorted entries as singletons and spreads the rest of
     |x| evenly over the last k - j slots (:func:`_pooled_tail`), which gives
     the value ``(sum_{i<j} s_i^p + (k - j) m^p)^{1/p}`` and ``y ~ s^{p-1}``.
-    The value reads only a partial sort of the k largest entries; the full
-    sort is made for the maximizer, which is None without ``dual``.
+    The value reads only a partial sort of the k largest entries, and the
+    maximizer, None without ``dual``, is an entrywise map of |x|.
     """
     p, k, q = spec.p, spec.k, spec.q
     a = np.abs(x)
@@ -431,14 +446,9 @@ def _reduced_ksupport(
     value = amax * unit * float(total ** (1.0 / p))
     if not dual:
         return value, None
-    # the maximizer: t_i = kappa s_i^{p/q} on the singletons, kappa m^{p/q} on the tail
+    # the maximizer: kappa s^{p/q} on the singletons, above the pooled mean m, else kappa m^{p/q}
     kappa = float(total ** (-1.0 / q))
-    y_sorted = np.full(x.size, kappa * m ** (p / q))
-    y_sorted[:j] = kappa * s_top ** (p / q)
-    y = np.empty(x.size)
-    # tied |x| entries get equal y values, so any sorting order scatters the same y
-    y[np.argsort(-a)] = y_sorted
-    return value, np.sign(x) * y
+    return value, np.sign(x) * kappa * np.maximum((a / unit) ** (p / q), m ** (p / q))
 
 
 def _pooled_tail(top: np.ndarray, rest: float) -> tuple[int, float]:

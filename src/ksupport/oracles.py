@@ -38,10 +38,10 @@ from .norms import (
     EvalReport,
     NormSpec,
     _lp_of_abs,
+    _project_lq_ball,
     ksupport_decomposition,
     ksupport_norm,
     lp_norm,
-    project_lq_ball,
     top_norm,
 )
 from .polytopes import (
@@ -283,7 +283,7 @@ def dykstra_top_ball(
         moved = 0.0
         for j, idx in enumerate(supports):
             v = x[idx] + corr[j]
-            w = project_lq_ball(v, spec.q)
+            w = _project_lq_ball(v, spec.q)
             moved = max(moved, float(np.max(np.abs(w - x[idx]))), float(np.max(np.abs(v - w - corr[j]))))
             corr[j] = v - w
             x[idx] = w
@@ -381,7 +381,7 @@ def ksupport_norm_oracle(
     for it in range(max_iter):
         base = xs / m - u - zsum / m
         v = z + base[blocks]
-        z = v - project_lq_ball(v, q)
+        z = v - _project_lq_ball(v, q)
         zsum = np.bincount(flat, z.ravel(), minlength=d)
         u = u + zsum / m - xs / m
         if it % 20 == 19 or it == max_iter - 1:

@@ -1,5 +1,7 @@
 """The level-set family does not change under positive scaling, permutation
-or sign flips of its input, and the norms and the prox scale with it.
+or sign flips of its input, the norms and the prox scale with it, and for
+1 <= p < inf the top-ball projection is finite, feasible and optimal at
+every scale and moves with the permutation and the signs.
 
 Inputs are small integers, so ties are exact; each draw applies a
 permutation, a sign flip and a scale of 2^e (e in [-660, 660]) or 10^e
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from ksupport.core import level_index, project_support, support_of
 from ksupport.faces import exposed_face_sp, normal_cone_membership, optimal_supports, support_lattice
-from ksupport.norms import NormSpec, ksupport_value, top_norm
+from ksupport.norms import NormSpec, ksupport_value, project_top_ball, top_norm
 from ksupport.solver import _prox
 
 int_vec = st.lists(st.integers(-4, 4), min_size=1, max_size=7).filter(any).map(
@@ -118,3 +120,35 @@ def test_prox_positively_homogeneous(case, lam, e):
     y, spec, _ = case
     t = 2.0**e
     assert np.array_equal(_prox(t * y, t * lam, spec), t * _prox(y, lam, spec))
+
+
+def _check_projection(y, spec):
+    # finite, in the ball, and y - w in its normal cone at w: <y - w, w> is the
+    # support function of the ball at y - w, the k-support norm
+    w = project_top_ball(y, spec)
+    assert np.all(np.isfinite(w))
+    assert top_norm(w, spec) <= 1 + 1e-12
+    r = y - w
+    ks = ksupport_value(r, spec)
+    assert abs(ks - float(r @ w)) <= 1e-10 * ks
+    return w
+
+
+@settings(max_examples=300, deadline=None)
+@given(cases((1.0, 1.25, 1.5, 2.0, 3.0)))
+def test_project_top_ball_at_every_scale(case):
+    # p = inf is not drawn: its q = 1 level (theta, t) stores t, about max|y|,
+    # and writes a - t, so the radius 1 drowns in the rounding of t once
+    # max|y| passes about 1e4
+    y, spec, tr = case
+    w = _check_projection(tr[0] * y, spec)
+    moved = _unmap_point(_check_projection(_apply(y, tr), spec), tr)
+    assert np.max(np.abs(moved - w)) <= 1e-12
+
+
+def test_project_top_ball_huge_entries():
+    for p in (1.25, 1.5, 2.0, 3.0):
+        spec = NormSpec(p, 2)
+        w = _check_projection(np.array([1e200, 1e200, 0.0]), spec)
+        want = 2.0 ** (-1.0 / spec.q)
+        assert np.max(np.abs(w - [want, want, 0.0])) <= 1e-15, p

@@ -408,6 +408,22 @@ def test_project_lq_ball_rows_match_vectors():
                     assert got.tobytes() == want.tobytes(), (q, row)
 
 
+def test_project_lq_ball_rejects_invalid_input():
+    cases = [
+        ([np.nan, 1.0], 1.5),
+        ([np.inf, 1.0], 1.5),
+        ([1.0, -np.inf], 2.0),
+        ([], 2.0),
+        (np.ones((2, 2, 2)), 2.0),
+        (1.0, 2.0),
+        ([1.0, 2.0], 0.5),
+        ([1.0, 2.0], np.nan),
+    ]
+    for v, q in cases:
+        with pytest.raises(InvalidInputError):
+            project_lq_ball(np.asarray(v, dtype=float), q)
+
+
 def test_project_top_ball_examples():
     spec = NormSpec(2.0, 2)
     y0 = np.array([0.1, 0.2, 0.1])
@@ -524,6 +540,35 @@ def test_project_top1_ball_examples(monkeypatch):
     for y, k, want in cases:
         w = project_top_ball(y, NormSpec(INF, k))
         assert np.max(np.abs(w - want)) <= 1e-15
+
+
+def test_project_top_ball_curved_examples():
+    # one hand-checkable case per branch of the level search at 1 < q < inf,
+    # against a closed form or Dykstra
+    def lq_unit(n, p):  # n equal entries on the unit lq sphere
+        return n ** (-1.0 / NormSpec(p, 1).q)
+
+    cases = [
+        # the lq projection of the top k stays above a[k] = 0.5
+        ([3.0, -4.0, 0.5], NormSpec(2.0, 2), [0.6, -0.8, 0.5]),
+        # fewer than k nonzero entries: the multiplier sees only the positive ones
+        ([2.0, -2.0, 0.0, 0.0], NormSpec(5.0, 3), [lq_unit(2, 5.0), -lq_unit(2, 5.0), 0.0, 0.0]),
+        ([2.0, -2.0, 0.0, 0.0], NormSpec(3.0, 3), [lq_unit(2, 3.0), -lq_unit(2, 3.0), 0.0, 0.0]),
+        ([3.0, 1.0, 0.0, 0.0], NormSpec(5.0, 3), None),
+        ([0.0, 1.0, 0.0, 3.0], NormSpec(3.0, 3), None),
+        # an interior level 0.6 with a tied block: t = 1.2, c = 2, and 2.4 / (1 + c) = 0.8
+        ([1.0, -2.4, 1.0, -1.0], NormSpec(2.0, 2), [0.6, -0.8, 0.6, -0.6]),
+        ([2.4, 1.0, 1.0, 1.0, 0.2], NormSpec(3.0, 2), None),
+        ([0.2, 1.0, -1.0, 1.0, 2.4], NormSpec(1.5, 2), None),
+        # k = d: the lq ball
+        ([3.0, -4.0], NormSpec(2.0, 2), [0.6, -0.8]),
+        ([2.0, -2.0, 2.0], NormSpec(3.0, 3), [lq_unit(3, 3.0), -lq_unit(3, 3.0), lq_unit(3, 3.0)]),
+    ]
+    for y, spec, want in cases:
+        if want is None:
+            want = dykstra_top_ball(np.array(y), spec, 1e-15)
+        w = project_top_ball(y, spec)
+        assert np.max(np.abs(w - want)) <= 1e-14, (y, spec)
 
 
 def test_project_top1_ball_certificate_seeded():
