@@ -12,7 +12,10 @@ k-sparse points of lp norm the value (:func:`ksupport_decomposition`), the
 primal certificate.  The exact Euclidean projection onto the top-norm ball,
 and through the Moreau identity the prox of the k-support norm, finds the
 level of its k-th entry on the sorted |y| (a finite breakpoint search at
-q = 1, Newton for 1 < q < inf), then writes one entrywise map of |y|.
+q = 1, Newton for 1 < q < inf), then writes one entrywise map of |y|.  Each
+Newton step finds where the pooled tail starts with one binary search over
+keys built once per projection from the prefix sums of the top k, and the
+solver starts Newton at the level of its last prox.
 """
 
 from __future__ import annotations
@@ -266,50 +269,71 @@ def project_top_ball(y0: Sequence[float], spec: NormSpec) -> np.ndarray:
     """
     y = as_vector(y0)
     spec.check_dim(y.size)
-    return _project_top_ball(y, spec)
+    return _project_top_ball(y, spec)[0]
 
 
-def _project_top_ball(y: np.ndarray, spec: NormSpec) -> np.ndarray:
-    """:func:`project_top_ball` of a finite float vector with at least k entries, unchecked."""
+def _project_top_ball(y: np.ndarray, spec: NormSpec, theta: float = 0.0) -> tuple[np.ndarray, float]:
+    """:func:`project_top_ball` of a finite float vector with at least k entries, unchecked.
+
+    Returns the projection and its level.  At 1 < q < inf Newton starts from
+    ``theta`` when it lies inside its bracket, as the last iteration's level
+    does in the solver; where the projection has no level (inside the ball,
+    a clip, the l1 projection of the whole vector) ``theta`` comes back as is.
+    """
     q, k = spec.q, spec.k
     a = np.abs(y)
     s = -np.sort(-a)
     if _lp_of_abs(s[:k], q) <= 1.0:
-        return y.copy()
+        return y.copy(), theta
     if math.isinf(q) or k == 1:
-        return np.clip(y, -1.0, 1.0)
-    level = _top_level(s, k, q) if q > 1 else _top1_level(s, k) if k < y.size else None
+        return np.clip(y, -1.0, 1.0), theta
+    level = _top_level(s, k, q, theta) if q > 1 else _top1_level(s, k) if k < y.size else None
     if level is None:  # q = 1: the l1 projection of the whole vector
-        return _project_lq_ball(y, 1.0)
-    return _level_map(y, a, *level, q)
+        return _project_lq_ball(y, 1.0), theta
+    return _level_map(y, a, *level, q), level[0]
 
 
-def _top_level(a: np.ndarray, k: int, q: float) -> tuple[float, float, float]:
+def _top_level(a: np.ndarray, k: int, q: float, start: float = 0.0) -> tuple[float, float, float]:
     """Level ``(theta, t, c)`` of the projection of decreasing ``a >= 0`` onto the top ball.
 
     For a outside the ball, 2 <= k <= d (``a[d]`` reads 0) and 1 < q < inf.  At
-    a level theta, t, the pooled tail mean of ``(a - theta)_+`` (:func:`_pooled_tail`),
-    splits the entries: those above ``theta + t`` solve ``w + c w^{q-1} = a``
-    with ``c = t / theta^{q-1}``, those in between tie at theta, and the rest
-    stay.  The top norm of that point increases with theta and is 1 at the
-    answer, which safeguarded Newton finds in ``(0, a[k])``; if it is at most
+    a level theta with n entries above it, the pooled tail of ``(a - theta)_+``
+    (:func:`_pooled_tail`) starts at the j-th entry and has mean t; it splits
+    the entries: those above ``theta + t`` solve ``w + c w^{q-1} = a`` with
+    ``c = t / theta^{q-1}``, those in between tie at theta, and the rest stay.
+    With ``C[j] = sum(a[:j])``, the test of :func:`_pooled_tail` at j <= n,
+    ``a[j-1] - theta > tail[j] / (k - j)``, reads ``P_j > B`` for the keys
+    ``P_j = a[j-1] (k - j) + C[j]`` (0 < j < k), which never increase in j
+    (``P_{j+1} - P_j = (k - j) (a[j] - a[j-1])``), and
+    ``B = C[m] + (k - m) theta + sum_{k <= i < n} (a_i - theta)``, ``m = min(n, k)``.
+    So j is the number of keys above B, at most n: the keys are built once
+    and each level takes one binary search.  The top norm of that point
+    increases with theta and is 1 at the answer, which safeguarded Newton
+    finds in ``(0, a[k])``, from ``start`` if it lies there; if it is at most
     1 at ``theta = a[k]``, the lq projection of the top k is the answer:
     ``(a[k], 0, c)``, with c the lq multiplier of the positive top-k entries.
     """
     neg = -a
+    csum = a[:k].cumsum()  # csum[j - 1] = C[j]
+    keys = a[k - 2 :: -1] * np.arange(1.0, k) + csum[k - 2 :: -1]  # P_{k-1}, ..., P_1: increasing
 
     def level(theta: float) -> tuple[float, float, float, float]:
         # top_norm - 1 at level theta, its derivative, t and c
         n = int(neg.searchsorted(-theta))
-        top = a[:k] - theta
-        j, t = _pooled_tail(np.maximum(top, 0.0, out=top), float((a[k:n] - theta).sum()))
+        m = min(n, k)
+        over = a[:n] - theta
+        rest = float(over[k:].sum()) if n > k else 0.0
+        bound = (csum[m - 1] if m else 0.0) + (k - m) * theta + rest
+        j = min(k - 1 - int(keys.searchsorted(bound, "right")), n)
+        pooled = over[j:k][::-1].cumsum()  # from the smallest up, as in _pooled_tail
+        t = ((float(pooled[-1]) if pooled.size else 0.0) + rest) / (k - j)
         dt = -(n - j) / (k - j)
         c, dc = t / theta ** (q - 1.0), (dt * theta - (q - 1.0) * t) / theta**q
         ws = _lq_roots(a[:j], c, q)
-        wq1 = ws ** (q - 1.0)
-        dws = -wq1 / (1.0 + c * (q - 1.0) * ws ** (q - 2.0))
+        wq1 = ws if q == 2 else ws ** (q - 1.0)  # the powers are exact at q = 2
         s = float((ws * wq1).sum()) + (k - j) * theta**q
-        ds = float((wq1 * dws).sum()) * dc + (k - j) * theta ** (q - 1.0)
+        dws = wq1 / (1.0 + c if q == 2 else 1.0 + c * (q - 1.0) * ws ** (q - 2.0))  # minus the slope of ws in c
+        ds = (k - j) * theta ** (q - 1.0) - float((wq1 * dws).sum()) * dc
         return s ** (1.0 / q) - 1.0, s ** (1.0 / q - 1.0) * ds, t, c
 
     # the level is an entry of a point of the ball; past 1 the top norm exceeds 1 for k >= 2
@@ -318,7 +342,8 @@ def _top_level(a: np.ndarray, k: int, q: float) -> tuple[float, float, float]:
     g_hi = level(hi)[0] if hi > 0.0 else 0.0
     if g_hi <= 0.0:
         return ak, 0.0, _lq_multiplier(a[:k][a[:k] > 0.0], q)
-    theta, (_, _, t, c) = _newton_increasing(level, 0.0, hi, hi / (g_hi + 1.0))
+    x0 = start if 0.0 < start < hi else hi / (g_hi + 1.0)
+    theta, (_, _, t, c) = _newton_increasing(level, 0.0, hi, x0)
     return theta, t, c
 
 

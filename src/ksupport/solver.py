@@ -273,15 +273,17 @@ def certify_optimality(
 # accelerated proximal gradient
 
 
-def _prox(v: np.ndarray, lam: float, spec: NormSpec) -> np.ndarray:
-    """prox of ``lam * ksupport`` at v: ``v - lam * project_top_ball(v / lam)``.
+def _prox(v: np.ndarray, lam: float, spec: NormSpec, theta: float = 0.0) -> tuple[np.ndarray, float]:
+    """prox of ``lam * ksupport`` at v: ``v - lam * project_top_ball(v / lam)``, and its level.
 
-    Entries the projection leaves unchanged are exactly zero in the prox.  v
-    must be finite; it is not checked here.
+    Entries the projection leaves unchanged are exactly zero in the prox.  The
+    projection's level search starts at ``theta``, the level the last call
+    returned, which carries over between iterations since the prox input
+    changes little.  v must be finite; it is not checked here.
     """
     u = v / lam
-    w = _project_top_ball(u, spec)
-    return np.where(w == u, 0.0, v - lam * w)
+    w, theta = _project_top_ball(u, spec, theta)
+    return np.where(w == u, 0.0, v - lam * w), theta
 
 
 def solve_penalized(
@@ -300,7 +302,8 @@ def solve_penalized(
     gap drops below ``opts.tol``, or at an exact fixed point of the step (a
     tolerance below the rounding of ``grad f`` cannot be met); the stop
     reason is on the report, and hitting the iteration cap is flagged there
-    rather than raised.
+    rather than raised.  Each prox starts its level search at the level of
+    the one before.
     """
     _check_gamma(gamma)
     opts = opts or SolveOptions()
@@ -312,6 +315,7 @@ def solve_penalized(
     x = z = np.zeros(d)
     g = gz = obj.grad(x)
     momentum = 1.0
+    level = 0.0  # of the last prox; 0 starts its first search cold
     stop = "max_iter"
     iterations = 0
     for it in range(1, opts.max_iter + 1):
@@ -319,7 +323,7 @@ def solve_penalized(
         if _fermat_gap(x, g, gamma, spec, opts.tol) <= opts.tol:
             break
         while True:
-            x_new = _prox(z - step * gz, step * gamma, spec)
+            x_new, level = _prox(z - step * gz, step * gamma, spec, level)
             move = x_new - z
             g_new = obj.grad(x_new)
             # the quadratic upper bound of f holds along the move (by convexity);

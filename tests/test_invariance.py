@@ -119,7 +119,8 @@ def test_prox_positively_homogeneous(case, lam, e):
     # a power of two scales every rounding step exactly
     y, spec, _ = case
     t = 2.0**e
-    assert np.array_equal(_prox(t * y, t * lam, spec), t * _prox(y, lam, spec))
+    (x, level), (x1, level1) = _prox(t * y, t * lam, spec), _prox(y, lam, spec)
+    assert np.array_equal(x, t * x1) and level == level1
 
 
 def _check_projection(y, spec):

@@ -569,6 +569,48 @@ def test_project_top_ball_curved_examples():
             want = dykstra_top_ball(np.array(y), spec, 1e-15)
         w = project_top_ball(y, spec)
         assert np.max(np.abs(w - want)) <= 1e-14, (y, spec)
+    # a tie at the bracket end: at theta = a[k] no entry lies above the level, and
+    # every key of the pooled-start search equals its bound up to rounding
+    for spec in (NormSpec(1.5, 100), NormSpec(4.0, 100)):
+        w = project_top_ball([0.6] * 101 + [0.0] * 3, spec)
+        assert np.max(np.abs(w[:101] - lq_unit(100, spec.p))) <= 1e-15, spec
+        assert not w[101:].any(), spec
+
+
+def test_top_level_matches_pooled_tail_from_any_start():
+    # the level (theta, t, c) of the projection at 1 < q < inf: t is the pooled
+    # tail mean of (a - theta)_+, and Newton started anywhere in its bracket
+    # returns the level of the cold start
+    rng = np.random.default_rng(23)
+    newton = 0
+    for i in range(400):
+        d = int(np.exp(rng.uniform(np.log(3), np.log(1e5 if i % 50 == 0 else 300))))
+        k = 2 if i % 2 else d - 1
+        q = float(rng.choice([1.25, 1.5, 2.0, 3.0, 5.0]))
+        if i % 3 == 0:  # integer ties
+            a = rng.integers(0, 5, d).astype(float)
+        elif i % 3 == 1:  # zeros
+            a = np.abs(rng.standard_normal(d)) * (rng.random(d) < 0.7)
+        else:
+            a = rng.lognormal(0.0, 1.0, d)
+        a[0] = max(a[0], 1.0)
+        a = -np.sort(-a)
+        a *= rng.uniform(1.05, 20.0) / norms._lp_of_abs(a[:k], q)
+        theta, t, c = norms._top_level(a, k, q)
+        hi = min(a[k], 1.0)
+        if theta == a[k] and t == 0.0:  # the lq projection of the top k: no search
+            continue
+        newton += 1
+        j, mean = norms._pooled_tail(np.maximum(a[:k] - theta, 0.0), float(np.maximum(a[k:] - theta, 0.0).sum()))
+        assert abs(mean - t) <= 1e-13 * t, (i, mean, t)
+        assert c == t / theta ** (q - 1.0)
+        # t moves by (n - j) / (k - j) times any move of theta
+        slope = np.count_nonzero(a > theta) - j
+        for start in (hi * 1e-6, hi / 2, hi * (1.0 - 2.0**-52), theta):
+            theta1, t1, _ = norms._top_level(a, k, q, start)
+            assert abs(theta1 - theta) <= 1e-14 * theta, (i, start)
+            assert abs(t1 - t) <= 1e-14 * (t + slope / (k - j) * theta), (i, start)
+    assert newton >= 200
 
 
 def test_project_top1_ball_certificate_seeded():
@@ -617,5 +659,5 @@ def test_projection_kernel_matches_project_top_ball_bitwise():
         spec = NormSpec(float(rng.choice([1.0, 1.5, 2.0, 3.0, INF])), int(rng.integers(1, d + 1)))
         y = rng.integers(-3, 4, size=d) * float(rng.choice([0.25, 0.5, 1.0]))
         want = project_top_ball(y, spec)
-        got = norms._project_top_ball(y.copy(), spec)
+        got, _ = norms._project_top_ball(y.copy(), spec)
         assert got.tobytes() == want.tobytes()

@@ -230,7 +230,7 @@ def test_prox_satisfies_fermat_condition():
         spec = NormSpec(float(rng.choice([1.0, 1.5, 2.0, 3.0, INF])), int(rng.integers(1, d + 1)))
         v = rng.standard_normal(d) * 3
         s = float(rng.uniform(0.2, 2.0))
-        x = _prox(v, s, spec)
+        x, _ = _prox(v, s, spec)
         obj = quadratic_objective(np.eye(d), v)
         ok, gap = certify_optimality(x, obj, s, spec, Tolerance(1e-9, 1e-9))
         assert ok, gap

@@ -1,0 +1,73 @@
+"""Paired benchmark runs of two checkouts, alternating which side runs first.
+
+Each pair runs
+
+    python3 perfbench/run.py --workload W --seed 0 --seconds 25 --trace 0
+
+once in each checkout, the base first in even pairs and the change first in
+odd ones, and reads that checkout's
+``perfbench/out/result-W-seed0-trace0.json``.  For every end-to-end metric of
+the base checkout's ``BENCHMARK.json`` it then prints both medians, each
+side's interquartile distance, and the pairs in which the change did better.
+Failed operations are summed per side.  One line per pair goes to stderr as
+the runs finish.  Standard library only.
+
+    python3 tools/ab_pairs.py solve-curved 10 ../base .
+"""
+
+from __future__ import annotations
+
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run(checkout: Path, workload: str) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0", "--seconds", "25", "--trace", "0"]
+    subprocess.run(cmd, cwd=checkout, check=True, stdout=subprocess.DEVNULL)
+    return json.loads((checkout / "perfbench" / "out" / f"result-{workload}-seed0-trace0.json").read_text())
+
+
+def iqr(values: list[float]) -> float:
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 4 or not argv[1].isdigit() or int(argv[1]) < 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    workload, pairs = argv[0], int(argv[1])
+    base, change = Path(argv[2]).resolve(), Path(argv[3]).resolve()
+    metrics = json.loads((base / "BENCHMARK.json").read_text())["end_to_end"]
+    results: dict[str, list[dict]] = {"base": [], "change": []}
+    for i in range(pairs):
+        order = [("base", base), ("change", change)]
+        for side, path in order if i % 2 == 0 else order[::-1]:
+            results[side].append(run(path, workload))
+        last = {side: rs[-1]["metrics"] for side, rs in results.items()}
+        row = " ".join(f"{m['name']}={last['base'][m['name']]:.4g}/{last['change'][m['name']]:.4g}" for m in metrics)
+        print(f"pair {i + 1}/{pairs} (base/change): {row}", file=sys.stderr)
+
+    print(f"{workload}: {pairs} pairs, base {base}, change {change}")
+    print(f"{'metric':<12} {'base p50':>10} {'change p50':>10} {'base iqr':>10} {'change iqr':>10} {'ratio':>7} {'wins':>6}")
+    for m in metrics:
+        name = m["name"]
+        b = [r["metrics"][name] for r in results["base"]]
+        c = [r["metrics"][name] for r in results["change"]]
+        sign = 1.0 if m["better"] == "lower" else -1.0
+        wins = sum(sign * (y - x) < 0.0 for x, y in zip(b, c))
+        mb, mc = statistics.median(b), statistics.median(c)
+        ratio = f"{mc / mb:.3f}" if mb else "-"
+        print(f"{name:<12} {mb:>10.4g} {mc:>10.4g} {iqr(b):>10.4g} {iqr(c):>10.4g} {ratio:>7} {wins:>3}/{pairs}")
+    failed = {side: sum(r["failed"] for r in rs) for side, rs in results.items()}
+    print(f"failed operations: base {failed['base']}, change {failed['change']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -3,10 +3,14 @@
 Runs the seeded instances of ``solve-curved`` and ``solve-polytope`` (the
 cases of ``perfbench/workloads.py``) at the given seeds and passes.  Prints
 one line per solve (iterations, stop reason, relative gap, objective and the
-identified support lattice, the floats in hex) and then a sha256 over those
-lines and the bytes of every ``x_star``.  Two source trees that print the
-same digest solve every instance bit for bit alike.  The wall time of each
-workload pass goes to stderr, so stdout can be compared with ``diff``.
+identified support lattice, the floats in hex), then ``steps-sha256``, a
+sha256 over those lines without their ``fw_gap`` and ``objective`` fields,
+and last ``sha256``, over the whole lines and the bytes of every ``x_star``.
+Two source trees that print the same ``sha256`` solve every instance bit for
+bit alike; two that print the same ``steps-sha256`` take the same iterations,
+stop for the same reasons and identify the same lattices, as a change that
+moves only the rounding does.  The wall time of each workload pass goes to
+stderr, so stdout can be compared with ``diff``.
 
     PYTHONPATH=src python3 tools/solve_digest.py [--seeds 0 7919] [--passes 6]
 """
@@ -29,7 +33,7 @@ def main() -> None:
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 7919])
     ap.add_argument("--passes", type=int, default=6)
     args = ap.parse_args()
-    digest = hashlib.sha256()
+    digest, steps = hashlib.sha256(), hashlib.sha256()
     for name in ("solve-curved", "solve-polytope"):
         wl = workloads.SolveWorkload(name)
         for seed in args.seeds:
@@ -39,15 +43,15 @@ def main() -> None:
                     rep, _ = op.run()
                     lat = rep.identified_supports
                     lattice = None if lat is None else (lat.core, lat.bound, tuple(lat.sizes))
-                    line = (
-                        f"{name} seed={seed} pass={pass_index} {op.label} iterations={rep.iterations} "
-                        f"stop={rep.stop} fw_gap={rep.fw_gap.hex()} objective={rep.objective.hex()} "
-                        f"lattice={lattice}"
-                    )
+                    head = f"{name} seed={seed} pass={pass_index} {op.label} iterations={rep.iterations} stop={rep.stop}"
+                    tail = f" lattice={lattice}"
+                    line = f"{head} fw_gap={rep.fw_gap.hex()} objective={rep.objective.hex()}{tail}"
                     print(line)
+                    steps.update(f"{head}{tail}".encode())
                     digest.update(line.encode())
                     digest.update(rep.x_star.tobytes())
                 print(f"{name} seed={seed} pass={pass_index}: {time.perf_counter() - t0:.2f} s", file=sys.stderr)
+    print(f"steps-sha256 {steps.hexdigest()}")
     print(f"sha256 {digest.hexdigest()}")
 
 
