@@ -14,8 +14,8 @@ and through the Moreau identity the prox of the k-support norm, finds the
 level of its k-th entry on the sorted |y| (a finite breakpoint search at
 q = 1, Newton for 1 < q < inf), then writes one entrywise map of |y|.  Each
 Newton step finds where the pooled tail starts with one binary search over
-keys built once per projection from the prefix sums of the top k, and the
-solver starts Newton at the level of its last prox.
+keys built once per projection from the prefix sums of the top k.  The
+solver starts either search at the level of its last prox.
 """
 
 from __future__ import annotations
@@ -239,7 +239,8 @@ def _lq_multiplier(a: np.ndarray, q: float) -> float:
         w = _lq_roots(a, c, q)
         wq1 = w ** (q - 1.0)
         s = float(np.sum(w * wq1))
-        ds = float(np.sum(wq1**2 / (1.0 + c * (q - 1.0) * w ** (q - 2.0))))
+        wq2 = w if q == 3 else w ** (q - 2.0)  # w ** 1 would copy w
+        ds = float(np.sum(wq1**2 / (1.0 + c * (q - 1.0) * wq2)))
         return s ** (-1.0 / q) - 1.0, s ** (-1.0 / q - 1.0) * ds
 
     # entries that underflow to 0 have slope 0; overflowing power sums read g = -1: bisect
@@ -275,10 +276,13 @@ def project_top_ball(y0: Sequence[float], spec: NormSpec) -> np.ndarray:
 def _project_top_ball(y: np.ndarray, spec: NormSpec, theta: float = 0.0) -> tuple[np.ndarray, float]:
     """:func:`project_top_ball` of a finite float vector with at least k entries, unchecked.
 
-    Returns the projection and its level.  At 1 < q < inf Newton starts from
-    ``theta`` when it lies inside its bracket, as the last iteration's level
-    does in the solver; where the projection has no level (inside the ball,
-    a clip, the l1 projection of the whole vector) ``theta`` comes back as is.
+    Returns the projection and its level.  The level search starts from
+    ``theta``, as the last iteration's level in the solver: at 1 < q < inf
+    Newton starts there when it lies inside its bracket, and at q = 1 the
+    breakpoint search first tries the piece that holds it, which leaves the
+    level bit for bit as found cold.  Where the projection has no level
+    (inside the ball, a clip, the l1 projection of the whole vector)
+    ``theta`` comes back as is.
     """
     q, k = spec.q, spec.k
     a = np.abs(y)
@@ -287,7 +291,7 @@ def _project_top_ball(y: np.ndarray, spec: NormSpec, theta: float = 0.0) -> tupl
         return y.copy(), theta
     if math.isinf(q) or k == 1:
         return np.clip(y, -1.0, 1.0), theta
-    level = _top_level(s, k, q, theta) if q > 1 else _top1_level(s, k) if k < y.size else None
+    level = _top_level(s, k, q, theta) if q > 1 else _top1_level(s, k, theta) if k < y.size else None
     if level is None:  # q = 1: the l1 projection of the whole vector
         return _project_lq_ball(y, 1.0), theta
     return _level_map(y, a, *level, q), level[0]
@@ -332,7 +336,8 @@ def _top_level(a: np.ndarray, k: int, q: float, start: float = 0.0) -> tuple[flo
         ws = _lq_roots(a[:j], c, q)
         wq1 = ws if q == 2 else ws ** (q - 1.0)  # the powers are exact at q = 2
         s = float((ws * wq1).sum()) + (k - j) * theta**q
-        dws = wq1 / (1.0 + c if q == 2 else 1.0 + c * (q - 1.0) * ws ** (q - 2.0))  # minus the slope of ws in c
+        # minus the slope of ws in c; ws ** 0 and ws ** 1 (q = 2, 3) are left out, the latter a copy
+        dws = wq1 / (1.0 + c if q == 2 else 1.0 + c * (q - 1.0) * (ws if q == 3 else ws ** (q - 2.0)))
         ds = (k - j) * theta ** (q - 1.0) - float((wq1 * dws).sum()) * dc
         return s ** (1.0 / q) - 1.0, s ** (1.0 / q - 1.0) * ds, t, c
 
@@ -347,7 +352,7 @@ def _top_level(a: np.ndarray, k: int, q: float, start: float = 0.0) -> tuple[flo
     return theta, t, c
 
 
-def _top1_level(a: np.ndarray, k: int) -> tuple[float, float, float] | None:
+def _top1_level(a: np.ndarray, k: int, start: float = 0.0) -> tuple[float, float, float] | None:
     """The q = 1 case of :func:`_top_level` (k < d), by an exact breakpoint search.
 
     The answer ``a - clip(a - theta, 0, t)``, the level ``(theta, t, t)``, sits
@@ -355,33 +360,59 @@ def _top1_level(a: np.ndarray, k: int) -> tuple[float, float, float] | None:
     ``F(theta) = sum_{i<k} min(a_i - theta, t) - R``, where
     ``R = sum(a[:k]) - 1`` and ``k t = R + sum_{i>=k} (a_i - theta)_+``.  A
     vectorized search over the tail entries brackets the root on a piece with
-    n of them above theta.  There F is the least of the lines in which t
-    applies to the s largest entries, so its root is the least of theirs.
-    None when the answer is the l1 projection of the whole vector.
+    n of them above theta: F read at the breakpoint ``a[k + m]``, with m tail
+    entries above it, increases with m, and n is the first m where it is at
+    least 0.  A positive ``start`` narrows the bracket first: with n the
+    count of tail entries above it, F at n and at n - 1 settle n when they
+    straddle 0, as they mostly do from the last iteration's level in the
+    solver.  The bracket only narrows, so the level is the cold one bit for
+    bit.  On the piece, F is the least of the lines in which t applies to the
+    s largest entries, so its root is the least of theirs.  None when the
+    answer is the l1 projection of the whole vector.
     """
     C = np.zeros(a.size + 1)  # prefix sums
     a.cumsum(out=C[1:])
+    top = -a[:k]
 
     def F(theta, n):  # at levels theta with n tail entries above each
         t = (C[k + n] - 1.0 - n * theta) / k
-        s = (-a[:k]).searchsorted(-(theta + t))
+        s = top.searchsorted(-(theta + t))
         return s * t + 1.0 - C[s] - (k - s) * theta
 
-    if a[k - 1] - (C[k] - 1.0) / k >= a[k]:  # F(a[k]) >= 0: the l1 projection of the top k
-        return float(a[k]), 0.0, float((C[k] - 1.0) / k)
-    if F(0.0, a.size - k) <= 0.0:
+    def f(theta: float, n: int) -> float:  # F at one level, in Python floats
+        t = (float(C[k + n]) - 1.0 - n * theta) / k
+        s = int(top.searchsorted(-(theta + t)))
+        return s * t + 1.0 - float(C[s]) - (k - s) * theta
+
+    ak, rk = float(a[k]), (float(C[k]) - 1.0) / k
+    if float(a[k - 1]) - rk >= ak:  # F(a[k]) >= 0: the l1 projection of the top k
+        return ak, 0.0, rk
+    if f(0.0, a.size - k) <= 0.0:
         return None
-    # n: the first m with F(a[k + m], m) >= 0 (a[d] reads 0), 1024 points a round
+    # n: the first m with F(a[k + m], m) >= 0 (a[d] reads 0)
     lo, up = 1, a.size - k
-    while lo < up:
+    if start > 0.0:  # n is mostly the count of tail entries above start
+        n = min(max(int(np.count_nonzero(a[k:] > start)), lo), up)
+        if n < up and f(float(a[k + n]), n) < 0.0:
+            lo = n + 1
+        else:
+            up = n
+            if n > lo and f(float(a[k + n - 1]), n - 1) < 0.0:
+                lo = n
+    while lo < up:  # 1024 points a round
         m = np.arange(lo, up, -(-(up - lo) // 1024))
         r = int((F(a[k + m], m) < 0.0).sum())
-        lo, up = (m[r - 1] + 1 if r else lo), (m[r] if r < m.size else up)
-    s = np.arange(k)  # s = k leaves no entry at the level: not the root
-    theta = (s * (C[k + lo] - 1.0) - k * (C[:k] - 1.0)) / (s * lo + k * (k - s))
-    s = int(np.argmin(theta))
-    t = float((C[k + lo] - 1.0 - lo * theta[s]) / k)
-    return float(theta[s]), t, t
+        lo, up = (int(m[r - 1]) + 1 if r else lo), (int(m[r]) if r < m.size else up)
+    # the root of each line s < k (s = k leaves no entry at the level: not the root)
+    total = float(C[k + lo]) - 1.0  # k t + lo theta on the piece
+    if k <= 32:  # a Python loop is the cheaper at this size
+        cs = C[:k].tolist()
+        theta = min((s * total - k * (cs[s] - 1.0)) / (s * lo + k * (k - s)) for s in range(k))
+    else:
+        s = np.arange(k)
+        theta = float(((s * total - k * (C[:k] - 1.0)) / (s * lo + k * (k - s))).min())
+    t = (total - lo * theta) / k
+    return theta, t, t
 
 
 # ---------------------------------------------------------------------------

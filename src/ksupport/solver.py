@@ -303,7 +303,9 @@ def solve_penalized(
     tolerance below the rounding of ``grad f`` cannot be met); the stop
     reason is on the report, and hitting the iteration cap is flagged there
     rather than raised.  Each prox starts its level search at the level of
-    the one before.
+    the one before: Newton at 1 < q < inf, and at q = 1 (p = inf) the
+    breakpoint search, which then mostly checks one piece and finds the
+    level a cold search would, bit for bit.
     """
     _check_gamma(gamma)
     opts = opts or SolveOptions()

@@ -613,6 +613,43 @@ def test_top_level_matches_pooled_tail_from_any_start():
     assert newton >= 200
 
 
+def test_top1_level_from_any_start_is_bitwise_cold():
+    # the q = 1 breakpoint search narrows its bracket from the start level and
+    # returns the cold level bit for bit, at every start and on both early exits
+    def bits(level):
+        return None if level is None else np.array(level).tobytes()
+
+    rng = np.random.default_rng(31)
+    seen = {"top k": 0, "whole vector": 0, "search": 0, "rounds": 0}
+    for i in range(300):
+        d = int(np.exp(rng.uniform(np.log(3), np.log(1e5 if i % 25 == 0 else 3000))))
+        k = [2, d - 1, max(d // 2, 2)][i % 3]
+        if i % 3 == 0:  # integer ties
+            a = rng.integers(0, 5, d).astype(float)
+        elif i % 3 == 1:  # zeros
+            a = rng.lognormal(0.0, 1.0, d) * (rng.random(d) < 0.6)
+        else:
+            a = rng.lognormal(0.0, 1.0, d)
+        a[0] = max(a[0], 1.0)
+        a = -np.sort(-a)
+        a *= float(rng.choice([1.01, 1.5, 4.0, 30.0])) / a[:k].sum()
+        cold = norms._top1_level(a, k)
+        if cold is None:
+            seen["whole vector"] += 1
+            starts = []
+        elif cold[1] == 0.0:
+            seen["top k"] += 1
+            starts = []
+        else:
+            seen["search"] += 1
+            seen["rounds"] += d - k > 1024
+            theta = cold[0]
+            starts = [theta, theta * (1.0 - 1e-3), theta * (1.0 + 1e-3)]
+        for start in [0.0, 1e-12, float(a[k]), float(a[0]), float(rng.uniform(0.0, a[0]))] + starts:
+            assert bits(norms._top1_level(a, k, start)) == bits(cold), (i, d, k, start)
+    assert min(seen.values()) >= 3, seen
+
+
 def test_project_top1_ball_certificate_seeded():
     # ties, zeros and five scales: the projection lies in the ball, and
     # y - w is in its normal cone there (as in the support-function test)

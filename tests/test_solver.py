@@ -283,6 +283,37 @@ def test_solver_polytope_bound_is_not_trivial():
     assert set(support_of(rep.x_star, 1e-6)) <= set(rep.support_bound)
 
 
+def test_pinf_solves_are_bitwise_without_the_level_warm_start(monkeypatch):
+    # at p = inf the prox's level search starts at the last iteration's level;
+    # started cold instead, the solves are the same bytes
+    from ksupport import norms, solver
+
+    rng = np.random.default_rng(8)
+    cases = []
+    for d, k in ((60, 5), (120, 10)):  # planted least squares, as in the solve-polytope benchmark
+        A = rng.standard_normal((d // 2, d))
+        w = np.zeros(d)
+        w[rng.choice(d, k, replace=False)] = rng.standard_normal(k)
+        b = A @ w + 0.01 * rng.standard_normal(d // 2)
+        cases.append((quadratic_objective(A, b), NormSpec(INF, k)))
+    X = rng.standard_normal((40, 15))  # logistic: the step backtracks
+    w = 2.0 * rng.standard_normal(15) * (rng.random(15) < 0.3)
+    labels = np.sign(X @ w + 0.5 * rng.standard_normal(40))
+    cases.append((logistic_objective(X, labels), NormSpec(INF, 3)))
+
+    def solve_all():
+        reps = [solve_penalized(obj, 1.0, spec, SolveOptions(tol=1e-8, max_iter=3000)) for obj, spec in cases]
+        return [(r.x_star.tobytes(), r.iterations, r.stop, r.identified_supports) for r in reps]
+
+    warm = solve_all()
+    def cold(y, spec, theta=0.0):
+        return norms._project_top_ball(y, spec)
+
+    monkeypatch.setattr(solver, "_project_top_ball", cold)
+    assert solve_all() == warm
+    assert all(it > 50 for _, it, _, _ in warm)
+
+
 def test_logistic_solve_smoke():
     rng = np.random.default_rng(6)
     X = rng.standard_normal((30, 5))

@@ -2,21 +2,25 @@
 
 Each pair runs
 
-    python3 perfbench/run.py --workload W --seed 0 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload W --seed N --seconds 25 --trace 0
 
 once in each checkout, the base first in even pairs and the change first in
 odd ones, and reads that checkout's
-``perfbench/out/result-W-seed0-trace0.json``.  For every end-to-end metric of
-the base checkout's ``BENCHMARK.json`` it then prints both medians, each
-side's interquartile distance, and the pairs in which the change did better.
+``perfbench/out/result-W-seed{N}-trace0.json``.  N is ``--seed`` (default 0,
+the benchmark's seed; 7919 is its held-out one).  For every end-to-end
+metric of the base checkout's ``BENCHMARK.json`` it then prints both
+medians, each side's interquartile distance, and the pairs in which the
+change did better.
 Failed operations are summed per side.  One line per pair goes to stderr as
 the runs finish.  Standard library only.
 
     python3 tools/ab_pairs.py solve-curved 10 ../base .
+    python3 tools/ab_pairs.py --seed 7919 solve-polytope 3 ../base .
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import statistics
 import subprocess
@@ -24,10 +28,12 @@ import sys
 from pathlib import Path
 
 
-def run(checkout: Path, workload: str) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0", "--seconds", "25", "--trace", "0"]
+def run(checkout: Path, workload: str, seed: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", "25", "--trace", "0"]
     subprocess.run(cmd, cwd=checkout, check=True, stdout=subprocess.DEVNULL)
-    return json.loads((checkout / "perfbench" / "out" / f"result-{workload}-seed0-trace0.json").read_text())
+    out = checkout / "perfbench" / "out" / f"result-{workload}-seed{seed}-trace0.json"
+    return json.loads(out.read_text())
 
 
 def iqr(values: list[float]) -> float:
@@ -38,22 +44,28 @@ def iqr(values: list[float]) -> float:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 4 or not argv[1].isdigit() or int(argv[1]) < 1:
-        print(__doc__, file=sys.stderr)
-        return 2
-    workload, pairs = argv[0], int(argv[1])
-    base, change = Path(argv[2]).resolve(), Path(argv[3]).resolve()
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--seed", type=int, default=0, help="input seed of every run (default 0)")
+    ap.add_argument("workload")
+    ap.add_argument("pairs", type=int)
+    ap.add_argument("base", type=Path)
+    ap.add_argument("change", type=Path)
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("pairs must be at least 1")
+    workload, pairs, seed = args.workload, args.pairs, args.seed
+    base, change = args.base.resolve(), args.change.resolve()
     metrics = json.loads((base / "BENCHMARK.json").read_text())["end_to_end"]
     results: dict[str, list[dict]] = {"base": [], "change": []}
     for i in range(pairs):
         order = [("base", base), ("change", change)]
         for side, path in order if i % 2 == 0 else order[::-1]:
-            results[side].append(run(path, workload))
+            results[side].append(run(path, workload, seed))
         last = {side: rs[-1]["metrics"] for side, rs in results.items()}
         row = " ".join(f"{m['name']}={last['base'][m['name']]:.4g}/{last['change'][m['name']]:.4g}" for m in metrics)
         print(f"pair {i + 1}/{pairs} (base/change): {row}", file=sys.stderr)
 
-    print(f"{workload}: {pairs} pairs, base {base}, change {change}")
+    print(f"{workload} seed {seed}: {pairs} pairs, base {base}, change {change}")
     print(f"{'metric':<12} {'base p50':>10} {'change p50':>10} {'base iqr':>10} {'change iqr':>10} {'ratio':>7} {'wins':>6}")
     for m in metrics:
         name = m["name"]
