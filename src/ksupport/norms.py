@@ -11,8 +11,8 @@ closed form.  That tail writes x as a convex combination of at most d + 1
 k-sparse points of lp norm the value (:func:`ksupport_decomposition`), the
 primal certificate.  The exact Euclidean projection onto the top-norm ball,
 and through the Moreau identity the prox of the k-support norm, finds the
-level of its k-th entry on the sorted |y| (a finite breakpoint search at
-q = 1, Newton for 1 < q < inf), then writes one entrywise map of |y|.  Each
+level of its k-th entry on the sorted |y| (a breakpoint bisection at q = 1,
+Newton for 1 < q < inf), then writes one entrywise map of |y|.  Each
 Newton step finds where the pooled tail starts with one binary search over
 keys built once per projection from the prefix sums of the top k.  The
 solver starts either search at the level of its last prox.
@@ -183,7 +183,8 @@ def project_lq_ball(v: np.ndarray, q: float) -> np.ndarray:
     entry solves ``w + c w^{q-1} = |v|`` (:func:`_level_map` at level 0) for
     the one multiplier c that puts w on the unit sphere (:func:`_lq_multiplier`,
     one row at a time).  Raises :class:`InvalidInputError` unless ``v`` is a
-    nonempty finite vector or matrix and q lies in [1, inf].
+    nonempty finite vector or matrix and q lies in [1, inf], or if, at q != 2 in
+    (1, inf), ``2 ||v||_p`` over all entries (p = q / (q - 1): c's bound) overflows.
     """
     v = np.asarray(v, dtype=float)
     if v.size == 0 or v.ndim not in (1, 2):
@@ -192,6 +193,8 @@ def project_lq_ball(v: np.ndarray, q: float) -> np.ndarray:
         raise InvalidInputError("entries must be finite")
     if not q >= 1:
         raise InvalidInputError(f"q={q} must lie in [1, inf]")
+    if 1 < q < math.inf and q != 2 and not 2.0 * _lp_of_abs(np.abs(v), q / (q - 1.0)) < math.inf:
+        raise InvalidInputError(f"entries too large to project onto the l{q} ball: the multiplier overflows")
     return _project_lq_ball(v, q)
 
 
@@ -208,14 +211,8 @@ def _project_lq_ball(v: np.ndarray, q: float) -> np.ndarray:
         nrm = np.linalg.norm(u, axis=None if v.ndim == 1 else -1, keepdims=True)
         return u / np.maximum(nrm, 1.0 / unit)
     if q == 1:
-        # sort and threshold: theta is the soft threshold with sum(max(a - theta, 0)) = 1,
-        # read at the last index r with u_r (r + 1) > excess_r
         a = np.abs(v)
-        u = np.sort(a, axis=-1)[..., ::-1]
-        excess = np.cumsum(u, axis=-1) - 1.0
-        hit = u * np.arange(1, u.shape[-1] + 1) > excess
-        r = u.shape[-1] - 1 - np.argmax(hit[..., ::-1], axis=-1)[..., None]
-        theta = np.take_along_axis(excess, r, axis=-1) / (r + 1)
+        theta = _l1_threshold(np.sort(a, axis=-1)[..., ::-1])
         inside = a.sum(axis=-1, keepdims=True) <= 1.0
         return np.where(inside, v, np.sign(v) * np.maximum(a - theta, 0.0))
     if v.ndim == 2:
@@ -224,6 +221,18 @@ def _project_lq_ball(v: np.ndarray, q: float) -> np.ndarray:
     if _lp_of_abs(a, q) <= 1.0:
         return v.copy()
     return _level_map(v, a, 0.0, 0.0, _lq_multiplier(a[a > 0.0], q), q)
+
+
+def _l1_threshold(u: np.ndarray) -> np.ndarray:
+    """Soft threshold theta of decreasing ``u >= 0`` with ``sum((u - theta)_+) = 1``, on the last axis.
+
+    Sort and threshold (Duchi et al., ICML 2008): with ``excess = cumsum(u) - 1``,
+    ``excess_r / (r + 1)`` at the last r with ``u_r (r + 1) > excess_r``.
+    """
+    excess = np.cumsum(u, axis=-1) - 1.0
+    hit = u * np.arange(1, u.shape[-1] + 1) > excess
+    r = u.shape[-1] - 1 - np.argmax(hit[..., ::-1], axis=-1)[..., None]
+    return np.take_along_axis(excess, r, axis=-1) / (r + 1)
 
 
 def _lq_multiplier(a: np.ndarray, q: float) -> float:
@@ -276,13 +285,10 @@ def project_top_ball(y0: Sequence[float], spec: NormSpec) -> np.ndarray:
 def _project_top_ball(y: np.ndarray, spec: NormSpec, theta: float = 0.0) -> tuple[np.ndarray, float]:
     """:func:`project_top_ball` of a finite float vector with at least k entries, unchecked.
 
-    Returns the projection and its level.  The level search starts from
-    ``theta``, as the last iteration's level in the solver: at 1 < q < inf
-    Newton starts there when it lies inside its bracket, and at q = 1 the
-    breakpoint search first tries the piece that holds it, which leaves the
-    level bit for bit as found cold.  Where the projection has no level
-    (inside the ball, a clip, the l1 projection of the whole vector)
-    ``theta`` comes back as is.
+    Returns the projection and its level (``theta`` as is inside the ball and
+    for a clip).  The level search starts from ``theta``, as the last
+    iteration's level in the solver: Newton at 1 < q < inf where it lies in
+    its bracket, the q = 1 bisection on the piece that holds it.
     """
     q, k = spec.q, spec.k
     a = np.abs(y)
@@ -291,9 +297,7 @@ def _project_top_ball(y: np.ndarray, spec: NormSpec, theta: float = 0.0) -> tupl
         return y.copy(), theta
     if math.isinf(q) or k == 1:
         return np.clip(y, -1.0, 1.0), theta
-    level = _top_level(s, k, q, theta) if q > 1 else _top1_level(s, k, theta) if k < y.size else None
-    if level is None:  # q = 1: the l1 projection of the whole vector
-        return _project_lq_ball(y, 1.0), theta
+    level = _top_level(s, k, q, theta) if q > 1 else _top1_level(s, k, theta)
     return _level_map(y, a, *level, q), level[0]
 
 
@@ -352,44 +356,40 @@ def _top_level(a: np.ndarray, k: int, q: float, start: float = 0.0) -> tuple[flo
     return theta, t, c
 
 
-def _top1_level(a: np.ndarray, k: int, start: float = 0.0) -> tuple[float, float, float] | None:
-    """The q = 1 case of :func:`_top_level` (k < d), by an exact breakpoint search.
+def _top1_level(a: np.ndarray, k: int, start: float = 0.0) -> tuple[float, float, float]:
+    """The q = 1 case of :func:`_top_level` (2 <= k <= d), by an exact breakpoint search.
 
     The answer ``a - clip(a - theta, 0, t)``, the level ``(theta, t, t)``, sits
     at the root of the decreasing, piecewise linear
     ``F(theta) = sum_{i<k} min(a_i - theta, t) - R``, where
-    ``R = sum(a[:k]) - 1`` and ``k t = R + sum_{i>=k} (a_i - theta)_+``.  A
-    vectorized search over the tail entries brackets the root on a piece with
-    n of them above theta: F read at the breakpoint ``a[k + m]``, with m tail
-    entries above it, increases with m, and n is the first m where it is at
-    least 0.  A positive ``start`` narrows the bracket first: with n the
-    count of tail entries above it, F at n and at n - 1 settle n when they
-    straddle 0, as they mostly do from the last iteration's level in the
-    solver.  The bracket only narrows, so the level is the cold one bit for
-    bit.  On the piece, F is the least of the lines in which t applies to the
-    s largest entries, so its root is the least of theirs.  None when the
-    answer is the l1 projection of the whole vector.
+    ``R = sum(a[:k]) - 1`` and ``k t = R + sum_{i>=k} (a_i - theta)_+``.  If
+    ``F(a[k]) >= 0`` it is ``(a[k], 0, R / k)``, the l1 projection of the top
+    k; at k = d or if ``F(0) <= 0``, ``(0, t, t)``, that of the whole vector
+    (:func:`_l1_threshold`).  Otherwise F at the breakpoint ``a[k + m]``, m
+    tail entries above it, increases with m, and a bisection finds the first
+    m where it is at least 0: n tail entries lie above the root.  It reads F
+    at n and n - 1 first, for n the count above a positive ``start``, which
+    the last iteration's level in the solver mostly settles.  The bracket only
+    narrows: where the rounded F changes sign once, the level is the cold one
+    bit for bit.  On the piece, F is the least of the lines in which t applies
+    to the s largest entries, so its root is the least of theirs.
     """
     C = np.zeros(a.size + 1)  # prefix sums
     a.cumsum(out=C[1:])
     top = -a[:k]
 
-    def F(theta, n):  # at levels theta with n tail entries above each
-        t = (C[k + n] - 1.0 - n * theta) / k
-        s = top.searchsorted(-(theta + t))
-        return s * t + 1.0 - C[s] - (k - s) * theta
-
-    def f(theta: float, n: int) -> float:  # F at one level, in Python floats
+    def f(theta: float, n: int) -> float:  # F at a level theta with n tail entries above it
         t = (float(C[k + n]) - 1.0 - n * theta) / k
         s = int(top.searchsorted(-(theta + t)))
         return s * t + 1.0 - float(C[s]) - (k - s) * theta
 
-    ak, rk = float(a[k]), (float(C[k]) - 1.0) / k
-    if float(a[k - 1]) - rk >= ak:  # F(a[k]) >= 0: the l1 projection of the top k
-        return ak, 0.0, rk
-    if f(0.0, a.size - k) <= 0.0:
-        return None
-    # n: the first m with F(a[k + m], m) >= 0 (a[d] reads 0)
+    rk = (float(C[k]) - 1.0) / k
+    if k < a.size and float(a[k - 1]) - rk >= float(a[k]):  # F(a[k]) >= 0: the l1 projection of the top k
+        return float(a[k]), 0.0, rk
+    if k == a.size or f(0.0, a.size - k) <= 0.0:  # the l1 projection of the whole vector
+        t = float(_l1_threshold(a)[0])
+        return 0.0, t, t
+    # n: the first m in [lo, up] with F(a[k + m], m) >= 0 (a[d] reads 0)
     lo, up = 1, a.size - k
     if start > 0.0:  # n is mostly the count of tail entries above start
         n = min(max(int(np.count_nonzero(a[k:] > start)), lo), up)
@@ -399,18 +399,17 @@ def _top1_level(a: np.ndarray, k: int, start: float = 0.0) -> tuple[float, float
             up = n
             if n > lo and f(float(a[k + n - 1]), n - 1) < 0.0:
                 lo = n
-    while lo < up:  # 1024 points a round
-        m = np.arange(lo, up, -(-(up - lo) // 1024))
-        r = int((F(a[k + m], m) < 0.0).sum())
-        lo, up = (int(m[r - 1]) + 1 if r else lo), (int(m[r]) if r < m.size else up)
-    # the root of each line s < k (s = k leaves no entry at the level: not the root)
+    while lo < up:
+        m = (lo + up) // 2
+        lo, up = (m + 1, up) if f(float(a[k + m]), m) < 0.0 else (lo, m)
+    # the least root of the lines s < k (s = k leaves no entry at the level); the count s of top
+    # entries above theta + t is monotone on the piece, so the root's line lies between s at its ends
     total = float(C[k + lo]) - 1.0  # k t + lo theta on the piece
-    if k <= 32:  # a Python loop is the cheaper at this size
-        cs = C[:k].tolist()
-        theta = min((s * total - k * (cs[s] - 1.0)) / (s * lo + k * (k - s)) for s in range(k))
-    else:
-        s = np.arange(k)
-        theta = float(((s * total - k * (C[:k] - 1.0)) / (s * lo + k * (k - s))).min())
+    x0, x1 = (float(a[k + lo]) if k + lo < a.size else 0.0), float(a[k + lo - 1])
+    s0 = int(top.searchsorted(-(x0 + (total - lo * x0) / k)))
+    s1 = int(top.searchsorted(-(x1 + (total - lo * x1) / k)))
+    lines = range(min(s0, s1, k - 1), min(max(s0, s1), k - 1) + 1)
+    theta = min((s * total - k * (float(C[s]) - 1.0)) / (s * lo + k * (k - s)) for s in lines)
     t = (total - lo * theta) / k
     return theta, t, t
 

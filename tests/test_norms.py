@@ -424,6 +424,20 @@ def test_project_lq_ball_rejects_invalid_input():
             project_lq_ball(np.asarray(v, dtype=float), q)
 
 
+def test_project_lq_ball_near_the_largest_float():
+    # entries near 1e300 project; where the multiplier's bracket overflows, a typed error
+    for q in (1.5, 3.0, 4.0):
+        want = 2.0 ** (-1.0 / q)
+        w = project_lq_ball(np.array([1e300, -1e300, 0.0]), q)
+        assert np.max(np.abs(w - [want, -want, 0.0])) <= 1e-15, q
+        w = project_lq_ball(np.array([[1e300, -1e300, 0.0], [0.5, 0.0, 0.0]]), q)
+        assert np.max(np.abs(w - [[want, -want, 0.0], [0.5, 0.0, 0.0]])) <= 1e-15, q
+        with pytest.raises(InvalidInputError):
+            project_lq_ball(np.array([1.7e308, -1.7e308, 0.0]), q)
+        with pytest.raises(InvalidInputError):
+            project_lq_ball(np.array([[0.5, 0.0, 0.0], [1.7e308, 0.0, 1.7e308]]), q)
+
+
 def test_project_top_ball_examples():
     spec = NormSpec(2.0, 2)
     y0 = np.array([0.1, 0.2, 0.1])
@@ -617,13 +631,13 @@ def test_top1_level_from_any_start_is_bitwise_cold():
     # the q = 1 breakpoint search narrows its bracket from the start level and
     # returns the cold level bit for bit, at every start and on both early exits
     def bits(level):
-        return None if level is None else np.array(level).tobytes()
+        return np.array(level).tobytes()
 
     rng = np.random.default_rng(31)
-    seen = {"top k": 0, "whole vector": 0, "search": 0, "rounds": 0}
-    for i in range(300):
+    seen = {"top k": 0, "whole vector": 0, "k = d": 0, "search": 0, "long tail": 0}
+    for i in range(400):
         d = int(np.exp(rng.uniform(np.log(3), np.log(1e5 if i % 25 == 0 else 3000))))
-        k = [2, d - 1, max(d // 2, 2)][i % 3]
+        k = [2, d - 1, max(d // 2, 2), d][i % 4]
         if i % 3 == 0:  # integer ties
             a = rng.integers(0, 5, d).astype(float)
         elif i % 3 == 1:  # zeros
@@ -634,20 +648,79 @@ def test_top1_level_from_any_start_is_bitwise_cold():
         a = -np.sort(-a)
         a *= float(rng.choice([1.01, 1.5, 4.0, 30.0])) / a[:k].sum()
         cold = norms._top1_level(a, k)
-        if cold is None:
+        starts = []
+        if k == d:
+            seen["k = d"] += 1
+        elif cold[0] == 0.0 < cold[1]:
             seen["whole vector"] += 1
-            starts = []
         elif cold[1] == 0.0:
             seen["top k"] += 1
-            starts = []
         else:
             seen["search"] += 1
-            seen["rounds"] += d - k > 1024
+            seen["long tail"] += d - k > 1024
             theta = cold[0]
             starts = [theta, theta * (1.0 - 1e-3), theta * (1.0 + 1e-3)]
-        for start in [0.0, 1e-12, float(a[k]), float(a[0]), float(rng.uniform(0.0, a[0]))] + starts:
+        for start in [0.0, 1e-12, float(a[min(k, d - 1)]), float(a[0]), float(rng.uniform(0.0, a[0]))] + starts:
             assert bits(norms._top1_level(a, k, start)) == bits(cold), (i, d, k, start)
     assert min(seen.values()) >= 3, seen
+
+
+def test_top1_level_closed_form_is_the_least_line_root():
+    # on the piece the search settles (n tail entries above the level), the
+    # level is the least root over every line s < k, bit for bit: the search
+    # reads only the lines between s at the piece's ends
+    def F(a, C, k, theta, n):  # the breakpoint function, as in _top1_level, on arrays
+        t = (C[k + n] - 1.0 - n * theta) / k
+        s = (-a[:k]).searchsorted(-(theta + t))
+        return s * t + 1.0 - C[s] - (k - s) * theta
+
+    def least_root(C, k, n):
+        total = float(C[k + n]) - 1.0
+        theta = min((s * total - k * (float(C[s]) - 1.0)) / (s * n + k * (k - s)) for s in range(k))
+        return theta, (total - n * theta) / k
+
+    rng = np.random.default_rng(41)
+    checked = 0
+    for i in range(600):
+        d = int(rng.integers(4, 300))
+        k = min([2, int(rng.integers(3, 33)), int(rng.integers(33, 80)), d - 1][i % 4], d - 1)
+        unit = float(rng.choice([1.0, 0.125, 0.1, 1 / 3]))
+        a = -np.sort(-np.abs(rng.integers(-4, 5, d) * unit))
+        if not a[:k].any():
+            continue
+        a *= 2.0 ** int(rng.integers(-3, 3)) if i % 2 else float(rng.choice([1.01, 1.5, 4.0])) / a[:k].sum()
+        if a[:k].sum() <= 1.0:
+            continue
+        C = np.concatenate(([0.0], np.cumsum(a)))
+        m = np.arange(d - k + 1)
+        Fm = F(a, C, k, np.append(a, 0.0)[k + m], m)  # F(a[k + m], m); a[d] reads 0
+        # the pieces whose ends straddle 0 (one, unless ties round F both ways)
+        pieces = [n for n in m[1:] if Fm[n] >= 0.0 and (n == 1 or Fm[n - 1] < 0.0)]
+        for start in (0.0, float(rng.uniform(0.0, a[0]))):
+            theta, t, _ = norms._top1_level(a, k, start)
+            if t == 0.0 or theta == 0.0:  # the top k or the whole vector: no piece
+                continue
+            checked += 1
+            assert (theta, t) in [least_root(C, k, n) for n in pieces], (i, d, k, start)
+    assert checked >= 300, checked
+
+
+def test_project_top_ball_at_k_equal_d_is_the_l1_projection():
+    rng = np.random.default_rng(43)
+    # the smallest entry equals the threshold, so sort and threshold reads it one index early;
+    # signed zeros keep their sign
+    ys = [np.array([17.0, 3.0, -7.0]) / 18.0, np.array([2.0, -0.0, 0.0, -1.0, 0.5])]
+    for i in range(500):
+        d = int(rng.integers(2, 60))
+        y = rng.integers(-3, 4, d) * float(rng.choice([0.1, 0.25, 1 / 3, 0.5]))
+        if i % 2:
+            y = rng.lognormal(0.0, 1.0, d) * rng.choice([-1.0, 0.0, 1.0], d)
+        ys.append(y)
+    for y in ys:
+        if np.abs(y).sum() < 1.2:
+            continue
+        got, want = project_top_ball(y, NormSpec(INF, y.size)), project_lq_ball(y, 1.0)
+        assert got.tobytes() == want.tobytes(), y
 
 
 def test_project_top1_ball_certificate_seeded():
