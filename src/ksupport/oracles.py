@@ -6,15 +6,16 @@ one argmax, :func:`_argmax`; beside them sit closed-form soft thresholding,
 an exposed face found by sampling sparse atoms, Dykstra's alternating
 projections over all C(d,k) cylinders of the top-norm ball, projected
 gradient ascent on that ball, the decomposition program over all C(d,k)
-blocks, an exact-rational double description (vertex and facet enumeration,
-and both p = inf balls built with it), and the face lattice of a polytope
-as the closure of its facets under intersection.  These never call the
+blocks, an exact double description (vertex and facet enumeration, and
+both p = inf balls built with it), and the face lattice of a polytope as
+the closure of its facets under intersection.  The last two run on Python
+integers and take and return rationals.  These never call the
 analytic paths they validate.  Dykstra projects onto each cylinder with
 :func:`ksupport.norms.project_lq_ball`, which the tests check on its own;
 dual ascent shares with :func:`ksupport.norms.ksupport_norm` only the
 closed forms at p = 1 and p = inf and the primal decomposition behind its
 upper bound; the double description shares with :mod:`ksupport.polytopes`
-only the generator lists, the input guard and the exact rank.
+only the generator lists, the input guard and the integer rank.
 """
 
 from __future__ import annotations
@@ -48,12 +49,13 @@ from .polytopes import (
     Halfspace,
     RationalPolytope,
     Vec,
+    _as_fractions,
     _check_scale,
+    _clear,
     _cube_corners,
     _dot,
     _rank,
     _signed_units,
-    affine_rank,
 )
 
 __all__ = [
@@ -401,41 +403,36 @@ def ksupport_norm_oracle(
     )
 
 
-def _frac_vec(seq: Iterable) -> Vec:
-    return tuple(Fraction(a) for a in seq)
-
-
 def vertex_enumeration(
     halfspaces: Sequence[Halfspace], d: int, box: Fraction | int = 4
 ) -> tuple[Vec, ...]:
     """Vertices of ``{ x : <a, x> <= b for all (a, b) }`` (incremental DD).
 
     The polytope must be full-dimensional and strictly contained in the
-    starting box ``[-box, box]^d``.  Each halfspace is inserted in turn; cut
-    points arise on edges, detected exactly by the rank of the common active
-    normals.
+    starting box ``[-box, box]^d``; otherwise :class:`InvalidInputError`.
+    Each halfspace is inserted in turn; cut points arise on edges, detected
+    exactly by the rank of the common active normals.  The run is on
+    integers: every halfspace is scaled to an integer row ``(a, b)`` and
+    every point is held as a gcd-normalized homogeneous ``(x, w)`` with
+    ``w > 0``, whose slack is ``b w - <a, x>``; the vertices become
+    Fractions on output.
     """
     box = Fraction(box)
-    hs: list[Halfspace] = []
-    for i in range(d):
-        e = [Fraction(0)] * d
-        e[i] = Fraction(1)
-        hs.append((tuple(e), box))
-        e = [Fraction(0)] * d
-        e[i] = Fraction(-1)
-        hs.append((tuple(e), box))
-    hs.extend((_frac_vec(n), Fraction(b)) for n, b in halfspaces)
+    rows = [(tuple(s * box.denominator if j == i else 0 for j in range(d)), box.numerator)
+            for i in range(d) for s in (1, -1)]
+    for n, b in halfspaces:
+        *a, b = _clear([Fraction(c) for c in (*n, b)])
+        rows.append((tuple(a), b))
 
-    verts: list[Vec] = [
-        tuple(Fraction(s) * box for s in signs) for signs in itertools.product((-1, 1), repeat=d)
-    ]
-    act: list[set[int]] = [
-        {j for j in range(2 * d) if _dot(hs[j][0], v) == hs[j][1]} for v in verts
-    ]
+    def slack(c: int, x: tuple[int, ...]) -> int:
+        return rows[c][1] * x[d] - _dot(rows[c][0], x)
 
-    for idx in range(2 * d, len(hs)):
-        a, b = hs[idx]
-        vals = [b - _dot(a, v) for v in verts]
+    verts = [tuple(s * box.numerator for s in signs) + (box.denominator,)
+             for signs in itertools.product((-1, 1), repeat=d)]
+    act: list[set[int]] = [{j for j in range(2 * d) if slack(j, v) == 0} for v in verts]
+
+    for idx in range(2 * d, len(rows)):
+        vals = [slack(idx, v) for v in verts]
         if all(v >= 0 for v in vals):
             for i, v in enumerate(vals):
                 if v == 0:
@@ -444,33 +441,34 @@ def vertex_enumeration(
         ins = [i for i, v in enumerate(vals) if v > 0]
         ons = [i for i, v in enumerate(vals) if v == 0]
         outs = [i for i, v in enumerate(vals) if v < 0]
-        new_pts: list[Vec] = []
+        new_pts: list[tuple[int, ...]] = []
         new_act: list[set[int]] = []
-        seen: set[Vec] = set()
+        seen: set[tuple[int, ...]] = set()
         for i in ins:
             for j in outs:
                 common = act[i] & act[j]
                 if len(common) < d - 1:
                     continue
-                if _rank([hs[c][0] for c in common], d) != d - 1:
+                if _rank([rows[c][0] for c in common]) != d - 1:
                     continue
-                u, w = verts[i], verts[j]
-                lam = vals[i] / (vals[i] - vals[j])
-                x = tuple(ut + lam * (wt - ut) for ut, wt in zip(u, w))
+                x = tuple(vals[i] * u - vals[j] * w for u, w in zip(verts[j], verts[i]))
+                g = math.gcd(*x)
+                x = tuple(c // g for c in x)
                 if x in seen:
                     continue
                 seen.add(x)
-                tight = {c for c in range(idx + 1) if _dot(hs[c][0], x) == hs[c][1]}
                 new_pts.append(x)
-                new_act.append(tight)
+                # both ends satisfy every earlier row, so x is tight exactly on the common ones
+                new_act.append(common | {idx})
         keep_idx = ins + ons
         verts = [verts[i] for i in keep_idx] + new_pts
         act = [act[i] | ({idx} if i in ons else set()) for i in keep_idx] + new_act
 
-    for i, v in enumerate(verts):
-        if any(j < 2 * d for j in act[i]):
-            raise InvalidInputError("polytope is not strictly inside the starting box")
-    return tuple(sorted(set(verts)))
+    if any(j < 2 * d for a in act for j in a):
+        raise InvalidInputError("polytope is not strictly inside the starting box")
+    if _rank(verts) != d + 1:
+        raise InvalidInputError("polytope is empty or not full-dimensional")
+    return tuple(sorted({tuple(Fraction(c, x[d]) for c in x[:d]) for x in verts}))
 
 
 def facet_enumeration(vertices: Sequence[Vec], box: Fraction | int = 16) -> tuple[Halfspace, ...]:
@@ -480,11 +478,13 @@ def facet_enumeration(vertices: Sequence[Vec], box: Fraction | int = 16) -> tupl
     polytope ``{ y : <v, y> <= 1 }``, enumerated by the DD kernel.  ``box``
     must exceed the sup-norm radius of the polar.
     """
-    vertices = [_frac_vec(v) for v in vertices]
-    d = len(vertices[0])
-    polar_hs = [(v, Fraction(1)) for v in vertices]
-    normals = vertex_enumeration(polar_hs, d, box=box)
-    return tuple(sorted((n, Fraction(1)) for n in normals))
+    try:
+        normals = vertex_enumeration([(v, 1) for v in vertices], len(vertices[0]), box=box)
+    except InvalidInputError as exc:  # the polar always holds a ball around 0
+        raise InvalidInputError(
+            f"box = {box} must exceed the sup-norm radius of the polar (unbounded unless 0 is interior)"
+        ) from exc
+    return tuple((n, Fraction(1)) for n in normals)
 
 
 def brute_face_lattice(poly: RationalPolytope) -> tuple[tuple[tuple[Vec, ...], int], ...]:
@@ -492,12 +492,15 @@ def brute_face_lattice(poly: RationalPolytope) -> tuple[tuple[tuple[Vec, ...], i
 
     Faces are the closure under intersection of the facet vertex sets
     (every proper face of a polytope is the intersection of the facets
-    containing it).
+    containing it).  Membership and ranks are tested on the homogeneous
+    vertices ``(v, 1)`` and facet rows ``(n, -b)``, each scaled to integers.
     """
-    verts = poly.vertices
+    verts = sorted(poly.vertices)
+    lifted = [_clear((*v, 1)) for v in verts]
     facet_sets = []
     for n, b in poly.facet_inequalities:
-        members = frozenset(i for i, v in enumerate(verts) if _dot(n, v) == b)
+        row = _clear((*n, -b))
+        members = frozenset(i for i, v in enumerate(lifted) if _dot(row, v) == 0)
         if members:
             facet_sets.append(members)
     faces: set[frozenset[int]] = set(facet_sets)
@@ -511,11 +514,9 @@ def brute_face_lattice(poly: RationalPolytope) -> tuple[tuple[tuple[Vec, ...], i
                     faces.add(H)
                     nxt.add(H)
         frontier = nxt
-    out = []
-    for F in faces:
-        pts = tuple(sorted(verts[i] for i in F))
-        out.append((pts, affine_rank(pts)))
-    return tuple(sorted(out))
+    # indices into the sorted vertex list sort like the vertex tuples they name
+    out = sorted((tuple(sorted(F)), _rank([lifted[i] for i in F]) - 1) for F in faces)
+    return tuple((tuple(verts[i] for i in F), dim) for F, dim in out)
 
 
 def dd_balls(d: int, k: int) -> tuple[RationalPolytope, RationalPolytope]:
@@ -531,7 +532,7 @@ def dd_balls(d: int, k: int) -> tuple[RationalPolytope, RationalPolytope]:
     and its facet normals the vertices.
     """
     _check_scale(d, k)
-    cand = _signed_units(d) + [tuple(c / k for c in corner) for corner in _cube_corners(d)]
+    cand = _signed_units(d) + list(_as_fractions(_cube_corners(d), k))
     facets = facet_enumeration(cand, box=Fraction(4 * d))
     verts = vertex_enumeration(facets, d, box=Fraction(2))
     polar = RationalPolytope(tuple(n for n, _ in facets), tuple((v, Fraction(1)) for v in verts))

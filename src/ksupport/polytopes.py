@@ -3,13 +3,15 @@
 The top-(1,k) ball is the convex hull of the cross-polytope and the scaled
 hypercube; its polar, the k-support ball for the sup source norm, is the
 intersection of the scaled cross-polytope with the hypercube.  Both are
-written down in exact rationals from their vertex lists: the signed units
-and the corners of ``{-1/k, 1/k}^d`` for the top-(1,k) ball, the k-sparse
-sign vectors for its polar, and polarity makes each list the other ball's
-facet normals.  On top of them sit the sign-vector facet description, the
-proper faces built from sign vectors, the hypersimplex test and the
-normal-fan refinement check.  The double description and the brute-force
-face lattice that check these lists live in :mod:`ksupport.oracles`.
+written down from their vertex lists: the signed units and the corners of
+``{-1/k, 1/k}^d`` for the top-(1,k) ball, the k-sparse sign vectors for its
+polar, and polarity makes each list the other ball's facet normals.  On top
+of them sit the sign-vector facet description, the proper faces built from
+sign vectors, the hypersimplex test and the normal-fan refinement check.
+Inside, every list is integer (the top-(1,k) ball's scaled by k) and ranks
+come from fraction-free elimination; results leave as exact rationals.  The
+double description and the brute-force face lattice that check these lists
+live in :mod:`ksupport.oracles`.
 """
 
 from __future__ import annotations
@@ -62,39 +64,41 @@ class FanRefinementReport:
     ok: bool
 
 
-def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    # most entries of these vectors are 0, and a Fraction product costs a gcd
-    return sum((ai * bi for ai, bi in zip(a, b) if ai and bi), Fraction(0))
+def _dot(a: Sequence, b: Sequence):
+    # most entries of these vectors are 0; ints stay ints, Fractions stay exact
+    return sum(ai * bi for ai, bi in zip(a, b) if ai and bi)
 
 
-def _rank(rows: Sequence[Sequence[Fraction]], d: int) -> int:
+def _clear(row: Sequence) -> list[int]:
+    """A positive integer multiple of a row of ints and Fractions."""
+    m = math.lcm(*(c.denominator for c in row))
+    return [c.numerator * (m // c.denominator) for c in row]
+
+
+def _rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of integer rows by fraction-free (Bareiss) elimination."""
     m = [list(r) for r in rows]
-    rank = 0
-    for col in range(d):
-        piv = None
-        for r in range(rank, len(m)):
-            if m[r][col] != 0:
-                piv = r
-                break
+    rank, prev = 0, 1
+    for col in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        prow = m[rank]
-        for r in range(rank + 1, len(m)):
-            if m[r][col] != 0:
-                f = m[r][col] / prow[col]
-                m[r] = [x - f * y for x, y in zip(m[r], prow)]
+        p = m[rank]
+        # each entry below the pivot row is a minor of the input: the division is exact
+        m[rank + 1 :] = [[(p[col] * x - r[col] * y) // prev for x, y in zip(r, p)] for r in m[rank + 1 :]]
+        prev = p[col]
         rank += 1
     return rank
 
 
-def affine_rank(points: Sequence[Vec]) -> int:
-    """Dimension of the affine hull of exact rational points."""
-    if len(points) <= 1:
-        return 0
-    base = points[0]
-    rows = [tuple(x - y for x, y in zip(p, base)) for p in points[1:]]
-    return _rank(rows, len(base))
+def affine_rank(points: Sequence[Sequence]) -> int:
+    """Dimension of the affine hull of exact rational or integer points.
+
+    One less than the rank of the homogeneous rows ``(p, 1)``, each scaled
+    to integers; 0 for an empty list.
+    """
+    return max(0, _rank([_clear((*p, 1)) for p in points]) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -108,49 +112,55 @@ def _check_scale(d: int, k: int) -> None:
         raise ScaleLimitError(f"exact polytope routines are limited to d <= {_MAX_DIM}")
 
 
-def _signed_units(d: int) -> list[Vec]:
-    pts = []
-    for i in range(d):
-        for s in (1, -1):
-            e = [Fraction(0)] * d
-            e[i] = Fraction(s)
-            pts.append(tuple(e))
-    return pts
+def _signed_units(d: int) -> list[tuple[int, ...]]:
+    return [tuple(s if j == i else 0 for j in range(d)) for i in range(d) for s in (1, -1)]
 
 
-def _cube_corners(d: int) -> list[Vec]:
-    return [tuple(Fraction(s) for s in signs) for signs in itertools.product((-1, 1), repeat=d)]
+def _cube_corners(d: int) -> list[tuple[int, ...]]:
+    return list(itertools.product((-1, 1), repeat=d))
+
+
+def _as_fractions(points: Sequence[tuple[int, ...]], k: int = 1) -> tuple[Vec, ...]:
+    """Integer points divided by k, as Fraction tuples (one Fraction per value)."""
+    frac = {c: Fraction(c, k) for c in set().union(*points)}
+    return tuple(tuple(frac[c] for c in p) for p in points)
+
+
+def _sign_vectors(d: int, k: int) -> list[tuple[int, ...]]:
+    out = []
+    for supp in itertools.combinations(range(d), k):
+        for signs in itertools.product((1, -1), repeat=k):
+            s = [0] * d
+            for i, sg in zip(supp, signs):
+                s[i] = sg
+            out.append(tuple(s))
+    return sorted(out)
 
 
 def sign_vectors(d: int, k: int) -> tuple[Vec, ...]:
     """The 2^k C(d,k) k-sparse vectors of ``{-1, 0, 1}^d``, sorted."""
-    out = []
-    for supp in itertools.combinations(range(d), k):
-        for signs in itertools.product((1, -1), repeat=k):
-            s = [Fraction(0)] * d
-            for i, sg in zip(supp, signs):
-                s[i] = Fraction(sg)
-            out.append(tuple(s))
-    return tuple(sorted(out))
+    return _as_fractions(_sign_vectors(d, k))
 
 
-def _top1k_points(cross: list[Vec], cube: list[Vec], d: int, k: int) -> tuple[Vec, ...]:
-    """Signed units ``cross`` and scaled corners ``cube`` that are vertices,
-    pruned at k = 1 and k = d as :func:`facet_from_sign_vector` says."""
+def _top1k_points(cross: list, cube: list, d: int, k: int) -> list[tuple[int, ...]]:
+    """Signed units ``cross`` and corners ``cube`` that are vertices, pruned at
+    k = 1 and k = d as :func:`facet_from_sign_vector` says, sorted and scaled
+    by k: the integers ``k e`` and the corners themselves."""
+    cross = [tuple(k * c for c in e) for e in cross]
     if k == 1 and d > 1:
         pts = cube
     elif k == d and d > 1:
         pts = cross
     else:
         pts = cross + cube
-    return tuple(sorted(set(pts)))
+    return sorted(set(pts))
 
 
-def _vertex_lists(d: int, k: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-    """Vertices of the top-(1,k) ball and of its polar, the k-sparse sign vectors."""
+def _vertex_lists(d: int, k: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Vertices of the top-(1,k) ball scaled by k, and of its polar, the
+    k-sparse sign vectors: both integer and sorted."""
     _check_scale(d, k)
-    corners = [tuple(c / k for c in v) for v in _cube_corners(d)]
-    return _top1k_points(_signed_units(d), corners, d, k), sign_vectors(d, k)
+    return _top1k_points(_signed_units(d), _cube_corners(d), d, k), _sign_vectors(d, k)
 
 
 def _facets(normals: tuple[Vec, ...]) -> tuple[Halfspace, ...]:
@@ -167,7 +177,7 @@ def top1k_ball(d: int, k: int) -> RationalPolytope:
     over the k-sparse sign vectors s.
     """
     top, ksup = _vertex_lists(d, k)
-    return RationalPolytope(top, _facets(ksup))
+    return RationalPolytope(_as_fractions(top, k), _facets(_as_fractions(ksup)))
 
 
 def ksup_inf_ball(d: int, k: int) -> RationalPolytope:
@@ -178,7 +188,7 @@ def ksup_inf_ball(d: int, k: int) -> RationalPolytope:
     vertices of the top-(1,k) ball.
     """
     top, ksup = _vertex_lists(d, k)
-    return RationalPolytope(ksup, _facets(top))
+    return RationalPolytope(_as_fractions(ksup), _facets(_as_fractions(top, k)))
 
 
 # ---------------------------------------------------------------------------
@@ -194,23 +204,17 @@ def _validate_sign_vector(s: Sequence[int], d: int, k: int) -> tuple[int, ...]:
     return s
 
 
-def _cross_face(s: Sequence[int], d: int) -> list[Vec]:
-    pts = []
-    for i, si in enumerate(s):
-        if si != 0:
-            e = [Fraction(0)] * d
-            e[i] = Fraction(si)
-            pts.append(tuple(e))
-    return pts
+def _cross_face(s: Sequence[int], d: int) -> list[tuple[int, ...]]:
+    return [tuple(si if j == i else 0 for j in range(d)) for i, si in enumerate(s) if si]
 
 
-def _cube_face(s: Sequence[int], d: int) -> list[Vec]:
+def _cube_face(s: Sequence[int], d: int) -> list[tuple[int, ...]]:
     free = [i for i, si in enumerate(s) if si == 0]
     pts = []
     for signs in itertools.product((-1, 1), repeat=len(free)):
-        v = [Fraction(si) for si in s]
+        v = list(s)
         for i, sg in zip(free, signs):
-            v[i] = Fraction(sg)
+            v[i] = sg
         pts.append(tuple(v))
     return pts
 
@@ -225,8 +229,7 @@ def facet_from_sign_vector(s: Sequence[int], d: int, k: int) -> tuple[Vec, ...]:
     """
     _check_scale(d, k)
     s = _validate_sign_vector(s, d, k)
-    cube = [tuple(c / k for c in v) for v in _cube_face(s, d)]
-    return _top1k_points(_cross_face(s, d), cube, d, k)
+    return _as_fractions(_top1k_points(_cross_face(s, d), _cube_face(s, d), d, k), k)
 
 
 def enumerate_proper_faces_top1k(d: int, k: int) -> tuple[tuple[tuple[Vec, ...], int], ...]:
@@ -235,47 +238,39 @@ def enumerate_proper_faces_top1k(d: int, k: int) -> tuple[tuple[tuple[Vec, ...],
     For each k-sparse sign vector s the faces are ``conv(F u (1/k) G)`` with
     F, G exposed faces of the cross-polytope/cube faces of s, not both
     empty, and F full exactly when G is full.  Faces are deduplicated across
-    sign vectors and tagged with their affine dimension.
+    sign vectors and tagged with their affine dimension.  Inside, a face is
+    the tuple of its indices into the sorted vertex list, and the ranks are
+    taken on the vertices scaled by k, which are integers.
     """
     _check_scale(d, k)
     if d > 5:
         raise ScaleLimitError("face-lattice enumeration is limited to d <= 5")
-    faces: dict[tuple[Vec, ...], int] = {}
-    for s in sign_vectors(d, k):
-        cross_full = _cross_face(s, d)
-        cube_full = [tuple(c / k for c in v) for v in _cube_face(s, d)]
+    scaled = _vertex_lists(d, k)[0]
+    # the scaled points that are not vertices (signed units at k = 1, corners
+    # at k = d) get no index: they only occur in a facet, which drops them
+    index = {v: i for i, v in enumerate(scaled)}
+    faces: dict[tuple[int, ...], int] = {}
+    for s in _sign_vectors(d, k):
         free = [i for i in range(d) if s[i] == 0]
+        cross_full = [index.get(tuple(k * c for c in e)) for e in _cross_face(s, d)]
+        cube_full = [(v, index.get(v)) for v in _cube_face(s, d)]
         # exposed faces of the simplex F(beta, s): all vertex subsets
-        cross_subs = [
-            [cross_full[i] for i in T]
-            for r in range(k + 1)
-            for T in itertools.combinations(range(k), r)
-        ]
+        cross_subs = [T for r in range(k + 1) for T in itertools.combinations(cross_full, r)]
         # exposed faces of the subcube F(gamma, s): fix signs on any free subset
-        cube_subs: list[list[Vec]] = [[]]
+        cube_subs: list[list] = [[]]
         for r in range(len(free) + 1):
-            for U in itertools.combinations(range(len(free)), r):
+            for U in itertools.combinations(free, r):
                 for sigma in itertools.product((-1, 1), repeat=r):
-                    sel = []
-                    for v in cube_full:
-                        if all(v[free[u]] * k == sg for u, sg in zip(U, sigma)):
-                            sel.append(v)
-                    cube_subs.append(sel)
-        n_cross = len(cross_full)
-        n_cube = len(cube_full)
+                    cube_subs.append([i for v, i in cube_full if all(v[u] == sg for u, sg in zip(U, sigma))])
         for F in cross_subs:
             for G in cube_subs:
-                if not F and not G:
-                    continue
-                if (len(F) == n_cross) != (len(G) == n_cube):
-                    continue
-                if len(F) == n_cross and len(G) == n_cube:
-                    pts = facet_from_sign_vector(s, d, k)
-                else:
-                    pts = tuple(sorted(set(F) | set(G)))
-                if pts not in faces:
-                    faces[pts] = affine_rank(pts)
-    return tuple(sorted((pts, dim) for pts, dim in faces.items()))
+                if (F or G) and (len(F) == k) == (len(G) == len(cube_full)):
+                    face = tuple(sorted({i for i in (*F, *G) if i is not None}))
+                    if face not in faces:
+                        faces[face] = affine_rank([scaled[i] for i in face])
+    # the index order is the vertex order, so sorting indices sorts the faces
+    verts = _as_fractions(scaled, k)
+    return tuple((tuple(verts[i] for i in face), dim) for face, dim in sorted(faces.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +342,8 @@ def is_hypersimplex(face_vertices: Sequence[Sequence[float]], tol: float = 1e-9)
 # normal-fan refinement
 
 
-def _top1k_exact(y: Sequence[Fraction], k: int) -> Fraction:
-    mags = sorted((abs(c) for c in y), reverse=True)
-    return sum(mags[:k], Fraction(0))
+def _top1k_exact(y: Sequence[int], k: int) -> int:
+    return sum(sorted(map(abs, y), reverse=True)[:k])
 
 
 def fan_refinement_check(
@@ -366,7 +360,9 @@ def fan_refinement_check(
     is sampled, and every generator g is tested for membership in the normal
     cone of the sup-norm k-support ball spanned by one sign-vector facet s of
     the top-(1,k) ball: membership holds iff ``<s, g>`` equals the exact
-    top-(1,k) norm of g.  The cone data does not depend on p.
+    top-(1,k) norm of g.  The cone data does not depend on p.  The test is
+    positively homogeneous, so it runs on each generator's integer multiple
+    ``g * den / num``; a reported violation carries the rational g.
     """
     _check_scale(d, k)
     if not 1 < p < math.inf:
@@ -375,33 +371,33 @@ def fan_refinement_check(
     violations: list[tuple] = []
     generators = 0
     for _ in range(sample_count):
-        y = [Fraction(0)] * d
+        y = [0] * d
         while all(c == 0 for c in y):
             mags = [rng.randint(0, 3) for _ in range(d)]
-            y = [Fraction(rng.choice((-1, 1)) * m) for m in mags]
+            y = [rng.choice((-1, 1)) * m for m in mags]
         # small integers: the float level data is exact
         li = level_index([float(c) for c in y], k)
-        m_k, weak = Fraction(li.m_k), set(li.weak)
-        z = tuple(c if i + 1 in weak else Fraction(0) for i, c in enumerate(y))
+        m_k, weak = int(li.m_k), set(li.weak)
+        z = tuple(c if i + 1 in weak else 0 for i, c in enumerate(y))
         # lexicographically first optimal support of size k (padded if m_k = 0)
         pad = [i for i in li.weak if i not in li.strict][: k - len(li.strict)]
         kstar = set(li.strict).union(pad)
         s = tuple((1 if c >= 0 else -1) if i + 1 in kstar else 0 for i, c in enumerate(z))
         # generators of the cone at z: z itself, positive scalings, and
-        # perturbations below the level off the weak set
-        gens: list[Vec] = [z, tuple(2 * c for c in z), tuple(c / 3 for c in z)]
+        # perturbations below the level off the weak set; each is held as
+        # (g, num, den), an integer g and the rational generator g * num / den
+        gens = [(z, 1, 1), (z, 2, 1), (z, 1, 3)]
         if m_k > 0:
             off = [i for i in range(d) if i + 1 not in weak]
             for _ in range(4):
-                g = list(z)
+                g = [4 * c for c in z]
                 for i in off:
-                    g[i] = m_k * Fraction(rng.randint(-3, 3), 4)
-                scale = Fraction(rng.randint(1, 5), rng.randint(1, 3))
-                gens.append(tuple(scale * c for c in g))
-        for g in gens:
+                    g[i] = m_k * rng.randint(-3, 3)
+                gens.append((tuple(g), rng.randint(1, 5), 4 * rng.randint(1, 3)))
+        for g, num, den in gens:
             generators += 1
             if _dot(s, g) != _top1k_exact(g, k):
-                violations.append((tuple(y), s, g))
+                violations.append((tuple(map(Fraction, y)), s, tuple(Fraction(num * c, den) for c in g)))
     return FanRefinementReport(
         directions=sample_count,
         generators=generators,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 
 import numpy as np
 
@@ -28,6 +27,8 @@ from .oracles import (
     sampled_exposed_face,
 )
 from .polytopes import (
+    _clear,
+    _dot,
     enumerate_proper_faces_top1k,
     facet_from_sign_vector,
     fan_refinement_check,
@@ -250,11 +251,10 @@ def suite_polytope(d_max: int = 4) -> dict:
             # all cross pairings stay within the polar inequality
             if set(ksup.vertices) != got_normals:
                 failures.append(("polarity-vertices", d, k))
-            if any(
-                sum(a * c for a, c in zip(v, w)) > 1
-                for v in top.vertices
-                for w in ksup.vertices
-            ):
+            # on integers: each top vertex as a multiple of (v, 1), each sign vector as is
+            lifted = [_clear((*v, 1)) for v in top.vertices]
+            signs = [_clear(w) for w in ksup.vertices]
+            if any(_dot(w, v) > v[-1] for v in lifted for w in signs):
                 failures.append(("polar-inequality", d, k))
             # constructed face lattice equals the brute lattice
             if brute != set(enumerate_proper_faces_top1k(d, k)):
@@ -349,17 +349,18 @@ def suite_lasso(trials: int = 100, seed: int = 0, tol: float = 1e-6) -> dict:
 def suite_commutation(trials: int = 500, seed: int = 0) -> dict:
     """Projection/argmax commutation on exact rational atom sets: the argmax
     of ``<., y>`` over the projected atoms is the projection of the argmax
-    of ``<., pi_K y>`` over the atoms."""
+    of ``<., pi_K y>`` over the atoms.
+
+    Each coordinate is drawn as the rational ``a / b`` (a in [-4, 4], b in
+    [1, 3]) but held as the integer ``6 a / b``: both sides commute with a
+    positive scale, so the verdicts are those of the rational atoms."""
     rng = random.Random(seed)
     failures = []
     for t in range(trials):
         d = rng.randint(2, 4)
         n = rng.randint(2, 6)
-        atoms = [
-            tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d))
-            for _ in range(n)
-        ]
-        y = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d))
+        atoms = [tuple(rng.randint(-4, 4) * (6 // rng.randint(1, 3)) for _ in range(d)) for _ in range(n)]
+        y = tuple(rng.randint(-4, 4) * (6 // rng.randint(1, 3)) for _ in range(d))
         for K in k_subsets(d, 2, at_most=True):
             lhs = set(brute_exposed_face([_restrict(a, K) for a in atoms], y, 0))
             rhs = {_restrict(a, K) for a in brute_exposed_face(atoms, _restrict(y, K), 0)}

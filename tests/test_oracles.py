@@ -1,11 +1,14 @@
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ksupport.core import InvalidInputError, ScaleLimitError, ZeroVectorError
+from ksupport import verify
+from ksupport.core import InvalidInputError, ScaleLimitError, ZeroVectorError, k_subsets
 from ksupport.norms import NormSpec, project_top_ball, top_norm
 from ksupport.oracles import (
+    _restrict,
     brute_exposed_face,
     brute_optimal_supports,
     dykstra_top_ball,
@@ -81,3 +84,36 @@ def test_dykstra_stops_only_when_corrections_settle():
     assert np.max(np.abs(project_top_ball(y, spec) - want)) <= 1e-15
     with pytest.raises(ScaleLimitError):
         dykstra_top_ball(np.full(30, 2.0), NormSpec(2.0, 8))
+
+
+def test_commutation_suite_faces_are_six_times_the_rational_faces(monkeypatch):
+    # the suite draws integer atoms; redrawn from the same stream as the
+    # rationals a / b, every face it computes is exactly 6 times the rational one
+    calls = []
+
+    def spy(vertices, y, tol=1e-9):
+        face = brute_exposed_face(vertices, y, tol)
+        calls.append((list(vertices), tuple(y), face))
+        return face
+
+    def times6(v):
+        return tuple(6 * c for c in v)
+
+    monkeypatch.setattr(verify, "brute_exposed_face", spy)
+    trials = 12
+    for seed in range(51):
+        calls.clear()
+        assert verify.suite_commutation(trials=trials, seed=seed)["passed"]
+        rng, replay = random.Random(seed), iter(calls)
+        for _ in range(trials):
+            d = rng.randint(2, 4)
+            n = rng.randint(2, 6)
+            atoms = [tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)) for _ in range(n)]
+            y = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d))
+            for K in k_subsets(d, 2, at_most=True):
+                for verts, dual in (([_restrict(a, K) for a in atoms], y), (atoms, _restrict(y, K))):
+                    got_verts, got_dual, got_face = next(replay)
+                    assert got_verts == [times6(v) for v in verts] and got_dual == times6(dual)
+                    assert got_face == [times6(v) for v in brute_exposed_face(verts, dual, 0)]
+                    assert all(type(c) is int for v in got_face for c in v)
+        assert next(replay, None) is None

@@ -1,10 +1,12 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from ksupport.core import InvalidInputError, ScaleLimitError
+from ksupport import polytopes
+from ksupport.core import InvalidInputError, ScaleLimitError, level_index
 from ksupport.oracles import brute_face_lattice, facet_enumeration, vertex_enumeration
 from ksupport.polytopes import (
     RationalPolytope,
@@ -201,3 +203,200 @@ def test_rational_polytope_invariant():
     for n, b in p.facet_inequalities:
         tight = [v for v in p.vertices if sum(a * c for a, c in zip(n, v)) == b]
         assert len(tight) >= 2  # full-dimensional in the plane: facets are edges
+
+
+# ---------------------------------------------------------------------------
+# the integer double description, rank and fan test against rational references
+
+
+def _fraction_solve(rows, rhs):
+    """The unique solution of a square Fraction system, or None if singular."""
+    n = len(rows)
+    m = [list(r) + [b] for r, b in zip(rows, rhs)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col] / m[col][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return tuple(m[i][n] / m[i][i] for i in range(n))
+
+
+def _fraction_rank(rows):
+    m = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for r in range(rank + 1, len(m)):
+            f = m[r][col] / m[rank][col]
+            m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def _subset_vertices(hs, d):
+    """Every feasible solution of d tight halfspaces, solved in Fractions."""
+    pts = set()
+    for sub in itertools.combinations(hs, d):
+        x = _fraction_solve([a for a, _ in sub], [b for _, b in sub])
+        if x is not None and all(sum(ai * xi for ai, xi in zip(a, x)) <= b for a, b in hs):
+            pts.add(x)
+    return tuple(sorted(pts))
+
+
+def _random_polytope(rng, d):
+    """A rational box of half-widths in (0, 3], random cuts with 0 inside,
+    cuts through a vertex, which leave it with more than d tight facets, and
+    a rescaled copy of one halfspace, whose normal then counts twice among
+    the tight ones but adds nothing to their rank."""
+    hs = []
+    for i in range(d):
+        for s in (1, -1):
+            den = rng.randint(1, 7)
+            hs.append((tuple(F(s) if j == i else F(0) for j in range(d)), F(rng.randint(1, 3 * den), den)))
+    for _ in range(rng.randint(1, 3)):
+        a = tuple(F(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(d))
+        hs.append((a, F(rng.randint(1, 10), rng.randint(1, 7))))
+    for _ in range(2):
+        v = rng.choice(_subset_vertices(hs, d))
+        a = tuple(F(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(d))
+        b = sum(ai * vi for ai, vi in zip(a, v))
+        if b > 0:
+            hs.append((a, b))
+    i = rng.randrange(2 * d)  # a box row, so that the cuts after it meet the copy
+    c = F(rng.randint(1, 7), rng.randint(1, 7))
+    return hs[: i + 1] + [(tuple(c * ai for ai in hs[i][0]), c * hs[i][1])] + hs[i + 1 :]
+
+
+def _cube_cut_through_vertices(d):
+    # x_1 + ... + x_d <= d - 2 passes through the d cube vertices with one -1
+    cube = [(tuple(F(s) if j == i else F(0) for j in range(d)), F(1)) for i in range(d) for s in (1, -1)]
+    return cube + [(tuple(F(1) for _ in range(d)), F(d - 2))]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_vertex_enumeration_matches_subset_reference(d):
+    rng = random.Random(100 + d)
+    cases = [_random_polytope(rng, d) for _ in range(8)]
+    if d > 2:
+        cases.append(_cube_cut_through_vertices(d))
+    degenerate = 0
+    for hs in cases:
+        want = _subset_vertices(hs, d)
+        got = vertex_enumeration(hs, d)
+        assert got == want
+        assert all(type(c) is Fraction for v in got for c in v)
+        tight = [[v for v in got if sum(ai * vi for ai, vi in zip(a, v)) == b] for a, b in hs]
+        degenerate += any(sum(v in t for t in tight) > d for v in got)
+        # round trip: the facets are the halfspaces tight on an affine (d-1)-set, as <a/b, x> <= 1
+        facets = sorted(
+            {tuple(ai / b for ai in a) for (a, b), t in zip(hs, tight) if polytopes.affine_rank(t) == d - 1}
+        )
+        box = 1 + max(abs(c) for n in facets for c in n)
+        assert facet_enumeration(got, box=box) == tuple((n, F(1)) for n in facets)
+        assert vertex_enumeration(facet_enumeration(got, box=box), d) == got
+    assert degenerate >= 2
+
+
+def test_vertex_enumeration_rejects_empty_and_lower_dimensional_input():
+    e1, e2 = (F(1), F(0)), (F(0), F(1))
+    neg = lambda v: tuple(-c for c in v)  # noqa: E731
+    with pytest.raises(InvalidInputError, match="empty or not full-dimensional"):
+        vertex_enumeration([(e1, F(-1)), (neg(e1), F(-1))], 2)
+    with pytest.raises(InvalidInputError, match="empty or not full-dimensional"):
+        vertex_enumeration([(e1, F(0)), (neg(e1), F(0)), (e2, F(1)), (neg(e2), F(1))], 2)
+
+
+def test_facet_enumeration_names_the_polar_radius():
+    # the polar of the cube [-1, 1]^3 is the cross-polytope, of sup-norm radius 1
+    cube = [tuple(F(s) for s in signs) for signs in itertools.product((-1, 1), repeat=3)]
+    with pytest.raises(InvalidInputError, match="sup-norm radius of the polar"):
+        facet_enumeration(cube, box=1)
+    assert len(facet_enumeration(cube, box=F(3, 2))) == 6
+
+
+def test_affine_rank_on_large_coprime_denominators():
+    big = 2**70
+    rng = random.Random(7)
+
+    def point(d):
+        # numerators near 2^70 over 3, 7 and 21 (the last in steps of 2 / 21)
+        return tuple(F((big + rng.randint(-1000, 1000)) * (1, 1, 2)[i % 3], (3, 7, 21)[i % 3]) for i in range(d))
+
+    for d in (2, 3, 4):
+        pts = [point(d) for _ in range(d + 1)]
+        assert polytopes.affine_rank(pts) == d
+        # a point of the first d points' affine hull, with weights 1/3, 1/7 and 2/21, adds no dimension
+        w = (F(1, 3), F(1, 7), F(2, 21))
+        extra = tuple(
+            pts[0][i] + sum(wj * (pts[j + 1][i] - pts[0][i]) for j, wj in enumerate(w[: d - 1])) for i in range(d)
+        )
+        deficient = pts[:d] + [extra]
+        assert polytopes.affine_rank(deficient) == d - 1
+        # one entry moved by 1 / (21 * 2^70) restores full rank
+        nudged = list(deficient)
+        nudged[-1] = (extra[0] + F(1, 21 * big),) + extra[1:]
+        assert polytopes.affine_rank(nudged) == d
+        for p in (pts, deficient, nudged):
+            want = _fraction_rank([tuple(x - y for x, y in zip(q, p[0])) for q in p[1:]])
+            assert polytopes.affine_rank(p) == want
+
+
+def _rational_fan_generators(d, k, sample_count, seed):
+    """The fan check's draws made in Fractions: (s, rational generator) pairs."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(sample_count):
+        y = [F(0)] * d
+        while all(c == 0 for c in y):
+            mags = [rng.randint(0, 3) for _ in range(d)]
+            y = [F(rng.choice((-1, 1)) * m) for m in mags]
+        li = level_index([float(c) for c in y], k)
+        m_k, weak = F(li.m_k), set(li.weak)
+        z = tuple(c if i + 1 in weak else F(0) for i, c in enumerate(y))
+        pad = [i for i in li.weak if i not in li.strict][: k - len(li.strict)]
+        kstar = set(li.strict).union(pad)
+        s = tuple((1 if c >= 0 else -1) if i + 1 in kstar else 0 for i, c in enumerate(z))
+        gens = [z, tuple(2 * c for c in z), tuple(c / 3 for c in z)]
+        if m_k > 0:
+            off = [i for i in range(d) if i + 1 not in weak]
+            for _ in range(4):
+                g = list(z)
+                for i in off:
+                    g[i] = m_k * F(rng.randint(-3, 3), 4)
+                scale = F(rng.randint(1, 5), rng.randint(1, 3))
+                gens.append(tuple(scale * c for c in g))
+        out += [(s, g) for g in gens]
+    return out
+
+
+def _rational_member(s, g, k):
+    return sum(a * b for a, b in zip(s, g)) == sum(sorted((abs(c) for c in g), reverse=True)[:k])
+
+
+@pytest.mark.parametrize("d,k,seed", [(3, 2, 0), (3, 2, 1), (2, 1, 2), (4, 2, 3), (5, 3, 4), (4, 4, 5)])
+def test_fan_check_verdicts_equal_the_rational_ones(monkeypatch, d, k, seed):
+    want = _rational_fan_generators(d, k, 60, seed)
+    seen = []
+    exact = polytopes._top1k_exact
+    monkeypatch.setattr(polytopes, "_top1k_exact", lambda g, k: seen.append(g) or exact(g, k))
+    rep = fan_refinement_check(d, k, 2.0, sample_count=60, seed=seed)
+    assert rep.ok and rep.generators == len(want) == len(seen)
+    for (s, g), gi in zip(want, seen):
+        assert all(type(c) is int for c in gi)
+        # the integer generator is a positive multiple of the rational one
+        c = next(a / b for a, b in zip(g, gi) if b)
+        assert c > 0 and g == tuple(c * b for b in gi)
+        for t in (s, tuple(-x for x in s)):
+            assert (polytopes._dot(t, gi) == exact(gi, k)) == _rational_member(t, g, k)
+    # a violation reports the rational direction, sign vector and generator
+    monkeypatch.setattr(polytopes, "_top1k_exact", lambda g, k: -1)
+    rep = fan_refinement_check(d, k, 2.0, sample_count=60, seed=seed)
+    assert [(s, g) for _, s, g in rep.violations] == want
+    assert all(type(c) is Fraction for y, _, g in rep.violations for c in y + g)
