@@ -245,7 +245,7 @@ def enumerate_proper_faces_top1k(d: int, k: int) -> tuple[tuple[tuple[Vec, ...],
     _check_scale(d, k)
     if d > 5:
         raise ScaleLimitError("face-lattice enumeration is limited to d <= 5")
-    scaled = _vertex_lists(d, k)[0]
+    scaled = _top1k_points(_signed_units(d), _cube_corners(d), d, k)
     # the scaled points that are not vertices (signed units at k = 1, corners
     # at k = d) get no index: they only occur in a facet, which drops them
     index = {v: i for i, v in enumerate(scaled)}

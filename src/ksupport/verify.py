@@ -251,10 +251,11 @@ def suite_polytope(d_max: int = 4) -> dict:
             # all cross pairings stay within the polar inequality
             if set(ksup.vertices) != got_normals:
                 failures.append(("polarity-vertices", d, k))
-            # on integers: each top vertex as a multiple of (v, 1), each sign vector as is
+            # on integers: with (x, a) a multiple of (v, 1) and (y, b) of (w, 1),
+            # <w, v> <= 1 reads <y, x> <= a b
             lifted = [_clear((*v, 1)) for v in top.vertices]
-            signs = [_clear(w) for w in ksup.vertices]
-            if any(_dot(w, v) > v[-1] for v in lifted for w in signs):
+            signs = [_clear((*w, 1)) for w in ksup.vertices]
+            if any(_dot(w[:-1], v[:-1]) > v[-1] * w[-1] for v in lifted for w in signs):
                 failures.append(("polar-inequality", d, k))
             # constructed face lattice equals the brute lattice
             if brute != set(enumerate_proper_faces_top1k(d, k)):

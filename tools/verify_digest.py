@@ -1,18 +1,17 @@
 """Fingerprint of ``ksupport verify --suite all --scale 0.05`` at fixed seeds.
 
-Runs the ``verify`` command in-process once per seed (default 0-3) on the
+Runs the ``verify`` command in-process once per seed (0-3) on the
 source tree beside this script and prints, per seed, the sha256 of the
 command's stdout, then ``sha256``, one digest over every seed's stdout in
 order.  Two source trees that print the same lines give byte-identical
 verify reports at those seeds.  The wall time of each suite, summed over the
 seeds, goes to stderr, so stdout can be compared with ``diff``.
 
-    python3 tools/verify_digest.py [--seeds 0 1 2 3] [--scale 0.05]
+    python3 tools/verify_digest.py
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -24,6 +23,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from ksupport import cli, verify  # noqa: E402
+
+SEEDS = (0, 1, 2, 3)
+SCALE = 0.05
 
 
 def _timed(name: str, fn, seconds: Counter):
@@ -38,10 +40,6 @@ def _timed(name: str, fn, seconds: Counter):
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3])
-    ap.add_argument("--scale", type=float, default=0.05)
-    args = ap.parse_args()
     seconds: Counter = Counter()
     # run_all looks its suites up in the module at call time, so wrapping the
     # module attributes times every suite without changing what it runs
@@ -50,10 +48,10 @@ def main() -> None:
             setattr(verify, name, _timed(name[len("suite_"):], fn, seconds))
     digest = hashlib.sha256()
     t0 = time.perf_counter()
-    for seed in args.seeds:
+    for seed in SEEDS:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            cli.main(["verify", "--suite", "all", "--scale", str(args.scale), "--seed", str(seed)])
+            cli.main(["verify", "--suite", "all", "--scale", str(SCALE), "--seed", str(seed)])
         out = buf.getvalue().encode()
         digest.update(out)
         print(f"seed={seed} sha256 {hashlib.sha256(out).hexdigest()}")
