@@ -5,6 +5,12 @@ Subcommands: ``norm``, ``face``, ``polytope``, ``solve``, ``verify``,
 single-column CSV file (``--input``); ``--p`` accepts ``1``, ``2``, ``inf``,
 or a rational string like ``3/2``.  Output is JSON (CSV for sample-ball).
 
+``verify --suite NAME`` passes ``--trials`` to the suite as its trial count
+(``samples`` for ``fan``), ``--d`` as its largest dimension (the dimension
+for ``fan``) and ``--seed`` as its seed; ``--suite all`` takes ``--seed``
+and ``--scale``, the factor on every suite's default trial count.  A flag
+the suite does not take, or a size out of range, is an input error.
+
 Exit codes: 0 success, 1 output pipe closed by the reader, 2 input error,
 3 numerical non-convergence, 4 verification failure.
 """
@@ -110,11 +116,7 @@ def cmd_norm(args: argparse.Namespace) -> int:
         rep = ksupport_norm(vec, NormSpec(p, args.k))
     else:  # ksupport-oracle
         rep = ksupport_norm_oracle(vec, NormSpec(p, args.k))
-    if args.format == "csv":
-        print("value,method,certified_gap")
-        print(f"{rep.value!r},{rep.method},{rep.certified_gap!r}")
-    else:
-        _emit(dataclasses.asdict(rep))
+    _emit(dataclasses.asdict(rep))
     return EXIT_OK
 
 
@@ -203,28 +205,38 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK if rep.converged else EXIT_NONCONVERGED
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    if args.suite == "all":
-        results = verify_mod.run_all(seed=args.seed, scale=args.scale)
-    else:
-        params: dict = {"seed": args.seed}
-        fn = verify_mod.SUITES.get(args.suite)
-        if fn is None:
-            raise InvalidInputError(f"unknown suite {args.suite!r}; have {sorted(verify_mod.SUITES)} or 'all'")
-        import inspect
+# the parameter each flag of ``verify`` sets: the first of these the suite takes
+_VERIFY_FLAGS = {"trials": ("trials", "samples"), "d": ("d_max", "d"), "seed": ("seed",), "scale": ("scale",)}
 
-        sig = inspect.signature(fn)
-        if "trials" in sig.parameters and args.trials:
-            params["trials"] = args.trials
-        if "samples" in sig.parameters and args.trials:
-            params["samples"] = args.trials
-        if "d_max" in sig.parameters and args.d:
-            params["d_max"] = args.d
-        if "d" in sig.parameters and args.d:
-            params["d"] = args.d
-        if "seed" not in sig.parameters:
-            params.pop("seed")
-        results = [fn(**params)]
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    fn = verify_mod.run_all if args.suite == "all" else verify_mod.SUITES.get(args.suite)
+    if fn is None:
+        raise InvalidInputError(f"unknown suite {args.suite!r}; have {sorted(verify_mod.SUITES)} or 'all'")
+    import inspect
+
+    takes = inspect.signature(fn).parameters
+    params: dict = {}
+    for flag, names in _VERIFY_FLAGS.items():
+        value = getattr(args, flag)
+        if value is not None:
+            name = next((n for n in names if n in takes), None)
+            if name is None:
+                raise InvalidInputError(f"--{flag} does not apply to suite {args.suite!r}")
+            params[name] = value
+    # polytope checks every d from 1 up; every other suite draws d from 2 up (fan has k = 2)
+    d_min = 1 if args.suite == "polytope" else 2
+    if args.d is not None and args.d < d_min:
+        raise InvalidInputError(f"--d must be at least {d_min} for suite {args.suite!r}")
+    if args.trials is not None and args.trials < 1:
+        raise InvalidInputError("--trials must be at least 1")
+    if args.seed is not None and args.seed < 0:
+        raise InvalidInputError("--seed must be nonnegative")
+    if args.scale is not None and not 0 < args.scale < math.inf:
+        raise InvalidInputError("--scale must be positive and finite")
+    results = fn(**params)
+    if args.suite != "all":
+        results = [results]
     _emit({"results": results, "passed": all(r["passed"] for r in results)})
     return EXIT_OK if all(r["passed"] for r in results) else EXIT_VERIFY_FAILED
 
@@ -232,7 +244,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_sample_ball(args: argparse.Namespace) -> int:
     if args.d not in (2, 3):
         raise InvalidInputError("sample-ball supports d in {2, 3}")
+    if args.n < 0 or args.seed < 0:
+        raise InvalidInputError("--n and --seed must be nonnegative")
     spec = NormSpec(_parse_p(args.p), args.k)
+    spec.check_dim(args.d)  # before the header goes out
     rng = np.random.default_rng(args.seed)
     header = ["x", "y", "z"][: args.d]
     print(",".join(header))
@@ -263,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["lp", "top", "ksupport", "ksupport-oracle"], required=True)
     p.add_argument("--p", required=True)
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
     add_vec_opts(p)
     p.set_defaults(func=cmd_norm)
 
@@ -292,10 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", default="all")
-    p.add_argument("--d", type=int, default=0)
-    p.add_argument("--trials", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scale", type=float, default=0.2, help="trial scale for --suite all")
+    p.add_argument("--d", type=int, help="largest dimension, for fan the dimension (default: the suite's)")
+    p.add_argument("--trials", type=int, help="trial count (default: the suite's)")
+    p.add_argument("--seed", type=int, help="default 0")
+    p.add_argument("--scale", type=float, help="--suite all: factor on the trial counts (default 0.2)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sample-ball", help="CSV boundary samples of a unit ball")

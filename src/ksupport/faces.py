@@ -51,12 +51,11 @@ class FaceDescription:
     """Vertex description of an exposed face of the k-support unit ball.
 
     ``vertices`` and ``generating_supports`` correspond one to one, sorted
-    by vertex; ``dual`` is the exposing vector.
+    by vertex.
     """
 
     vertices: tuple[np.ndarray, ...]
     generating_supports: tuple[tuple[int, ...], ...]
-    dual: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -179,11 +178,7 @@ def exposed_face_sp(y: Sequence[float], spec: NormSpec, tie: float = 1e-9) -> Fa
     supports = [lattice.core] if len(lattice.sizes) > 1 else _members(lattice)
     kept = sorted(((tuple(v_p(project_support(arr, K), spec.p)), K) for K in supports))
     kept = [vk for i, vk in enumerate(kept) if i == 0 or vk[0] != kept[i - 1][0]]
-    return FaceDescription(
-        vertices=tuple(np.array(v) for v, _ in kept),
-        generating_supports=tuple(K for _, K in kept),
-        dual=arr.copy(),
-    )
+    return FaceDescription(tuple(np.array(v) for v, _ in kept), tuple(K for _, K in kept))
 
 
 def normal_cone_membership(z: Sequence[float], y: Sequence[float], spec: NormSpec) -> bool:

@@ -12,10 +12,12 @@ the closure of its facets under intersection.  The last two run on Python
 integers and take and return rationals.  These never call the
 analytic paths they validate.  Dykstra projects onto each cylinder with
 :func:`ksupport.norms.project_lq_ball`, which the tests check on its own;
-dual ascent shares with :func:`ksupport.norms.ksupport_norm` only the
-closed forms at p = 1 and p = inf and the primal decomposition behind its
-upper bound; the double description shares with :mod:`ksupport.polytopes`
-only the generator lists, the input guard and the integer rank.
+the support scan scores each support with the lq norm of ``norms`` and
+shares nothing with :func:`ksupport.faces.support_lattice`; dual ascent
+shares with :func:`ksupport.norms.ksupport_norm` only the closed forms at
+p = 1 and p = inf and the primal decomposition behind its upper bound;
+the double description shares with :mod:`ksupport.polytopes` only the
+generator lists, the input guard and the integer rank.
 """
 
 from __future__ import annotations
@@ -146,38 +148,21 @@ def atomset_face(
     return sorted(points), tuple(winners)
 
 
-def _q_norm(vals: Sequence[float], q: float) -> float:
-    if not vals:
-        return 0.0
-    if math.isinf(q):
-        return max(abs(v) for v in vals)
-    if q == 1:
-        return sum(abs(v) for v in vals)
-    m = max(abs(v) for v in vals)
-    if m == 0.0:
-        return 0.0
-    return m * sum((abs(v) / m) ** q for v in vals) ** (1.0 / q)
-
-
-def brute_optimal_supports(
-    y: Sequence[float],
-    spec: NormSpec,
-    tol: float = 1e-9,
-) -> tuple[tuple[int, ...], ...]:
+def brute_optimal_supports(y: Sequence[float], spec: NormSpec) -> tuple[tuple[int, ...], ...]:
     """Exhaustive argmax of ``||pi_K y||_q`` over every K with 1 <= |K| <= k.
 
-    Returns every maximizer within ``tol`` (including non-minimal ones
+    Returns every maximizer within 1e-9 (including non-minimal ones
     for q = inf, where the argmax family is closed upward).
     """
-    arr = as_vector(y)
-    d = arr.size
+    mags = np.abs(as_vector(y))
+    d = mags.size
     spec.check_dim(d)
     if d > 16:
         raise ScaleLimitError("brute support scan limited to d <= 16")
-    if float(np.abs(arr).max()) <= tol:
+    if float(mags.max()) <= 1e-9:
         raise ZeroVectorError("optimal supports are undefined for the zero vector")
     supports = k_subsets(d, spec.k, at_most=True)[1:]
-    return tuple(_argmax(supports, lambda K: _q_norm([arr[i - 1] for i in K], spec.q), tol))
+    return tuple(_argmax(supports, lambda K: _lp_of_abs(mags[[i - 1 for i in K]], spec.q), 1e-9))
 
 
 def lasso_closed_form(a: Sequence[float], gamma: float) -> np.ndarray:
@@ -203,11 +188,10 @@ def sampled_exposed_face(
     spec: NormSpec,
     n_atoms: int = 100_000,
     seed: int = 0,
-    rounds: int = 10,
 ) -> tuple[list[np.ndarray], float]:
     """Brute-force face finder: argmax of ``<., y>`` over sampled sparse atoms.
 
-    Allocates the atom budget across every size-k support and across
+    Allocates the atom budget across every size-k support and across ten
     progressively narrowing sampling rounds around the per-support incumbent
     (the objective restricted to one support is linear, hence unimodal on
     the sphere patch, so refinement cannot be trapped).  Returns
@@ -221,13 +205,13 @@ def sampled_exposed_face(
         raise ZeroVectorError("face sampling needs a nonzero dual vector")
     rng = np.random.default_rng(seed)
     supports = list(itertools.combinations(range(d), spec.k))
-    per = max(30, n_atoms // (len(supports) * rounds))
+    per = max(30, n_atoms // (len(supports) * 10))
     best_pts: list[np.ndarray | None] = [None] * len(supports)
     best_vals = np.full(len(supports), -np.inf)
     for j, K in enumerate(supports):
         yk = arr[list(K)]
         incumbent = None
-        for t in range(rounds):
+        for t in range(10):
             if incumbent is None:
                 g = rng.standard_normal((per, spec.k))
                 g[np.all(g == 0.0, axis=1)] = 1.0
@@ -255,12 +239,7 @@ def sampled_exposed_face(
     return points, top
 
 
-def dykstra_top_ball(
-    y0: Sequence[float],
-    spec: NormSpec,
-    tol: float = 1e-9,
-    max_sweeps: int = 100_000,
-) -> np.ndarray:
+def dykstra_top_ball(y0: Sequence[float], spec: NormSpec, tol: float = 1e-9) -> np.ndarray:
     """Euclidean projection onto ``{ y : top_norm(y, spec) <= 1 }`` by Dykstra.
 
     The ball is the intersection of the C(d,k) cylinders
@@ -268,8 +247,8 @@ def dykstra_top_ball(
     converge to the projection.  A sweep ends the iteration only when it
     changes no intermediate iterate and no correction by more than
     ``tol``: the iterate at the end of a sweep can repeat while the
-    corrections still move.  Raises :class:`ConvergenceError` at the cap.
-    Desk scale: C(d,k) <= 20 000.
+    corrections still move.  Raises :class:`ConvergenceError` after 100 000
+    sweeps.  Desk scale: C(d,k) <= 20 000.
     """
     y = as_vector(y0)
     d = y.size
@@ -281,7 +260,7 @@ def dykstra_top_ball(
     supports = [np.array(K, dtype=int) - 1 for K in k_subsets(d, spec.k)]
     x = y.copy()
     corr = np.zeros((len(supports), spec.k))
-    for _ in range(max_sweeps):
+    for _ in range(100_000):
         moved = 0.0
         for j, idx in enumerate(supports):
             v = x[idx] + corr[j]
@@ -294,12 +273,10 @@ def dykstra_top_ball(
     raise ConvergenceError("Dykstra projection did not converge within the sweep cap")
 
 
-def dual_ascent_ksupport(
-    x: Sequence[float],
-    spec: NormSpec,
-    tol: float = 1e-9,
-    max_iter: int = 5000,
-) -> EvalReport:
+_DUAL_ASCENT_CAP = 5000  # iterations of dual_ascent_ksupport
+
+
+def dual_ascent_ksupport(x: Sequence[float], spec: NormSpec) -> EvalReport:
     """k-support norm by full-space projected gradient ascent.
 
     Iterates ``y <- proj(y + x / ||x||_2)`` with the Dykstra projection onto
@@ -309,7 +286,9 @@ def dual_ascent_ksupport(
     :func:`ksupport.norms.ksupport_norm`; closed-form cases (p = 1, p = inf)
     are passed to it.  The value is the pairing with the final y, and the
     upper bound sums the weighted lp norms of the primal decomposition's
-    atoms.  Raises :class:`ConvergenceError` at the cap.
+    atoms.  Stops once an iterate from the third on moves by less than 1e-9,
+    and raises :class:`ConvergenceError` if none has within
+    ``_DUAL_ASCENT_CAP`` steps.
     """
     arr = as_vector(x)
     spec.check_dim(arr.size)
@@ -322,15 +301,13 @@ def dual_ascent_ksupport(
     y = np.sign(arr) * np.abs(arr) ** (q / p)
     y = y / top_norm(y, spec)
     eta = 1.0 / float(np.linalg.norm(arr))
-    converged = False
-    for it in range(max_iter):
-        y_new = dykstra_top_ball(y + eta * arr, spec, min(tol, 1e-10))
+    for it in range(_DUAL_ASCENT_CAP):
+        y_new = dykstra_top_ball(y + eta * arr, spec, 1e-10)
         move = float(np.max(np.abs(y_new - y)))
         y = y_new
-        if move < max(tol, 1e-11) and it >= 2:
-            converged = True
+        if move < 1e-9 and it >= 2:
             break
-    if not converged:
+    else:
         raise ConvergenceError("dual ascent did not converge within the iteration cap")
     scale = max(1.0, top_norm(y, spec))
     lower = float(arr @ (y / scale))
@@ -339,12 +316,7 @@ def dual_ascent_ksupport(
     return EvalReport(lower, "dual_ascent", max(0.0, upper - lower))
 
 
-def ksupport_norm_oracle(
-    x: Sequence[float],
-    spec: NormSpec,
-    target_gap: float = 1e-8,
-    max_iter: int = 200_000,
-) -> EvalReport:
+def ksupport_norm_oracle(x: Sequence[float], spec: NormSpec) -> EvalReport:
     """Independent k-support value via the decomposition program.
 
     Solves ``min sum_K ||z_K||_p`` over all C(d,k) blocks supported on the
@@ -356,8 +328,8 @@ def ksupport_norm_oracle(
     the multiplier.  The decomposition value plus an l1 patch of the
     residual is the upper bound; the multiplier, rescaled onto the top-ball
     boundary, is a feasible dual point pairing to the lower bound.  Stops
-    once the certified gap is below ``target_gap``, else raises
-    :class:`ConvergenceError`.
+    once the certified gap is below 1e-8, checked every 20 passes, and
+    raises :class:`ConvergenceError` after 200 000 passes.
 
     Desk scale only: d <= 8 and k <= 3.
     """
@@ -377,16 +349,16 @@ def ksupport_norm_oracle(
     z = np.zeros((m, k))
     zsum = np.zeros(d)  # the column sums of the blocks, in ascending block order
     u = np.zeros(d)
-    target = target_gap / scale
+    target = 1e-8 / scale
     upper = float(np.abs(xs).sum())
     lower = 0.0
-    for it in range(max_iter):
+    for it in range(200_000):
         base = xs / m - u - zsum / m
         v = z + base[blocks]
         z = v - _project_lq_ball(v, q)
         zsum = np.bincount(flat, z.ravel(), minlength=d)
         u = u + zsum / m - xs / m
-        if it % 20 == 19 or it == max_iter - 1:
+        if it % 20 == 19:
             for cand in (m * u, -m * u):
                 t = top_norm(cand, spec)
                 if t > 0:
@@ -398,9 +370,7 @@ def ksupport_norm_oracle(
                 return EvalReport(
                     scale * upper, "decomposition_oracle", scale * max(0.0, upper - lower)
                 )
-    raise ConvergenceError(
-        f"decomposition oracle gap {scale * (upper - lower):.3e} above target {target_gap:.1e}"
-    )
+    raise ConvergenceError(f"decomposition oracle gap {scale * (upper - lower):.3e} above target 1.0e-08")
 
 
 def vertex_enumeration(

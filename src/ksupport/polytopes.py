@@ -56,12 +56,11 @@ class RationalPolytope:
 
 @dataclass(frozen=True)
 class FanRefinementReport:
-    """Outcome of the sampled normal-fan refinement check."""
+    """Outcome of the sampled normal-fan refinement check: it holds when
+    ``violations`` is empty."""
 
-    directions: int
     generators: int
     violations: tuple
-    ok: bool
 
 
 def _dot(a: Sequence, b: Sequence):
@@ -277,14 +276,16 @@ def enumerate_proper_faces_top1k(d: int, k: int) -> tuple[tuple[tuple[Vec, ...],
 # hypersimplex recognition
 
 
-def is_hypersimplex(face_vertices: Sequence[Sequence[float]], tol: float = 1e-9) -> bool:
+def is_hypersimplex(face_vertices: Sequence[Sequence[float]]) -> bool:
     """Is this vertex set a hypersimplex up to the face normalization?
 
     The admissible normalization drops coordinates that are constant across
     the vertices, flips signs per coordinate, and rescales by the common
     magnitude; the result must be exactly the 0/1 vectors with a fixed
     number of ones.  A single point counts as a 0-dimensional hypersimplex.
+    Coordinates are compared within ``tol = 1e-9``.
     """
+    tol = 1e-9
     pts = [tuple(float(c) for c in v) for v in face_vertices]
     if not pts:
         raise InvalidInputError("empty vertex list")
@@ -398,12 +399,7 @@ def fan_refinement_check(
             generators += 1
             if _dot(s, g) != _top1k_exact(g, k):
                 violations.append((tuple(map(Fraction, y)), s, tuple(Fraction(num * c, den) for c in g)))
-    return FanRefinementReport(
-        directions=sample_count,
-        generators=generators,
-        violations=tuple(violations),
-        ok=not violations,
-    )
+    return FanRefinementReport(generators, tuple(violations))
 
 
 def __getattr__(name: str):

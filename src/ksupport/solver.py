@@ -102,24 +102,20 @@ def logistic_objective(X: Sequence[Sequence[float]], labels: Sequence[float]) ->
     return SmoothObjective(dim=X.shape[1], value=value, grad=grad, lipschitz=L)
 
 
-def check_gradient(
-    obj: SmoothObjective,
-    points: Sequence[Sequence[float]],
-    step: float = 1e-6,
-    rtol: float = 1e-4,
-) -> float:
-    """Max relative error between the gradient oracle and central differences."""
+def check_gradient(obj: SmoothObjective, points: Sequence[Sequence[float]]) -> float:
+    """Max relative error between the gradient oracle and central differences
+    of step 1e-6; raises :class:`InvalidInputError` above 1e-4."""
     worst = 0.0
     for pt in points:
         x = as_vector(pt)
         g = obj.grad(x)
         for i in range(x.size):
             e = np.zeros_like(x)
-            e[i] = step
-            fd = (obj.value(x + e) - obj.value(x - e)) / (2.0 * step)
+            e[i] = 1e-6
+            fd = (obj.value(x + e) - obj.value(x - e)) / 2e-6
             scale = max(1.0, abs(fd), abs(g[i]))
             worst = max(worst, abs(fd - g[i]) / scale)
-    if worst > rtol:
+    if worst > 1e-4:
         raise InvalidInputError(f"gradient oracle disagrees with finite differences ({worst:.2e})")
     return worst
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ksupport import verify
 from ksupport.cli import _json_default, main
 from ksupport.faces import SupportLattice
 
@@ -306,6 +308,12 @@ def test_sample_ball_csv(capsys):
 
     code, _, _ = run_cli(capsys, "sample-ball", "--p", "2", "--k", "1", "--d", "4", "--n", "5")
     assert code == 2
+    # the spec is checked against --d before the header goes out
+    code, out, err = run_cli(capsys, "sample-ball", "--p", "2", "--k", "4", "--d", "3")
+    assert code == 2 and out == "" and "k=4 exceeds dimension 3" in err
+    for flag in ("--n", "--seed"):
+        code, out, err = run_cli(capsys, "sample-ball", "--p", "2", "--k", "1", "--d", "2", flag, "-1")
+        assert code == 2 and out == "" and err.startswith("error: ")
 
 
 def test_json_roundtrip_floats(capsys):
@@ -318,3 +326,78 @@ def test_deterministic_given_seed(capsys):
     a = run_cli(capsys, "sample-ball", "--p", "2", "--k", "2", "--d", "2", "--n", "20", "--seed", "9")
     b = run_cli(capsys, "sample-ball", "--p", "2", "--k", "2", "--d", "2", "--n", "20", "--seed", "9")
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--scale", "nan"],
+        ["--suite", "lattice", "--d", "1"],
+        ["--suite", "duality", "--trials", "-5"],
+        ["--suite", "polytope", "--d", "-2"],
+        ["--suite", "degeneracies", "--d", "3"],
+        ["--suite", "all", "--trials", "3"],
+        ["--suite", "commutation", "--seed", "-1"],
+    ],
+)
+def test_verify_refuses_bad_sizes(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+# verify flags per suite, the keywords the suite should receive, and its trial count
+VERIFY_SIZES = {
+    "degeneracies": (["--trials", "3", "--seed", "2"], {"trials": 3, "seed": 2}, 3),
+    "duality": (["--trials", "3", "--d", "3", "--seed", "2"], {"trials": 3, "d_max": 3, "seed": 2}, 503),
+    "norm-oracle": (["--trials", "2", "--d", "3", "--seed", "2"], {"trials": 2, "d_max": 3, "seed": 2}, 2),
+    "faces": (["--trials", "2", "--d", "3", "--seed", "2"], {"trials": 2, "d_max": 3, "seed": 2}, 2),
+    "lattice": (["--trials", "3", "--d", "3", "--seed", "2"], {"trials": 3, "d_max": 3, "seed": 2}, 3),
+    "polytope": (["--d", "2"], {"d_max": 2}, 3),  # (d, k) = (1, 1), (2, 1), (2, 2)
+    "hypersimplex": (["--trials", "3", "--d", "3", "--seed", "2"], {"trials": 3, "d_max": 3, "seed": 2}, 3),
+    "fan": (["--trials", "4", "--d", "2", "--seed", "2"], {"samples": 4, "d": 2, "seed": 2}, None),
+    "solver": (["--trials", "1", "--seed", "2"], {"trials": 1, "seed": 2}, 1),
+    "lasso": (["--trials", "2", "--seed", "2"], {"trials": 2, "seed": 2}, 2),
+    "commutation": (["--trials", "3", "--seed", "2"], {"trials": 3, "seed": 2}, 3),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(verify.SUITES))
+def test_verify_passes_sizes_to_each_suite(capsys, suite):
+    argv, kwargs, trials = VERIFY_SIZES[suite]
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite, *argv)
+    assert code == 0
+    (result,) = json.loads(out)["results"]
+    assert result == json.loads(json.dumps(verify.SUITES[suite](**kwargs)))
+    if trials is not None:
+        assert result["trials"] == trials
+    else:  # fan reports its generators: 3 to 7 per sampled direction
+        assert 3 * 4 <= result["trials"] <= 7 * 4
+
+
+def test_solve_max_iter(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    payload = {"type": "quadratic", "A": rng.standard_normal((6, 5)).tolist(), "b": rng.standard_normal(6).tolist()}
+    path = tmp_path / "obj.json"
+    path.write_text(json.dumps(payload))
+    code, out, _ = run_cli(
+        capsys, "solve", "--objective", str(path), "--gamma", "0.5", "--p", "2", "--k", "2", "--max-iter", "1"
+    )
+    data = json.loads(out)
+    assert code == 3
+    assert data["stop"] == "max_iter" and data["iterations"] == 1 and data["converged"] is False
+
+
+def test_readme_cli_examples(capsys):
+    # `solve` needs an objective file and `verify --suite all` runs in test_verify_all_small
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("ksupport ")]
+    run = [line for line in lines if " solve " not in line and "--suite all" not in line]
+    assert len(run) == len(lines) - 2 > 0
+    for line in run:
+        argv = shlex.split(line, comments=True)[1:]
+        if ">" in argv:  # the shell's redirection of stdout
+            argv = argv[: argv.index(">")]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and out, (line, err)

@@ -189,10 +189,10 @@ def test_scale_guards():
 
 def test_fan_refinement_small():
     rep = fan_refinement_check(3, 2, 2.0, sample_count=200, seed=1)
-    assert rep.ok
+    assert not rep.violations
     assert rep.generators >= 200
     rep = fan_refinement_check(2, 1, 1.5, sample_count=100, seed=2)
-    assert rep.ok
+    assert not rep.violations
     with pytest.raises(InvalidInputError):
         fan_refinement_check(3, 2, 1.0, sample_count=10)
 
@@ -387,7 +387,7 @@ def test_fan_check_verdicts_equal_the_rational_ones(monkeypatch, d, k, seed):
     exact = polytopes._top1k_exact
     monkeypatch.setattr(polytopes, "_top1k_exact", lambda g, k: seen.append(g) or exact(g, k))
     rep = fan_refinement_check(d, k, 2.0, sample_count=60, seed=seed)
-    assert rep.ok and rep.generators == len(want) == len(seen)
+    assert not rep.violations and rep.generators == len(want) == len(seen)
     for (s, g), gi in zip(want, seen):
         assert all(type(c) is int for c in gi)
         # the integer generator is a positive multiple of the rational one
