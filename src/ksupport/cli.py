@@ -90,10 +90,6 @@ def _emit(payload) -> None:
 def _json_default(obj):
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, np.ndarray):
-        return [float(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     if isinstance(obj, SupportLattice):
         count = obj.count
         out = {"core": obj.core, "bound": obj.bound, "sizes": list(obj.sizes), "count": count}

@@ -148,6 +148,9 @@ def atomset_face(
     return sorted(points), tuple(winners)
 
 
+_SUPPORT_SCAN_MAX_D = 16  # largest d of brute_optimal_supports
+
+
 def brute_optimal_supports(y: Sequence[float], spec: NormSpec) -> tuple[tuple[int, ...], ...]:
     """Exhaustive argmax of ``||pi_K y||_q`` over every K with 1 <= |K| <= k.
 
@@ -157,8 +160,8 @@ def brute_optimal_supports(y: Sequence[float], spec: NormSpec) -> tuple[tuple[in
     mags = np.abs(as_vector(y))
     d = mags.size
     spec.check_dim(d)
-    if d > 16:
-        raise ScaleLimitError("brute support scan limited to d <= 16")
+    if d > _SUPPORT_SCAN_MAX_D:
+        raise ScaleLimitError(f"brute support scan limited to d <= {_SUPPORT_SCAN_MAX_D}")
     if float(mags.max()) <= 1e-9:
         raise ZeroVectorError("optimal supports are undefined for the zero vector")
     supports = k_subsets(d, spec.k, at_most=True)[1:]
@@ -316,6 +319,9 @@ def dual_ascent_ksupport(x: Sequence[float], spec: NormSpec) -> EvalReport:
     return EvalReport(lower, "dual_ascent", max(0.0, upper - lower))
 
 
+_NORM_ORACLE_MAX_D = 8  # largest d of ksupport_norm_oracle
+
+
 def ksupport_norm_oracle(x: Sequence[float], spec: NormSpec) -> EvalReport:
     """Independent k-support value via the decomposition program.
 
@@ -336,8 +342,8 @@ def ksupport_norm_oracle(x: Sequence[float], spec: NormSpec) -> EvalReport:
     arr = as_vector(x)
     d = arr.size
     spec.check_dim(d)
-    if d > 8 or spec.k > 3:
-        raise ScaleLimitError("decomposition oracle is limited to d <= 8, k <= 3")
+    if d > _NORM_ORACLE_MAX_D or spec.k > 3:
+        raise ScaleLimitError(f"decomposition oracle is limited to d <= {_NORM_ORACLE_MAX_D}, k <= 3")
     p, q, k = spec.p, spec.q, spec.k
     scale = float(np.abs(arr).max())
     if scale == 0.0:

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .core import InvalidInputError, ScaleLimitError, level_index
 
 __all__ = [
@@ -41,6 +43,7 @@ Vec = tuple[Fraction, ...]
 Halfspace = tuple[Vec, Fraction]
 
 _MAX_DIM = 6
+_FACE_LATTICE_MAX_D = 5  # largest d of enumerate_proper_faces_top1k
 
 
 @dataclass(frozen=True)
@@ -126,14 +129,8 @@ def _as_fractions(points: Sequence[tuple[int, ...]], k: int = 1) -> tuple[Vec, .
 
 
 def _sign_vectors(d: int, k: int) -> list[tuple[int, ...]]:
-    out = []
-    for supp in itertools.combinations(range(d), k):
-        for signs in itertools.product((1, -1), repeat=k):
-            s = [0] * d
-            for i, sg in zip(supp, signs):
-                s[i] = sg
-            out.append(tuple(s))
-    return sorted(out)
+    # the product of a sorted tuple comes out in sorted order
+    return [s for s in itertools.product((-1, 0, 1), repeat=d) if s.count(0) == d - k]
 
 
 def sign_vectors(d: int, k: int) -> tuple[Vec, ...]:
@@ -242,8 +239,8 @@ def enumerate_proper_faces_top1k(d: int, k: int) -> tuple[tuple[tuple[Vec, ...],
     taken on the vertices scaled by k, which are integers.
     """
     _check_scale(d, k)
-    if d > 5:
-        raise ScaleLimitError("face-lattice enumeration is limited to d <= 5")
+    if d > _FACE_LATTICE_MAX_D:
+        raise ScaleLimitError(f"face-lattice enumeration is limited to d <= {_FACE_LATTICE_MAX_D}")
     scaled = _top1k_points(_signed_units(d), _cube_corners(d), d, k)
     # the scaled points that are not vertices (signed units at k = 1, corners
     # at k = d) get no index: they only occur in a facet, which drops them
@@ -286,57 +283,31 @@ def is_hypersimplex(face_vertices: Sequence[Sequence[float]]) -> bool:
     Coordinates are compared within ``tol = 1e-9``.
     """
     tol = 1e-9
-    pts = [tuple(float(c) for c in v) for v in face_vertices]
-    if not pts:
-        raise InvalidInputError("empty vertex list")
     uniq: list[tuple[float, ...]] = []
-    for p in pts:
+    for v in face_vertices:
+        p = tuple(map(float, v))
         if all(max(abs(a - b) for a, b in zip(p, o)) > tol for o in uniq):
             uniq.append(p)
+    if not uniq:
+        raise InvalidInputError("empty vertex list")
     if len(uniq) == 1:
         return True
-    d = len(uniq[0])
-    varying = [
-        j for j in range(d) if max(p[j] for p in uniq) - min(p[j] for p in uniq) > tol
-    ]
-    if not varying:
+    x = np.array(uniq)
+    x = x[:, np.ptp(x, axis=0) > tol]
+    pos, neg = x > tol, x < -tol
+    # a coordinate needs an entry above tol, and all of them of one sign
+    if not (pos.any(axis=0) ^ neg.any(axis=0)).all():
         return False
-    rows = []
-    for p in uniq:
-        rows.append([p[j] for j in varying])
-    # per-column consistent sign flip
-    for cidx in range(len(varying)):
-        col = [r[cidx] for r in rows]
-        nz = [c for c in col if abs(c) > tol]
-        if not nz:
-            return False
-        if any(c > tol for c in nz) and any(c < -tol for c in nz):
-            return False
-        if nz[0] < 0:
-            for r in rows:
-                r[cidx] = -r[cidx]
-    mags = [c for r in rows for c in r if abs(c) > tol]
-    scale = mags[0]
-    if any(abs(c - scale) > tol * max(1.0, abs(scale)) for c in mags):
+    nz = pos | neg
+    # the sign flips leave the nonzero entries as their magnitudes, read in row-major order
+    mags = np.abs(x[nz])
+    if (np.abs(mags - mags[0]) > tol * max(1.0, mags[0])).any():
         return False
-    bits = []
-    for r in rows:
-        row_bits = []
-        for c in r:
-            if abs(c) <= tol:
-                row_bits.append(0)
-            elif abs(c - scale) <= tol * max(1.0, abs(scale)):
-                row_bits.append(1)
-            else:
-                return False
-        bits.append(tuple(row_bits))
-    ones = {sum(r) for r in bits}
-    if len(ones) != 1:
+    ones = nz.sum(axis=1)
+    if (ones != ones[0]).any() or len(nz) != math.comb(nz.shape[1], int(ones[0])):
         return False
-    m = ones.pop()
-    expected = set(itertools.combinations(range(len(varying)), m))
-    got = {tuple(j for j, b in enumerate(r) if b) for r in bits}
-    return len(got) == len(bits) and got == expected
+    rows = nz[np.lexsort(nz.T)]  # equal rows end up next to each other
+    return not (rows[1:] == rows[:-1]).all(axis=1).any()
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,12 @@ import random
 
 import numpy as np
 
-from .core import Tolerance, k_subsets, l0, level_index, support_of
+from .core import ScaleLimitError, Tolerance, k_subsets, l0, level_index, support_of
 from .faces import exposed_face_sp, optimal_support_lattice_bounds
 from .norms import NormSpec, ksupport_norm, ksupport_value, lp_norm, top_norm
 from .oracles import (
+    _NORM_ORACLE_MAX_D,
+    _SUPPORT_SCAN_MAX_D,
     _restrict,
     brute_exposed_face,
     brute_face_lattice,
@@ -27,6 +29,7 @@ from .oracles import (
     sampled_exposed_face,
 )
 from .polytopes import (
+    _FACE_LATTICE_MAX_D,
     _clear,
     _dot,
     enumerate_proper_faces_top1k,
@@ -48,18 +51,18 @@ from .solver import (
 __all__ = ["SUITES", "run_all"]
 
 
-def _result(name: str, trials: int, failures: list, detail: str = "") -> dict:
+def _result(name: str, trials: int, failures: list) -> dict:
     return {
         "suite": name,
         "trials": trials,
         "failures": len(failures),
         "passed": not failures,
-        "detail": detail if detail else ("" if not failures else str(failures[:3])),
+        "detail": str(failures[:3]) if failures else "",
     }
 
 
-def _random_vector(rng: np.random.Generator, d: int, ties: bool = True) -> np.ndarray:
-    if ties and rng.random() < 0.5:
+def _random_vector(rng: np.random.Generator, d: int) -> np.ndarray:
+    if rng.random() < 0.5:
         mags = rng.integers(0, 4, size=d).astype(float)
         if not mags.any():
             mags[rng.integers(0, d)] = 1.0
@@ -135,6 +138,8 @@ def suite_norm_oracle(
     tol: float = 1e-6,
 ) -> dict:
     """Analytic k-support evaluation against the decomposition oracle."""
+    if d_max > _NORM_ORACLE_MAX_D:
+        raise ScaleLimitError(f"decomposition oracle is limited to d <= {_NORM_ORACLE_MAX_D}")
     rng = np.random.default_rng(seed)
     failures = []
     for t in range(trials):
@@ -197,6 +202,8 @@ def suite_lattice(trials: int = 500, d_max: int = 8, seed: int = 0) -> dict:
     scan (:func:`ksupport.oracles.brute_optimal_supports`) checks both
     without reading the level sets.
     """
+    if d_max > _SUPPORT_SCAN_MAX_D:
+        raise ScaleLimitError(f"brute support scan limited to d <= {_SUPPORT_SCAN_MAX_D}")
     rng = np.random.default_rng(seed)
     failures = []
     for t in range(trials):
@@ -222,6 +229,8 @@ def suite_lattice(trials: int = 500, d_max: int = 8, seed: int = 0) -> dict:
 def suite_polytope(d_max: int = 4) -> dict:
     """Closed-form balls against the double description, sign-vector facet
     description, brute hull, polarity, and face lattice."""
+    if d_max > _FACE_LATTICE_MAX_D:
+        raise ScaleLimitError(f"face-lattice enumeration is limited to d <= {_FACE_LATTICE_MAX_D}")
     failures = []
     checked = 0
     for d in range(1, d_max + 1):

@@ -26,6 +26,9 @@ def test_norm_top_example(capsys):
     data = json.loads(out)
     assert data["value"] == 5.0
     assert data["method"] == "closed_form"
+    code, out, _ = run_cli(capsys, "norm", "--kind", "lp", "--p", "2", "--vec", "3,-4")
+    assert code == 0
+    assert json.loads(out) == {"value": 5.0, "method": "closed_form", "certified_gap": 0.0}
 
 
 def test_norm_ksupport_examples(capsys):
@@ -54,6 +57,8 @@ def test_norm_parse_errors(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "norm", "--kind", "top", "--p", "2", "--k", "2")
     assert code == 2  # no vector given
+    code, out, err = run_cli(capsys, "norm", "--kind", "top", "--k", "2", "--vec", "1,2")
+    assert code == 2 and out == "" and "the following arguments are required: --p" in err  # argparse usage error
 
 
 def test_face_examples(capsys):
@@ -150,6 +155,10 @@ def test_objective_without_its_data(tmp_path, capsys):
         path.write_text(json.dumps(payload))
         code, _, err = run_cli(capsys, "solve", "--objective", str(path), "--gamma", "1", "--p", "2", "--k", "1")
         assert code == 2 and "needs numeric" in err
+    code, out, err = run_cli(
+        capsys, "solve", "--objective", str(tmp_path / "missing.json"), "--gamma", "1", "--p", "2", "--k", "1"
+    )
+    assert code == 2 and out == "" and err.startswith("error: cannot read objective") and "Traceback" not in err
 
 
 def _subprocess_env() -> dict:
@@ -282,7 +291,7 @@ def test_verify_runs_without_scipy():
 
 
 def test_sample_ball_csv(capsys):
-    from ksupport.norms import NormSpec, ksupport_value
+    from ksupport.norms import NormSpec, ksupport_value, top_norm
 
     code, out, _ = run_cli(
         capsys, "sample-ball", "--p", "2", "--k", "2", "--d", "3", "--which", "ksupport",
@@ -305,6 +314,15 @@ def test_sample_ball_csv(capsys):
     for row in lines[1:]:
         pt = np.array([float(tok) for tok in row.split(",")])
         assert np.abs(pt).sum() == pytest.approx(1.0, abs=1e-9)
+
+    code, out, _ = run_cli(
+        capsys, "sample-ball", "--p", "3", "--k", "2", "--d", "3", "--which", "top", "--n", "20", "--seed", "1"
+    )
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "x,y,z" and len(lines) == 21
+    for row in lines[1:]:
+        assert top_norm(np.array([float(tok) for tok in row.split(",")]), NormSpec(3.0, 2)) == pytest.approx(1.0)
 
     code, _, _ = run_cli(capsys, "sample-ball", "--p", "2", "--k", "1", "--d", "4", "--n", "5")
     assert code == 2
@@ -338,9 +356,18 @@ def test_deterministic_given_seed(capsys):
         ["--suite", "degeneracies", "--d", "3"],
         ["--suite", "all", "--trials", "3"],
         ["--suite", "commutation", "--seed", "-1"],
+        # past an oracle's limit the suite refuses before its first trial
+        ["--suite", "polytope", "--d", "6"],
+        ["--suite", "lattice", "--d", "17"],
+        ["--suite", "norm-oracle", "--d", "9"],
     ],
 )
-def test_verify_refuses_bad_sizes(capsys, argv):
+def test_verify_refuses_bad_sizes(capsys, monkeypatch, argv):
+    def called(*args, **kwargs):
+        raise AssertionError("a refused run called an oracle")
+
+    for name in ("enumerate_proper_faces_top1k", "brute_optimal_supports", "ksupport_norm_oracle"):
+        monkeypatch.setattr(verify, name, called)
     code, out, err = run_cli(capsys, "verify", *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err

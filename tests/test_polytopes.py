@@ -7,7 +7,7 @@ import pytest
 
 from ksupport import polytopes
 from ksupport.core import InvalidInputError, ScaleLimitError, level_index
-from ksupport.oracles import brute_face_lattice, facet_enumeration, vertex_enumeration
+from ksupport.oracles import facet_enumeration, vertex_enumeration
 from ksupport.polytopes import (
     RationalPolytope,
     affine_rank,
@@ -140,14 +140,6 @@ def test_face_lattice_square():
     assert dims == [0, 0, 0, 0, 1, 1, 1, 1]  # 4 vertices + 4 edges
 
 
-def test_face_lattice_matches_brute():
-    for d in range(1, 5):
-        for k in range(1, d + 1):
-            cor = set(enumerate_proper_faces_top1k(d, k))
-            brute = set(brute_face_lattice(top1k_ball(d, k)))
-            assert cor == brute
-
-
 def test_lattice_vertices_at_dim_zero():
     faces = enumerate_proper_faces_top1k(3, 2)
     verts = {pts[0] for pts, dim in faces if dim == 0}
@@ -167,6 +159,26 @@ def test_is_hypersimplex_examples():
     assert is_hypersimplex([(r, r, 0), (r, 0, r), (0, r, r)]) is True
     assert is_hypersimplex([(1, 1), (1, -1), (-1, 1), (-1, -1)]) is False
     assert is_hypersimplex([(0.3, -0.4)]) is True
+    assert is_hypersimplex([(1, 0), (0, 1), (1, 5e-10)]) is True  # a repeat within tol counts once
+    # a flipped and scaled simplex in exact rationals, next to a constant coordinate
+    assert is_hypersimplex([(F(-1, 3), F(0), F(2)), (F(0), F(1, 3), F(2))]) is True
+    # one input per way to fail: unequal magnitudes, unequal counts of ones,
+    # a missing combination, a varying coordinate with no entry above tol
+    assert is_hypersimplex([(1, 0), (0, 2)]) is False
+    assert is_hypersimplex([(1, 0, 0), (1, 1, 0)]) is False
+    assert is_hypersimplex([(1, 1, 0, 0), (0, 0, 1, 1)]) is False
+    assert is_hypersimplex([(1, 6e-10), (0, -6e-10)]) is False
+    # inputs that only one check refuses: a column of both signs (the rows of
+    # C(3, 2) otherwise), three rows for C(3, 1) with unequal counts, a lone
+    # coordinate with no entry above tol, and the combination {1, 2} twice
+    # (its copies are 1.8e-9 apart, each within tol of 1)
+    assert is_hypersimplex([(1, 1, 0), (-1, 0, 1), (0, 1, 1)]) is False
+    assert is_hypersimplex([(1, 0, 0), (0, 1, 0), (1, 1, 1)]) is False
+    assert is_hypersimplex([(6e-10,), (-6e-10,)]) is False
+    lo, hi = 1 - 9e-10, 1 + 9e-10
+    pairs = [(1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1), (hi, hi, 0, 0), (lo, lo, 0, 0)]
+    assert is_hypersimplex(pairs) is False
+    assert is_hypersimplex(pairs[:5] + [(0, 0, 1, 1)]) is True
     with pytest.raises(InvalidInputError):
         is_hypersimplex([])
 
