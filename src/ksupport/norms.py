@@ -116,7 +116,16 @@ def top_norm(y: Sequence[float], spec: NormSpec) -> float:
     """
     arr = as_vector(y)
     spec.check_dim(arr.size)
-    top = np.partition(np.abs(arr), arr.size - spec.k)[arr.size - spec.k :]
+    return _top_norm(arr, spec)
+
+
+def _top_norm(y: np.ndarray, spec: NormSpec) -> float:
+    """:func:`top_norm` of a float vector with at least k entries, unchecked.
+
+    ``np.partition`` places NaN and +-inf among the top k, so a vector with a
+    non-finite entry gets a non-finite value.
+    """
+    top = np.partition(np.abs(y), y.size - spec.k)[y.size - spec.k :]
     return _lp_of_abs(np.sort(top)[::-1], spec.q)
 
 
@@ -153,15 +162,14 @@ def _lq_roots(a: np.ndarray, c: float, q: float) -> np.ndarray:
     return z if q > 2 else z**e
 
 
-def _newton_increasing(fun, lo: float, hi: float, x: float) -> tuple[float, tuple]:
+def _newton_increasing(fun, lo: float, hi: float, x: float, ev: tuple) -> tuple[float, tuple]:
     """Root in ``[lo, hi]`` of an increasing function ``fun`` -> (value, slope, ...).
 
-    Newton steps from x that fall back to bisection of the bracket whenever
-    they leave it; stops once a step is below the rounding of x.  Returns
-    the root and the evaluation of ``fun`` there.
+    Newton steps from x, where ``ev = fun(x)``, that fall back to bisection
+    of the bracket whenever they leave it; stops once a step is below the
+    rounding of x.  Returns the root and the evaluation of ``fun`` there.
     """
     for _ in range(200):
-        ev = fun(x)
         g, dg = ev[0], ev[1]
         if g > 0.0:
             hi = x
@@ -173,7 +181,8 @@ def _newton_increasing(fun, lo: float, hi: float, x: float) -> tuple[float, tupl
         if abs(step) <= 4e-16 * x or hi - lo <= 4e-16 * hi:
             return x, ev
         x = x - step if lo < x - step < hi else 0.5 * (lo + hi)
-    return x, fun(x)
+        ev = fun(x)
+    return x, ev
 
 
 def project_lq_ball(v: np.ndarray, q: float) -> np.ndarray:
@@ -254,7 +263,7 @@ def _lq_multiplier(a: np.ndarray, q: float) -> float:
 
     # entries that underflow to 0 have slope 0; overflowing power sums read g = -1: bisect
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return _newton_increasing(outside, 0.0, _lp_of_abs(a, q / (q - 1.0)), 0.0)[0]
+        return _newton_increasing(outside, 0.0, _lp_of_abs(a, q / (q - 1.0)), 0.0, outside(0.0))[0]
 
 
 def _level_map(y: np.ndarray, a: np.ndarray, theta: float, t: float, c: float, q: float) -> np.ndarray:
@@ -292,12 +301,17 @@ def _project_top_ball(y: np.ndarray, spec: NormSpec, theta: float = 0.0) -> tupl
     """
     q, k = spec.q, spec.k
     a = np.abs(y)
-    s = -np.sort(-a)
-    if _lp_of_abs(s[:k], q) <= 1.0:
-        return y.copy(), theta
-    if math.isinf(q) or k == 1:
+    s = np.sort(a)[::-1]
+    if q == 1 and k > 1:  # the search's prefix sums give the in-ball test
+        level = _top1_level(s, k, theta)
+    elif _lp_of_abs(s[:k], q) <= 1.0:
+        level = None
+    elif math.isinf(q) or k == 1:
         return np.clip(y, -1.0, 1.0), theta
-    level = _top_level(s, k, q, theta) if q > 1 else _top1_level(s, k, theta)
+    else:
+        level = _top_level(s, k, q, theta)
+    if level is None:
+        return y.copy(), theta
     return _level_map(y, a, *level, q), level[0]
 
 
@@ -320,6 +334,8 @@ def _top_level(a: np.ndarray, k: int, q: float, start: float = 0.0) -> tuple[flo
     finds in ``(0, a[k])``, from ``start`` if it lies there; if it is at most
     1 at ``theta = a[k]``, the lq projection of the top k is the answer:
     ``(a[k], 0, c)``, with c the lq multiplier of the positive top-k entries.
+    A start is evaluated first, and where the top norm there exceeds 1 the
+    root lies below it, so ``a[k]`` is not evaluated.
     """
     neg = -a
     csum = a[:k].cumsum()  # csum[j - 1] = C[j]
@@ -348,34 +364,43 @@ def _top_level(a: np.ndarray, k: int, q: float, start: float = 0.0) -> tuple[flo
     # the level is an entry of a point of the ball; past 1 the top norm exceeds 1 for k >= 2
     ak = float(a[k]) if k < a.size else 0.0
     hi = min(ak, 1.0)
-    g_hi = level(hi)[0] if hi > 0.0 else 0.0
-    if g_hi <= 0.0:
-        return ak, 0.0, _lq_multiplier(a[:k][a[:k] > 0.0], q)
-    x0 = start if 0.0 < start < hi else hi / (g_hi + 1.0)
-    theta, (_, _, t, c) = _newton_increasing(level, 0.0, hi, x0)
+    ev = level(start) if 0.0 < start < hi else None
+    if ev is None or ev[0] <= 0.0:  # else the root lies below start, so below hi
+        g_hi = level(hi)[0] if hi > 0.0 else 0.0
+        if g_hi <= 0.0:
+            return ak, 0.0, _lq_multiplier(a[:k][a[:k] > 0.0], q)
+        if ev is None:
+            start = hi / (g_hi + 1.0)
+            ev = level(start)
+    theta, (_, _, t, c) = _newton_increasing(level, 0.0, hi, start, ev)
     return theta, t, c
 
 
-def _top1_level(a: np.ndarray, k: int, start: float = 0.0) -> tuple[float, float, float]:
+def _top1_level(a: np.ndarray, k: int, start: float = 0.0) -> tuple[float, float, float] | None:
     """The q = 1 case of :func:`_top_level` (2 <= k <= d), by an exact breakpoint search.
 
-    The answer ``a - clip(a - theta, 0, t)``, the level ``(theta, t, t)``, sits
-    at the root of the decreasing, piecewise linear
+    None if a lies in the ball, ``C[k] <= 1`` for the prefix sums C of a.
+    Else the answer ``a - clip(a - theta, 0, t)``, the level ``(theta, t, t)``,
+    sits at the root of the decreasing, piecewise linear
     ``F(theta) = sum_{i<k} min(a_i - theta, t) - R``, where
-    ``R = sum(a[:k]) - 1`` and ``k t = R + sum_{i>=k} (a_i - theta)_+``.  If
-    ``F(a[k]) >= 0`` it is ``(a[k], 0, R / k)``, the l1 projection of the top
-    k; at k = d or if ``F(0) <= 0``, ``(0, t, t)``, that of the whole vector
+    ``R = C[k] - 1`` and ``k t = R + sum_{i>=k} (a_i - theta)_+``.  If
+    ``F(a[k]) >= 0`` it is ``a - clip(a - a[k], 0, R / k)`` at the level
+    ``(a[k], 0, R / k)``, the l1 projection of the top k; at k = d or if
+    ``F(0) <= 0``, ``(0, t, t)``, that of the whole vector
     (:func:`_l1_threshold`).  Otherwise F at the breakpoint ``a[k + m]``, m
     tail entries above it, increases with m, and a bisection finds the first
     m where it is at least 0: n tail entries lie above the root.  It reads F
     at n and n - 1 first, for n the count above a positive ``start``, which
-    the last iteration's level in the solver mostly settles.  The bracket only
-    narrows: where the rounded F changes sign once, the level is the cold one
-    bit for bit.  On the piece, F is the least of the lines in which t applies
-    to the s largest entries, so its root is the least of theirs.
+    the last iteration's level in the solver mostly settles, and reads F(0)
+    only if the search ends on the last piece.  The bracket only narrows:
+    where the rounded F changes sign once, the level is the cold one bit for
+    bit.  On the piece, F is the least of the lines in which t applies to
+    the s largest entries, so its root is the least of theirs.
     """
     C = np.zeros(a.size + 1)  # prefix sums
     a.cumsum(out=C[1:])
+    if float(C[k]) <= 1.0:
+        return None
     top = -a[:k]
 
     def f(theta: float, n: int) -> float:  # F at a level theta with n tail entries above it
@@ -386,12 +411,9 @@ def _top1_level(a: np.ndarray, k: int, start: float = 0.0) -> tuple[float, float
     rk = (float(C[k]) - 1.0) / k
     if k < a.size and float(a[k - 1]) - rk >= float(a[k]):  # F(a[k]) >= 0: the l1 projection of the top k
         return float(a[k]), 0.0, rk
-    if k == a.size or f(0.0, a.size - k) <= 0.0:  # the l1 projection of the whole vector
-        t = float(_l1_threshold(a)[0])
-        return 0.0, t, t
-    # n: the first m in [lo, up] with F(a[k + m], m) >= 0 (a[d] reads 0)
+    # n: the first m in [lo, up] with F(a[k + m], m) >= 0 (a[d] reads 0), or none if F(0) <= 0
     lo, up = 1, a.size - k
-    if start > 0.0:  # n is mostly the count of tail entries above start
+    if start > 0.0 and k < a.size:  # n is mostly the count of tail entries above start
         n = min(max(int(np.count_nonzero(a[k:] > start)), lo), up)
         if n < up and f(float(a[k + n]), n) < 0.0:
             lo = n + 1
@@ -402,6 +424,9 @@ def _top1_level(a: np.ndarray, k: int, start: float = 0.0) -> tuple[float, float
     while lo < up:
         m = (lo + up) // 2
         lo, up = (m + 1, up) if f(float(a[k + m]), m) < 0.0 else (lo, m)
+    if k == a.size or (lo == a.size - k and f(0.0, lo) <= 0.0):  # the l1 projection of the whole vector
+        t = float(_l1_threshold(a)[0])
+        return 0.0, t, t
     # the least root of the lines s < k (s = k leaves no entry at the level); the count s of top
     # entries above theta + t is monotone on the piece, so the root's line lies between s at its ends
     total = float(C[k + lo]) - 1.0  # k t + lo theta on the piece

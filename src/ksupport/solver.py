@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import InvalidInputError, Tolerance, ZeroVectorError, as_vector
 from .faces import SupportLattice, support_lattice, v_p
-from .norms import NormSpec, _project_top_ball, ksupport_value, top_norm
+from .norms import NormSpec, _ksupport, _project_top_ball, _top1_level, _top_norm, ksupport_value, top_norm
 
 __all__ = [
     "SmoothObjective",
@@ -218,24 +218,36 @@ def identified_support(
 
 
 def _fermat_gap(
-    x: np.ndarray, g: np.ndarray, gamma: float, spec: NormSpec, tol: float = math.inf
+    x: np.ndarray, g: np.ndarray, top: float, gamma: float, spec: NormSpec, tol: float = math.inf
 ) -> float:
     """Relative Fermat residual of ``f + gamma * ksupport`` at x, with ``g = grad f(x)``.
 
-    ``max(top_norm(g) - gamma, gamma - <-g, x> / ksupport(x))_+ / gamma``, the
-    second term for x != 0 only: -g must lie in gamma times the top-norm ball
-    and expose x.  By Hoelder's inequality it is 0 exactly at an optimum, and
-    it does not change when f and gamma are scaled together or x* is scaled.
-    Once the first term alone, over gamma, exceeds ``tol`` it is returned
-    without ``ksupport(x)``: the residual is at least that, so it is above
-    ``tol`` too.  ``top_norm`` also checks that g is finite.
+    ``max(top - gamma, gamma - <-g, x> / ksupport(x))_+ / gamma`` with
+    ``top = top_norm(g)``, the second term for x != 0 only: -g must lie in
+    gamma times the top-norm ball and expose x.  By Hoelder's inequality it
+    is 0 exactly at an optimum, and it does not change when f and gamma are
+    scaled together or x* is scaled.  Once the first term alone, over gamma,
+    exceeds ``tol`` it is returned without ``ksupport(x)``: the residual is
+    at least that, so it is above ``tol`` too.  x must be finite and g a
+    float vector of its length; a non-finite entry of g gives a non-finite
+    ``top`` (:func:`ksupport.norms._top_norm`), which is rejected.
     """
-    r = top_norm(g, spec) - gamma
+    r = top - gamma
+    if not math.isfinite(r):
+        raise InvalidInputError("the gradient must be finite, with a finite top norm")
     if r / gamma > tol:
         return r / gamma
     if x.any():
-        r = max(r, gamma + float(g @ x) / ksupport_value(x, spec))
+        r = max(r, gamma + float(g @ x) / _ksupport(x, spec, dual=False)[0])
     return max(r, 0.0) / gamma
+
+
+def _gradient(obj: SmoothObjective, x: np.ndarray) -> np.ndarray:
+    """``obj.grad(x)`` as a float array, checked to have x's shape; finiteness is the gap's."""
+    g = np.asarray(obj.grad(x), dtype=float)
+    if g.shape != x.shape:
+        raise InvalidInputError(f"the gradient has shape {g.shape}, expected {x.shape}")
+    return g
 
 
 def _check_gamma(gamma: float) -> None:
@@ -261,7 +273,8 @@ def certify_optimality(
     _check_gamma(gamma)
     xarr = as_vector(x)
     spec.check_dim(xarr.size)
-    r = _fermat_gap(xarr, obj.grad(xarr), gamma, spec)
+    g = _gradient(obj, xarr)
+    r = _fermat_gap(xarr, g, top_norm(g, spec), gamma, spec)
     return gamma * r <= tol.abs + tol.rel * gamma, r
 
 
@@ -272,12 +285,24 @@ def certify_optimality(
 def _prox(v: np.ndarray, lam: float, spec: NormSpec, theta: float = 0.0) -> tuple[np.ndarray, float]:
     """prox of ``lam * ksupport`` at v: ``v - lam * project_top_ball(v / lam)``, and its level.
 
-    Entries the projection leaves unchanged are exactly zero in the prox.  The
-    projection's level search starts at ``theta``, the level the last call
-    returned, which carries over between iterations since the prox input
-    changes little.  v must be finite; it is not checked here.
+    Entries the projection leaves unchanged are exactly zero in the prox.  At
+    q = 1 (p = inf) and k >= 2 the projection at the level ``(theta, t, c)``
+    is ``u - sign(u) clip(|u| - theta, 0, c)`` (:func:`ksupport.norms._top1_level`),
+    so the prox is written from the level alone.  The level search starts
+    at ``theta``, the level the last call returned, which carries over
+    between iterations since the prox input changes little.  v must be
+    finite; it is not checked here.
     """
     u = v / lam
+    if spec.q == 1 and spec.k > 1:
+        a = np.abs(u)
+        level = _top1_level(np.sort(a)[::-1], spec.k, theta)
+        if level is None:  # u lies in the ball
+            return np.zeros_like(v), theta
+        theta, _, c = level
+        x = np.copysign(lam * np.clip(a - theta, 0.0, c), u)
+        x += 0.0  # no -0.0 where the projection keeps a negative entry
+        return x, theta
     w, theta = _project_top_ball(u, spec, theta)
     return np.where(w == u, 0.0, v - lam * w), theta
 
@@ -311,14 +336,14 @@ def solve_penalized(
     affine = obj.quad is not None  # the gradient is affine in x
     step = 1.0 / obj.lipschitz if obj.lipschitz else 1.0
     x = z = np.zeros(d)
-    g = gz = obj.grad(x)
+    g = gz = _gradient(obj, x)
     momentum = 1.0
     level = 0.0  # of the last prox; 0 starts its first search cold
     stop = "max_iter"
     iterations = 0
     for it in range(1, opts.max_iter + 1):
         iterations = it
-        if _fermat_gap(x, g, gamma, spec, opts.tol) <= opts.tol:
+        if _fermat_gap(x, g, _top_norm(g, spec), gamma, spec, opts.tol) <= opts.tol:
             break
         while True:
             x_new, level = _prox(z - step * gz, step * gamma, spec, level)
@@ -326,7 +351,7 @@ def solve_penalized(
             g_new = obj.grad(x_new)
             # the quadratic upper bound of f holds along the move (by convexity);
             # gradients keep the test clear of the rounding of f near the optimum;
-            # a NaN passes, for the gap's top_norm to reject the gradient
+            # a NaN passes, for the gap to reject the gradient
             if not backtrack or not float((g_new - gz) @ move) > 0.5 / step * float(move @ move):
                 break
             step *= 0.5
@@ -343,7 +368,8 @@ def solve_penalized(
             gz = g_new + beta * (g_new - g) if affine else as_vector(obj.grad(z))
             momentum = nxt
         x, g = x_new, g_new
-    gap = _fermat_gap(x, g, gamma, spec)
+    top = _top_norm(g, spec)
+    gap = _fermat_gap(x, g, top, gamma, spec)
     converged = gap <= opts.tol
     if converged:
         stop = "tol"
@@ -353,7 +379,7 @@ def solve_penalized(
     gmax = float(np.abs(g).max())
     lattice = None
     if gmax > 0.0:
-        tie = max(200.0 * gamma * gap, 1e-8 * top_norm(g, spec)) / gmax
+        tie = max(200.0 * gamma * gap, 1e-8 * top) / gmax
         lattice = support_lattice(np.ones(d), spec) if tie >= 1.0 else identified_support(x, -g, spec, tie)
     objective = obj.value(x) + gamma * ksupport_value(x, spec)
     return SolveReport(

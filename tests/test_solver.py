@@ -152,10 +152,10 @@ def test_early_exit_gap_decides_as_the_full_gap():
             g[0] = 1.0
         x = np.zeros(d) if rng.random() < 0.3 else rng.integers(-2, 3, size=d).astype(float)
         gamma = top_norm(g, spec) * float(rng.choice([0.5, 0.9, 1.0, 1.1, 2.0]))
-        full = _fermat_gap(x, g, gamma, spec)
+        full = _fermat_gap(x, g, top_norm(g, spec), gamma, spec)
         head = (top_norm(g, spec) - gamma) / gamma
         for tol in (0.0, 1e-9, 1e-3, 0.5, full, np.nextafter(full, 0.0), np.nextafter(full, INF), abs(head)):
-            got = _fermat_gap(x, g, gamma, spec, tol)
+            got = _fermat_gap(x, g, top_norm(g, spec), gamma, spec, tol)
             assert (got <= tol) == (full <= tol), (g, x, gamma, tol)
             if full <= tol:
                 assert got == full
@@ -166,24 +166,34 @@ def test_early_exit_gap_decides_as_the_full_gap():
 
 @pytest.mark.parametrize("bad_call", [2, 3, 4, 5, 6])
 def test_nan_gradient_raises_in_solve(bad_call):
-    # a gradient that turns NaN at a given call, with and without backtracking
-    # (the call may be the one at the new iterate or at the extrapolated
-    # point): the prox does not validate, so the solver must reject it
+    # a gradient that turns NaN, or gets one NaN, +inf or -inf entry, at a given
+    # call, with and without backtracking (the call may be the one at the new
+    # iterate or at the extrapolated point): the prox does not validate, so the
+    # solver must reject it
     rng = np.random.default_rng(8)
     A = rng.standard_normal((8, 6))
     b = rng.standard_normal(8)
     quad = quadratic_objective(A, b)
     for spec in (NormSpec(2.0, 2), NormSpec(1.5, 3), NormSpec(INF, 2), NormSpec(1.0, 1)):
         for keep_quad in (True, False):
-            calls = [0]
+            for bad in ("all NaN", math.nan, math.inf, -math.inf):
+                calls = [0]
 
-            def grad(x):
-                calls[0] += 1
-                return quad.grad(x) * (math.nan if calls[0] >= bad_call else 1.0)
+                def grad(x):
+                    calls[0] += 1
+                    g = quad.grad(x)
+                    if calls[0] >= bad_call:
+                        if bad == "all NaN":
+                            g = g * math.nan
+                        else:
+                            g[calls[0] % g.size] = bad
+                    return g
 
-            obj = SmoothObjective(6, quad.value, grad, quad.lipschitz, quad.quad if keep_quad else None)
-            with pytest.raises(InvalidInputError, match="finite"):
-                solve_penalized(obj, 0.1, spec, SolveOptions(tol=1e-12, max_iter=100))
+                obj = SmoothObjective(6, quad.value, grad, quad.lipschitz, quad.quad if keep_quad else None)
+                # arithmetic on an inf entry warns before the gap rejects the gradient
+                with pytest.raises(InvalidInputError, match="finite"), np.errstate(invalid="ignore"):
+                    solve_penalized(obj, 0.1, spec, SolveOptions(tol=1e-12, max_iter=100))
+                assert calls[0] <= bad_call + 3, (spec, keep_quad, bad)  # at the next stop test
 
 
 def test_certificate_soundness_against_probes():
@@ -224,6 +234,9 @@ def test_prox_satisfies_fermat_condition():
     # so (v - x) / s is a subgradient of the norm at x
     from ksupport.solver import _prox
 
+    from ksupport import norms
+    from ksupport.norms import _project_top_ball
+
     rng = np.random.default_rng(3)
     for _ in range(40):
         d = int(rng.integers(2, 9))
@@ -234,6 +247,29 @@ def test_prox_satisfies_fermat_condition():
         obj = quadratic_objective(np.eye(d), v)
         ok, gap = certify_optimality(x, obj, s, spec, Tolerance(1e-9, 1e-9))
         assert ok, gap
+    # p = inf, where the prox is written from the projection's level: d up to 300,
+    # tied integer entries, inputs inside the ball, k = d and scales 1e-3 to 1e3
+    seen = {"inside": 0, "top k": 0, "search": 0, "k = d": 0, "ties": 0}
+    for i in range(300):
+        d = int(rng.integers(2, 301))
+        spec = NormSpec(INF, d if i % 5 == 0 else int(rng.integers(2, d + 1)))
+        v = rng.integers(-3, 4, d).astype(float) if i % 2 else rng.standard_normal(d)
+        if not v.any():
+            v[0] = 1.0
+        s = 10.0 ** float(rng.uniform(-3.0, 3.0))
+        v *= s * float(rng.choice([0.5, 1.005, 1.05, 1.3, 3.0])) / top_norm(v, spec)
+        x, level = _prox(v, s, spec)
+        w, want = _project_top_ball(v / s, spec)
+        assert np.max(np.abs(x - (v - s * w))) <= 1e-12 * np.max(np.abs(v)), (i, d, spec)
+        assert not x[w == v / s].any() and level == want, (i, d, spec)
+        obj = quadratic_objective(np.eye(d), v)
+        ok, gap = certify_optimality(x, obj, s, spec, Tolerance(1e-9, 1e-9))
+        assert ok, (i, gap)
+        found = norms._top1_level(np.sort(np.abs(v / s))[::-1], spec.k)
+        seen["inside" if found is None else "top k" if found[1] == 0.0 else "search"] += 1
+        seen["k = d"] += spec.k == d
+        seen["ties"] += i % 2
+    assert min(seen.values()) >= 10, seen
 
 
 def test_solver_support_identification_bound():
@@ -306,11 +342,15 @@ def test_pinf_solves_are_bitwise_without_the_level_warm_start(monkeypatch):
         return [(r.x_star.tobytes(), r.iterations, r.stop, r.identified_supports) for r in reps]
 
     warm = solve_all()
-    def cold(y, spec, theta=0.0):
-        return norms._project_top_ball(y, spec)
+    searches = [0]
 
-    monkeypatch.setattr(solver, "_project_top_ball", cold)
+    def cold(a, k, start=0.0):
+        searches[0] += 1
+        return norms._top1_level(a, k)
+
+    monkeypatch.setattr(solver, "_top1_level", cold)
     assert solve_all() == warm
+    assert searches[0] >= sum(it - 1 for _, it, _, _ in warm)  # a prox in every iteration but a converged last
     assert all(it > 50 for _, it, _, _ in warm)
 
 

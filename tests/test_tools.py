@@ -1,0 +1,73 @@
+"""The developer tools under ``tools/``, on stub checkouts."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+# a stand-in for perfbench/run.py: writes a result file and prints the result
+# line; its FAIL_AT-th call (counted in calls.txt next to it) exits 3 first
+STUB = '''
+import json, sys
+from pathlib import Path
+here = Path(__file__).resolve().parent
+calls = here / "calls.txt"
+n = int(calls.read_text()) + 1 if calls.exists() else 1
+calls.write_text(str(n))
+if n == FAIL_AT:
+    print("stub: simulated crash", file=sys.stderr)
+    sys.exit(3)
+args = sys.argv[1:]
+workload, seed = args[args.index("--workload") + 1], args[args.index("--seed") + 1]
+metrics = {"setup_s": 0.1, "wall_ref": WALL + n, "peak_rss_mb": 50.0}
+(here / "out").mkdir(exist_ok=True)
+(here / "out" / f"result-{workload}-seed{seed}-trace0.json").write_text(
+    json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}))
+print("# table")
+print(json.dumps({"correct": True, "attempted": 3, "failed": 0,
+                  "metrics": {k: {"value": v, "unit": "-"} for k, v in metrics.items()}}))
+'''
+
+
+def _checkout(root: Path, wall: float, fail_at: int) -> Path:
+    (root / "perfbench").mkdir(parents=True)
+    metrics = [{"name": name, "unit": "-", "better": "lower", "bound": 0.25}
+               for name in ("setup_s", "wall_ref", "peak_rss_mb")]
+    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": metrics}))
+    stub = STUB.replace("FAIL_AT", str(fail_at)).replace("WALL", str(wall))
+    (root / "perfbench" / "run.py").write_text(stub)
+    return root
+
+
+def _ab_pairs():
+    spec = importlib.util.spec_from_file_location("ab_pairs", TOOLS / "ab_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ab_pairs_reports_a_failed_run_and_goes_on(tmp_path, capsys):
+    base = _checkout(tmp_path / "base", 100.0, fail_at=0)
+    change = _checkout(tmp_path / "change", 50.0, fail_at=2)
+    code = _ab_pairs().main(["w", "3", str(base), str(change)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert (change / "perfbench" / "calls.txt").read_text() == "3"  # the third pair still ran
+    assert "FAILED change run of pair 2/3: nonzero exit, exit code 3" in err
+    assert "last stderr line: stub: simulated crash" in err
+    assert "runs that succeeded: base 3/3, change 2/3" in out
+    assert "failed run: change run of pair 2/3: nonzero exit, exit code 3" in out
+    # the medians skip the failed run: change wall_ref reads 51 and 53, base 101, 102 and 103
+    row = next(line.split() for line in out.splitlines() if line.startswith("wall_ref"))
+    assert row[1:3] == ["102", "52"] and row[-1] == "2/2"
+
+
+def test_ab_pairs_exits_0_when_every_run_succeeds(tmp_path, capsys):
+    base = _checkout(tmp_path / "base", 100.0, fail_at=0)
+    change = _checkout(tmp_path / "change", 50.0, fail_at=0)
+    assert _ab_pairs().main(["w", "2", str(base), str(change)]) == 0
+    out = capsys.readouterr().out
+    assert "failed run" not in out and "runs that succeeded: base 2/2, change 2/2" in out
