@@ -9,13 +9,13 @@ symmetry reduction gives exactly: on sorted |x| the maximizer keeps the top
 entries as singletons and pools the tail into one block, whose start has a
 closed form.  That tail writes x as a convex combination of at most d + 1
 k-sparse points of lp norm the value (:func:`ksupport_decomposition`), the
-primal certificate.  The exact Euclidean projection onto the top-norm ball,
-and through the Moreau identity the prox of the k-support norm, finds the
-level of its k-th entry on the sorted |y| (a breakpoint bisection at q = 1,
-Newton for 1 < q < inf), then writes one entrywise map of |y|.  Each
-Newton step finds where the pooled tail starts with one binary search over
-keys built once per projection from the prefix sums of the top k.  The
-solver starts either search at the level of its last prox.
+primal certificate.  The exact Euclidean projection onto the top-norm ball
+finds the level of its k-th entry on the sorted |y| (a breakpoint bisection
+at q = 1, Newton for 1 < q < inf; a box needs none) and writes one entrywise
+map of |y|; another writes what it removes, the prox of the k-support norm
+(Moreau).  Each Newton step finds where the pooled tail starts with one binary
+search over keys built once per projection from the prefix sums of the top
+k.  The solver starts either search at the level of its last prox.
 """
 
 from __future__ import annotations
@@ -269,50 +269,60 @@ def _lq_multiplier(a: np.ndarray, q: float) -> float:
 def _level_map(y: np.ndarray, a: np.ndarray, theta: float, t: float, c: float, q: float) -> np.ndarray:
     """The projection at the level ``(theta, t, c)``, written on ``a = |y|`` with y's signs.
 
-    Entries with ``a - theta > t`` solve ``w + c w^{q-1} = a`` (:func:`_lq_roots`),
-    the others above theta tie at theta, and the rest stay.
+    Entries with ``a - theta > t`` take the root of ``w + c w^{q-1} = a`` (:func:`_lq_roots`,
+    ``a - c`` at q = 1), the other entries above theta tie at theta, and the rest stay.
     """
     w = np.minimum(a, theta)
     hit = a - theta > t
-    w[hit] = _lq_roots(a[hit], c, q)
+    if hit.any():  # none in a box; _lq_roots has a fixed cost even on no entries
+        w[hit] = _lq_roots(a[hit], c, q)
     return np.sign(y) * w
+
+
+def _level_excess(a: np.ndarray, theta: float, t: float, c: float, q: float) -> np.ndarray:
+    """What the projection at the level ``(theta, t, c)`` removes from ``a = |y|``, ``a - |P(y)|``.
+
+    ``(a - theta)_+``, but ``a - w`` past ``a - theta > t`` (:func:`_level_map`).  At q = 1
+    that is c, and no other entry exceeds c, so the excess is ``min((a - theta)_+, c)``.
+    """
+    x = np.maximum(a - theta, 0.0)
+    if q == 1:
+        return np.minimum(x, c, out=x)
+    hit = x > t
+    if hit.any():  # as in _level_map
+        x[hit] = a[hit] - _lq_roots(a[hit], c, q)
+    return x
 
 
 def project_top_ball(y0: Sequence[float], spec: NormSpec) -> np.ndarray:
     """Euclidean projection onto ``{ y : top_norm(y, spec) <= 1 }``.
 
     The ball is invariant under permutations and sign flips: the level of its
-    k-th entry is found on ``np.sort(|y|)`` (:func:`_top_level`), and the
+    k-th entry is found from ``|y|`` (:func:`_top_ball_level`), and the
     projection is an entrywise map of ``|y|`` (:func:`_level_map`).  At
-    q = inf or k = 1 the ball is a box, and the projection a clip.
+    q = inf or k = 1 the ball is a box, and the map a clip.
     """
     y = as_vector(y0)
     spec.check_dim(y.size)
-    return _project_top_ball(y, spec)[0]
+    a = np.abs(y)
+    level = _top_ball_level(a, spec)
+    return y.copy() if level is None else _level_map(y, a, *level, spec.q)
 
 
-def _project_top_ball(y: np.ndarray, spec: NormSpec, theta: float = 0.0) -> tuple[np.ndarray, float]:
-    """:func:`project_top_ball` of a finite float vector with at least k entries, unchecked.
+def _top_ball_level(a: np.ndarray, spec: NormSpec, start: float = 0.0) -> tuple[float, float, float] | None:
+    """Level ``(theta, t, c)`` of the projection of y onto the top ball, or None inside it.
 
-    Returns the projection and its level (``theta`` as is inside the ball and
-    for a clip).  The level search starts from ``theta``, as the last
-    iteration's level in the solver: Newton at 1 < q < inf where it lies in
-    its bracket, the q = 1 bisection on the piece that holds it.
+    ``a = |y|``, unsorted and finite, with at least k entries (unchecked).  The box at
+    q = inf or k = 1 is the level ``(1, inf, inf)``; otherwise a's descending sort goes to
+    :func:`_top1_level` (q = 1) or, outside the ball, :func:`_top_level`, started at ``start``.
     """
     q, k = spec.q, spec.k
-    a = np.abs(y)
+    if math.isinf(q) or k == 1:
+        return None if a.max() <= 1.0 else (1.0, math.inf, math.inf)
     s = np.sort(a)[::-1]
-    if q == 1 and k > 1:  # the search's prefix sums give the in-ball test
-        level = _top1_level(s, k, theta)
-    elif _lp_of_abs(s[:k], q) <= 1.0:
-        level = None
-    elif math.isinf(q) or k == 1:
-        return np.clip(y, -1.0, 1.0), theta
-    else:
-        level = _top_level(s, k, q, theta)
-    if level is None:
-        return y.copy(), theta
-    return _level_map(y, a, *level, q), level[0]
+    if q == 1:
+        return _top1_level(s, k, start)
+    return None if _lp_of_abs(s[:k], q) <= 1.0 else _top_level(s, k, q, start)
 
 
 def _top_level(a: np.ndarray, k: int, q: float, start: float = 0.0) -> tuple[float, float, float]:
@@ -320,9 +330,8 @@ def _top_level(a: np.ndarray, k: int, q: float, start: float = 0.0) -> tuple[flo
 
     For a outside the ball, 2 <= k <= d (``a[d]`` reads 0) and 1 < q < inf.  At
     a level theta with n entries above it, the pooled tail of ``(a - theta)_+``
-    (:func:`_pooled_tail`) starts at the j-th entry and has mean t; it splits
-    the entries: those above ``theta + t`` solve ``w + c w^{q-1} = a`` with
-    ``c = t / theta^{q-1}``, those in between tie at theta, and the rest stay.
+    (:func:`_pooled_tail`) starts at the j-th entry and has mean t, and
+    ``c = t / theta^{q-1}`` (:func:`_level_map` reads the level).
     With ``C[j] = sum(a[:j])``, the test of :func:`_pooled_tail` at j <= n,
     ``a[j-1] - theta > tail[j] / (k - j)``, reads ``P_j > B`` for the keys
     ``P_j = a[j-1] (k - j) + C[j]`` (0 < j < k), which never increase in j
@@ -379,23 +388,22 @@ def _top_level(a: np.ndarray, k: int, q: float, start: float = 0.0) -> tuple[flo
 def _top1_level(a: np.ndarray, k: int, start: float = 0.0) -> tuple[float, float, float] | None:
     """The q = 1 case of :func:`_top_level` (2 <= k <= d), by an exact breakpoint search.
 
-    None if a lies in the ball, ``C[k] <= 1`` for the prefix sums C of a.
-    Else the answer ``a - clip(a - theta, 0, t)``, the level ``(theta, t, t)``,
-    sits at the root of the decreasing, piecewise linear
-    ``F(theta) = sum_{i<k} min(a_i - theta, t) - R``, where
-    ``R = C[k] - 1`` and ``k t = R + sum_{i>=k} (a_i - theta)_+``.  If
-    ``F(a[k]) >= 0`` it is ``a - clip(a - a[k], 0, R / k)`` at the level
-    ``(a[k], 0, R / k)``, the l1 projection of the top k; at k = d or if
-    ``F(0) <= 0``, ``(0, t, t)``, that of the whole vector
-    (:func:`_l1_threshold`).  Otherwise F at the breakpoint ``a[k + m]``, m
-    tail entries above it, increases with m, and a bisection finds the first
-    m where it is at least 0: n tail entries lie above the root.  It reads F
-    at n and n - 1 first, for n the count above a positive ``start``, which
-    the last iteration's level in the solver mostly settles, and reads F(0)
-    only if the search ends on the last piece.  The bracket only narrows:
-    where the rounded F changes sign once, the level is the cold one bit for
-    bit.  On the piece, F is the least of the lines in which t applies to
-    the s largest entries, so its root is the least of theirs.
+    None if a lies in the ball, ``C[k] <= 1`` for the prefix sums C of a.  Else
+    the level ``(theta, t, c)`` reads as at every q (:func:`_level_map`): entries
+    with ``a - theta > t`` take ``a - c``, the others above theta tie at theta.
+    With ``R = C[k] - 1`` and ``k t = R + sum_{i>=k} (a_i - theta)_+`` it is
+    ``(theta, t, t)`` at the root of the decreasing, piecewise linear
+    ``F(theta) = sum_{i<k} min(a_i - theta, t) - R``.  If ``F(a[k]) >= 0`` the top k
+    lie at least ``R / k`` above a[k]: their l1 projection is the level ``(a[k], 0, R / k)``,
+    where each takes ``a - R / k`` and none ties.  At k = d or if ``F(0) <= 0`` it is
+    ``(0, t, t)``, the l1 projection of the whole vector (:func:`_l1_threshold`).
+    Otherwise F at the breakpoint ``a[k + m]``, m tail entries above it, increases with m,
+    and a bisection finds the first m where it is at least 0: n tail entries lie above the
+    root.  It reads F at n and n - 1 first, for n the count above a positive ``start``,
+    which the last iteration's level in the solver mostly settles, and reads F(0) only if
+    the search ends on the last piece.  The bracket only narrows: where the rounded F
+    changes sign once, the level is the cold one bit for bit.  On the piece, F is the least
+    of the lines in which t applies to the s largest entries, so its root is the least of theirs.
     """
     C = np.zeros(a.size + 1)  # prefix sums
     a.cumsum(out=C[1:])

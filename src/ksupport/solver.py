@@ -1,12 +1,12 @@
 """Penalized minimization ``f(x) + gamma * ksupport(x)`` by accelerated proximal gradient.
 
-The prox of the k-support norm is, through the Moreau identity, the exact
-projection onto the top-norm ball (:func:`ksupport.norms.project_top_ball`),
-so FISTA with adaptive restart solves the penalized problem directly.  The
-optimality certificate and the support identification read only ``x*`` and
-the dual vector ``-grad f(x*)``, so they do not depend on the solver.  The
-linear minimization oracle over the k-support ball (:func:`lmo_sp_ball`) is
-the exposed-face vertex of a dual vector.
+The prox of the k-support norm is, through the Moreau identity, what the exact
+projection onto the top-norm ball (:func:`ksupport.norms.project_top_ball`)
+removes, written from its level, so FISTA with adaptive restart solves the
+penalized problem directly.  The optimality certificate and the support
+identification read only ``x*`` and the dual vector ``-grad f(x*)``, so they
+do not depend on the solver.  The linear minimization oracle over the
+k-support ball (:func:`lmo_sp_ball`) is the exposed-face vertex of a dual vector.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import InvalidInputError, Tolerance, ZeroVectorError, as_vector
 from .faces import SupportLattice, support_lattice, v_p
-from .norms import NormSpec, _ksupport, _project_top_ball, _top1_level, _top_norm, ksupport_value, top_norm
+from .norms import NormSpec, _ksupport, _level_excess, _top_ball_level, _top_norm, ksupport_value, top_norm
 
 __all__ = [
     "SmoothObjective",
@@ -285,26 +285,19 @@ def certify_optimality(
 def _prox(v: np.ndarray, lam: float, spec: NormSpec, theta: float = 0.0) -> tuple[np.ndarray, float]:
     """prox of ``lam * ksupport`` at v: ``v - lam * project_top_ball(v / lam)``, and its level.
 
-    Entries the projection leaves unchanged are exactly zero in the prox.  At
-    q = 1 (p = inf) and k >= 2 the projection at the level ``(theta, t, c)``
-    is ``u - sign(u) clip(|u| - theta, 0, c)`` (:func:`ksupport.norms._top1_level`),
-    so the prox is written from the level alone.  The level search starts
-    at ``theta``, the level the last call returned, which carries over
-    between iterations since the prox input changes little.  v must be
-    finite; it is not checked here.
+    By the Moreau identity, what the projection of ``u = v / lam`` removes, times lam with
+    u's signs (:func:`ksupport.norms._level_excess`): exactly zero where it keeps u.  The level
+    search starts at ``theta``, the level the last call returned, which carries over between
+    iterations since the prox input changes little.  v must be finite; it is not checked here.
     """
     u = v / lam
-    if spec.q == 1 and spec.k > 1:
-        a = np.abs(u)
-        level = _top1_level(np.sort(a)[::-1], spec.k, theta)
-        if level is None:  # u lies in the ball
-            return np.zeros_like(v), theta
-        theta, _, c = level
-        x = np.copysign(lam * np.clip(a - theta, 0.0, c), u)
-        x += 0.0  # no -0.0 where the projection keeps a negative entry
-        return x, theta
-    w, theta = _project_top_ball(u, spec, theta)
-    return np.where(w == u, 0.0, v - lam * w), theta
+    a = np.abs(u)
+    level = _top_ball_level(a, spec, theta)
+    if level is None:  # u lies in the ball
+        return np.zeros_like(v), theta
+    x = np.copysign(lam * _level_excess(a, *level, spec.q), u)
+    x += 0.0  # no -0.0 where the projection keeps a negative entry
+    return x, level[0]
 
 
 def solve_penalized(

@@ -245,20 +245,19 @@ def suite_polytope(d_max: int = 4) -> dict:
                 failures.append(("double-description-top1k", d, k))
             if ksup != dd_ksup:
                 failures.append(("double-description-ksupinf", d, k))
-            # facet normals of the top ball are exactly the k-sparse sign vectors
-            want_normals = set(sign_vectors(d, k))
-            got_normals = {n for n, _ in top.facet_inequalities}
-            if got_normals != want_normals:
+            # facet normals of the top ball are exactly the k-sparse sign vectors, in sorted order
+            normals = sign_vectors(d, k)
+            if tuple(n for n, _ in top.facet_inequalities) != normals:
                 failures.append(("facet-normals", d, k))
-            # sign-vector facets equal the brute lattice's facets (as vertex sets)
-            brute = set(brute_face_lattice(top))
-            brute_facets = {pts for pts, dim in brute if dim == d - 1}
-            thm_facets = {tuple(sorted(facet_from_sign_vector(s, d, k))) for s in got_normals}
+            # sign-vector facets equal the brute lattice's facets (as sorted vertex lists)
+            brute = brute_face_lattice(top)
+            brute_facets = sorted(pts for pts, dim in brute if dim == d - 1)
+            thm_facets = sorted(tuple(sorted(facet_from_sign_vector(s, d, k))) for s in normals)
             if brute_facets != thm_facets:
                 failures.append(("facets", d, k))
             # polarity: ksup ball vertices are the top ball facet normals and
             # all cross pairings stay within the polar inequality
-            if set(ksup.vertices) != got_normals:
+            if ksup.vertices != normals:
                 failures.append(("polarity-vertices", d, k))
             # on integers: with (x, a) a multiple of (v, 1) and (y, b) of (w, 1),
             # <w, v> <= 1 reads <y, x> <= a b
@@ -267,7 +266,7 @@ def suite_polytope(d_max: int = 4) -> dict:
             if any(_dot(w[:-1], v[:-1]) > v[-1] * w[-1] for v in lifted for w in signs):
                 failures.append(("polar-inequality", d, k))
             # constructed face lattice equals the brute lattice
-            if brute != set(enumerate_proper_faces_top1k(d, k)):
+            if brute != enumerate_proper_faces_top1k(d, k):
                 failures.append(("lattice", d, k))
     return _result("polytope", checked, failures)
 

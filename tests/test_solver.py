@@ -5,7 +5,7 @@ import pytest
 
 from ksupport.core import InvalidInputError, Tolerance, ZeroVectorError, l0, support_of
 from ksupport.faces import support_lattice
-from ksupport.norms import NormSpec, ksupport_value, top_norm
+from ksupport.norms import NormSpec, ksupport_value, project_top_ball, top_norm
 from ksupport.solver import (
     SmoothObjective,
     SolveOptions,
@@ -235,7 +235,6 @@ def test_prox_satisfies_fermat_condition():
     from ksupport.solver import _prox
 
     from ksupport import norms
-    from ksupport.norms import _project_top_ball
 
     rng = np.random.default_rng(3)
     for _ in range(40):
@@ -247,26 +246,29 @@ def test_prox_satisfies_fermat_condition():
         obj = quadratic_objective(np.eye(d), v)
         ok, gap = certify_optimality(x, obj, s, spec, Tolerance(1e-9, 1e-9))
         assert ok, gap
-    # p = inf, where the prox is written from the projection's level: d up to 300,
-    # tied integer entries, inputs inside the ball, k = d and scales 1e-3 to 1e3
-    seen = {"inside": 0, "top k": 0, "search": 0, "k = d": 0, "ties": 0}
+    # the prox written from the projection's level is v - s * project_top_ball(v / s):
+    # every p, d up to 300, tied integer entries, inputs inside the ball, k = 1, k = d
+    # and scales 1e-3 to 1e3
+    seen = {"inside": 0, "box": 0, "top k": 0, "search": 0, "k = d": 0, "ties": 0}
     for i in range(300):
         d = int(rng.integers(2, 301))
-        spec = NormSpec(INF, d if i % 5 == 0 else int(rng.integers(2, d + 1)))
+        k = d if i % 5 == 0 else 1 if i % 5 == 1 else int(rng.integers(2, d + 1))
+        spec = NormSpec(float(rng.choice([1.0, 1.5, 2.0, 3.0, INF])), k)
         v = rng.integers(-3, 4, d).astype(float) if i % 2 else rng.standard_normal(d)
         if not v.any():
             v[0] = 1.0
         s = 10.0 ** float(rng.uniform(-3.0, 3.0))
         v *= s * float(rng.choice([0.5, 1.005, 1.05, 1.3, 3.0])) / top_norm(v, spec)
         x, level = _prox(v, s, spec)
-        w, want = _project_top_ball(v / s, spec)
+        w = project_top_ball(v / s, spec)
+        found = norms._top_ball_level(np.abs(v / s), spec)
         assert np.max(np.abs(x - (v - s * w))) <= 1e-12 * np.max(np.abs(v)), (i, d, spec)
-        assert not x[w == v / s].any() and level == want, (i, d, spec)
+        assert not x[w == v / s].any() and level == (0.0 if found is None else found[0]), (i, d, spec)
         obj = quadratic_objective(np.eye(d), v)
         ok, gap = certify_optimality(x, obj, s, spec, Tolerance(1e-9, 1e-9))
         assert ok, (i, gap)
-        found = norms._top1_level(np.sort(np.abs(v / s))[::-1], spec.k)
-        seen["inside" if found is None else "top k" if found[1] == 0.0 else "search"] += 1
+        kind = "inside" if found is None else "box" if found[1] == INF else "top k" if found[1] == 0.0 else "search"
+        seen[kind] += 1
         seen["k = d"] += spec.k == d
         seen["ties"] += i % 2
     assert min(seen.values()) >= 10, seen
@@ -344,11 +346,13 @@ def test_pinf_solves_are_bitwise_without_the_level_warm_start(monkeypatch):
     warm = solve_all()
     searches = [0]
 
+    top1_level = norms._top1_level
+
     def cold(a, k, start=0.0):
         searches[0] += 1
-        return norms._top1_level(a, k)
+        return top1_level(a, k)
 
-    monkeypatch.setattr(solver, "_top1_level", cold)
+    monkeypatch.setattr(norms, "_top1_level", cold)
     assert solve_all() == warm
     assert searches[0] >= sum(it - 1 for _, it, _, _ in warm)  # a prox in every iteration but a converged last
     assert all(it > 50 for _, it, _, _ in warm)

@@ -1,7 +1,7 @@
 """Fingerprint of every solve of the two solve benchmark workloads.
 
 Runs the seeded instances of ``solve-curved`` and ``solve-polytope`` (the
-cases of ``perfbench/workloads.py``) at the given seeds and passes.  Prints
+cases of ``perfbench/workloads.py``) at seeds 0 and 7919, passes 0-5.  Prints
 one line per solve (iterations, stop reason, relative gap, objective and the
 identified support lattice, the floats in hex), then ``steps-sha256``, a
 sha256 over those lines without their ``fw_gap`` and ``objective`` fields,
@@ -12,12 +12,11 @@ stop for the same reasons and identify the same lattices, as a change that
 moves only the rounding does.  The wall time of each workload pass goes to
 stderr, so stdout can be compared with ``diff``.
 
-    PYTHONPATH=src python3 tools/solve_digest.py [--seeds 0 7919] [--passes 6]
+    PYTHONPATH=src python3 tools/solve_digest.py
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import sys
 import time
@@ -27,17 +26,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import workloads  # noqa: E402
 
+SEEDS = (0, 7919)
+PASSES = 6
+
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--seeds", type=int, nargs="+", default=[0, 7919])
-    ap.add_argument("--passes", type=int, default=6)
-    args = ap.parse_args()
     digest, steps = hashlib.sha256(), hashlib.sha256()
     for name in ("solve-curved", "solve-polytope"):
         wl = workloads.SolveWorkload(name)
-        for seed in args.seeds:
-            for pass_index in range(args.passes):
+        for seed in SEEDS:
+            for pass_index in range(PASSES):
                 t0 = time.perf_counter()
                 for op in wl.inputs(seed, pass_index):
                     rep, _ = op.run()
