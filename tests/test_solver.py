@@ -247,13 +247,18 @@ def test_prox_satisfies_fermat_condition():
         ok, gap = certify_optimality(x, obj, s, spec, Tolerance(1e-9, 1e-9))
         assert ok, gap
     # the prox written from the projection's level is v - s * project_top_ball(v / s):
-    # every p, d up to 300, tied integer entries, inputs inside the ball, k = 1, k = d
-    # and scales 1e-3 to 1e3
-    seen = {"inside": 0, "box": 0, "top k": 0, "search": 0, "k = d": 0, "ties": 0}
-    for i in range(300):
+    # d up to 300, tied integer entries, inputs inside the ball, k = d and scales 1e-3
+    # to 1e3; 300 draws at p = inf and k >= 2 (the q = 1 breakpoint search), then 300
+    # at every p with k = 1 (the box) and k = d among them
+    seen = {(q1, kind): 0 for q1 in (True, False) for kind in ("inside", "top k", "search")}
+    seen |= {"box": 0, "k = d": 0, "ties": 0}
+    for i in range(600):
         d = int(rng.integers(2, 301))
-        k = d if i % 5 == 0 else 1 if i % 5 == 1 else int(rng.integers(2, d + 1))
-        spec = NormSpec(float(rng.choice([1.0, 1.5, 2.0, 3.0, INF])), k)
+        if i < 300:
+            spec = NormSpec(INF, d if i % 5 == 0 else int(rng.integers(2, d + 1)))
+        else:
+            k = d if i % 5 == 0 else 1 if i % 5 == 1 else int(rng.integers(2, d + 1))
+            spec = NormSpec(float(rng.choice([1.0, 1.5, 2.0, 3.0, INF])), k)
         v = rng.integers(-3, 4, d).astype(float) if i % 2 else rng.standard_normal(d)
         if not v.any():
             v[0] = 1.0
@@ -261,14 +266,19 @@ def test_prox_satisfies_fermat_condition():
         v *= s * float(rng.choice([0.5, 1.005, 1.05, 1.3, 3.0])) / top_norm(v, spec)
         x, level = _prox(v, s, spec)
         w = project_top_ball(v / s, spec)
-        found = norms._top_ball_level(np.abs(v / s), spec)
         assert np.max(np.abs(x - (v - s * w))) <= 1e-12 * np.max(np.abs(v)), (i, d, spec)
-        assert not x[w == v / s].any() and level == (0.0 if found is None else found[0]), (i, d, spec)
+        assert not x[w == v / s].any(), (i, d, spec)
+        found = norms._top_ball_level(np.abs(v / s), spec)
+        box = np.isinf(spec.q) or spec.k == 1
+        if found is not None and not box:  # the level is the (k+1)-th largest |w|, 0 past d
+            assert level == np.append(np.sort(np.abs(w))[::-1], 0.0)[spec.k], (i, d, spec)
         obj = quadratic_objective(np.eye(d), v)
         ok, gap = certify_optimality(x, obj, s, spec, Tolerance(1e-9, 1e-9))
         assert ok, (i, gap)
-        kind = "inside" if found is None else "box" if found[1] == INF else "top k" if found[1] == 0.0 else "search"
-        seen[kind] += 1
+        if box:
+            seen["box"] += found is not None
+        else:
+            seen[spec.q == 1, "inside" if found is None else "top k" if found[1] == 0.0 else "search"] += 1
         seen["k = d"] += spec.k == d
         seen["ties"] += i % 2
     assert min(seen.values()) >= 10, seen
