@@ -145,9 +145,10 @@ class SolveReport:
     residual that ``certify_optimality`` reads (the name is kept from an
     earlier Frank-Wolfe solver); ``iterations``: iterations run;
     ``converged``: the gap reached ``SolveOptions.tol``; ``stop``: why the
-    iterations ended: ``"tol"`` (converged), ``"fixed_point"`` (the
-    prox-gradient step left x exactly where it was, short of the tolerance)
-    or ``"max_iter"``.
+    iterations ended: ``"tol"`` (converged), ``"face"`` (converged: the
+    minimizer on the face read from the iterate met the tolerance, for a
+    least-squares f at p = inf), ``"fixed_point"`` (the prox-gradient step
+    left x exactly where it was, short of the tolerance) or ``"max_iter"``.
     ``identified_supports``: the lattice of optimal supports of
     ``-grad f(x_star)``, None for a zero gradient; ``unique_support``: its
     single member, if any; ``support_bound``: its union (empty for a zero
@@ -300,6 +301,43 @@ def _prox(v: np.ndarray, lam: float, spec: NormSpec, theta: float = 0.0) -> tupl
     return x, level[0]
 
 
+_FACE_PERIOD = 10  # iterations between two readings of the face at p = inf
+
+
+def _face_point(quad: tuple[np.ndarray, np.ndarray], gamma: float, k: int, face: np.ndarray) -> np.ndarray | None:
+    """Minimizer of ``0.5 ||A x - b||^2 + gamma * ksupport(x)`` on a ridge face at p = inf.
+
+    ``face`` holds the sign of each entry of x, doubled on T, the entries tied at
+    max|x|; F is the rest of the support.  On a ridge face, ``|T| < k <= |T| + |F|``,
+    the norm is both max|x| and ``||x||_1 / k``, so with ``x_T = z_0 s_T`` and
+    ``x_F = z_{1:}`` the problem is ``min 0.5 ||B z - b||^2 + gamma z_0`` subject to
+    ``<c, z> = 0``, with ``B = [A_T s_T, A_F]`` (m x (|F| + 1)) and
+    ``c = (|T| - k, s_F)``: one KKT system of size |F| + 2.  None off the ridge,
+    for |F| > m (the system is then singular), or when the solve fails or is not
+    finite.  The point is not checked for optimality; the caller's gap test does that.
+    """
+    A, b = quad
+    tied, free = np.abs(face) == 2.0, np.abs(face) == 1.0
+    n_tied, n_free = int(np.count_nonzero(tied)), int(np.count_nonzero(free))
+    if not n_tied < k <= n_tied + n_free or n_free > A.shape[0]:
+        return None
+    s = np.sign(face)
+    B = np.column_stack((A[:, tied] @ s[tied], A[:, free]))
+    kkt = np.zeros((n_free + 2, n_free + 2))
+    kkt[:-1, :-1] = B.T @ B
+    kkt[:-1, -1] = kkt[-1, :-1] = np.concatenate(([n_tied - k], s[free]))
+    rhs = np.append(B.T @ b, 0.0)
+    rhs[0] -= gamma
+    try:
+        z = np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    x = np.zeros(face.size)
+    x[tied] = z[0] * s[tied]
+    x[free] = z[1:-1]
+    return x if np.isfinite(x).all() else None
+
+
 def solve_penalized(
     obj: SmoothObjective,
     gamma: float,
@@ -320,6 +358,15 @@ def solve_penalized(
     the one before: Newton at 1 < q < inf, and at q = 1 (p = inf) the
     breakpoint search, which then mostly checks one piece and finds the
     level a cold search would, bit for bit.
+
+    For a least-squares f (``obj.quad``) at p = inf and k >= 2 the solve also
+    finishes on its identified face: every 10th iteration it reads the face
+    of x (the signs and the entries tied at max|x|, which the prox writes
+    bitwise alike), and a ridge face unchanged since the reading before is
+    solved on once, by one KKT system of size |F| + 2 (:func:`_face_point`).
+    If that point is finite and its gap meets ``opts.tol`` the solve returns
+    it with stop ``"face"``; otherwise the iterates go on untouched.  Every
+    other solve takes the same iterations as without this check.
     """
     _check_gamma(gamma)
     opts = opts or SolveOptions()
@@ -332,12 +379,27 @@ def solve_penalized(
     g = gz = _gradient(obj, x)
     momentum = 1.0
     level = 0.0  # of the last prox; 0 starts its first search cold
+    finish = obj.quad is not None and spec.q == 1 and spec.k >= 2  # least squares at p = inf
+    face, tried = None, set()
     stop = "max_iter"
     iterations = 0
     for it in range(1, opts.max_iter + 1):
         iterations = it
         if _fermat_gap(x, g, _top_norm(g, spec), gamma, spec, opts.tol) <= opts.tol:
             break
+        if finish and it % _FACE_PERIOD == 0:
+            # a face that held for a period is solved on, once
+            a = np.abs(x)
+            last, face = face, np.sign(x) * (1.0 + (a == a.max()))
+            if np.array_equal(face, last) and face.tobytes() not in tried:
+                tried.add(face.tobytes())
+                y = _face_point(obj.quad, gamma, spec.k, face)
+                if y is not None:
+                    gy = obj.grad(y)
+                    top = _top_norm(gy, spec)
+                    if math.isfinite(top) and _fermat_gap(y, gy, top, gamma, spec, opts.tol) <= opts.tol:
+                        x, g, stop = y, gy, "face"
+                        break
         while True:
             x_new, level = _prox(z - step * gz, step * gamma, spec, level)
             move = x_new - z
@@ -364,7 +426,7 @@ def solve_penalized(
     top = _top_norm(g, spec)
     gap = _fermat_gap(x, g, top, gamma, spec)
     converged = gap <= opts.tol
-    if converged:
+    if converged and stop != "face":
         stop = "tol"
     # tie detection in the dual vector must not be finer than the achieved
     # accuracy, else tied coordinates carrying mass of x fall out of the bound;

@@ -232,6 +232,21 @@ def test_lattice_count_past_the_digit_limit():
     assert small == {"core": [1], "bound": [1, 2, 3], "sizes": [2], "count": 2}
 
 
+def test_solve_pinf_quadratic_ends_on_its_face(tmp_path, capsys):
+    # planted least squares at p = inf: the solve finishes on its identified face
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((30, 60))
+    w = np.zeros(60)
+    w[rng.choice(60, 10, replace=False)] = rng.standard_normal(10)
+    payload = {"type": "quadratic", "A": A.tolist(), "b": (A @ w + 0.01 * rng.standard_normal(30)).tolist()}
+    path = tmp_path / "obj.json"
+    path.write_text(json.dumps(payload))
+    code, out, _ = run_cli(capsys, "solve", "--objective", str(path), "--gamma", "1", "--p", "inf", "--k", "10")
+    data = json.loads(out)
+    assert code == 0
+    assert data["stop"] == "face" and data["converged"] is True
+
+
 def test_solve_logistic_file(tmp_path, capsys):
     rng = np.random.default_rng(0)
     X = rng.standard_normal((20, 3))

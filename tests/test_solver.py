@@ -315,20 +315,80 @@ def test_solver_iteration_cap_flagged():
     assert set(support_of(rep.x_star)) <= set(rep.support_bound)
 
 
-def test_solver_polytope_bound_is_not_trivial():
+def _planted_pinf(d, k=10):
     # the p = inf planted least-squares setup of the solve-polytope benchmark
     rng = np.random.default_rng(7)
-    d, m, k = 100, 50, 10
-    A = rng.standard_normal((m, d))
+    A = rng.standard_normal((d // 2, d))
     w = np.zeros(d)
     w[rng.choice(d, k, replace=False)] = rng.standard_normal(k)
-    obj = quadratic_objective(A, A @ w + 0.01 * rng.standard_normal(m))
-    spec = NormSpec(INF, k)
+    return quadratic_objective(A, A @ w + 0.01 * rng.standard_normal(d // 2)), NormSpec(INF, k)
+
+
+def test_solver_polytope_bound_is_not_trivial():
+    d = 100
+    obj, spec = _planted_pinf(d)
     rep = solve_penalized(obj, 1.0, spec, SolveOptions(tol=1e-6))
     ok, _ = certify_optimality(rep.x_star, obj, 1.0, spec, Tolerance(1e-6, 1e-6))
     assert rep.converged and ok
     assert len(rep.support_bound) < d
     assert set(support_of(rep.x_star, 1e-6)) <= set(rep.support_bound)
+
+
+@pytest.mark.parametrize("d", [60, 100])
+def test_pinf_least_squares_finishes_on_its_face(d):
+    # the face read from x held for a period; one KKT solve on it lands on the optimum
+    obj, spec = _planted_pinf(d)
+    rep = solve_penalized(obj, 1.0, spec, SolveOptions(tol=1e-6))
+    ok, _ = certify_optimality(rep.x_star, obj, 1.0, spec, Tolerance(1e-6, 1e-6))
+    assert rep.stop == "face" and rep.converged and ok
+    assert rep.fw_gap <= 1e-12
+    assert set(support_of(rep.x_star)) <= set(rep.support_bound)
+
+
+@pytest.mark.parametrize("wrong", ["T one entry short", "F one entry spare"])
+def test_a_wrong_face_is_refused(monkeypatch, wrong):
+    # the point of a wrong face fails the gap test and leaves the iterates alone
+    from ksupport import solver
+
+    obj, spec = _planted_pinf(100)
+    opts = SolveOptions(tol=1e-6)
+    face_point = solver._face_point
+    monkeypatch.setattr(solver, "_face_point", lambda *args: None)
+    plain = solve_penalized(obj, 1.0, spec, opts)
+    points = []
+
+    def wrong_face(quad, gamma, k, face):
+        face = face.copy()
+        if wrong == "T one entry short":
+            face[np.flatnonzero(np.abs(face) == 2.0)[0]] /= 2.0
+        else:
+            face[np.flatnonzero(face == 0.0)[0]] = 1.0
+        points.append(face_point(quad, gamma, k, face))
+        return points[-1]
+
+    monkeypatch.setattr(solver, "_face_point", wrong_face)
+    rep = solve_penalized(obj, 1.0, spec, opts)
+    assert any(x is not None for x in points)
+    assert plain.stop == rep.stop == "tol"
+    assert rep.iterations == plain.iterations and rep.x_star.tobytes() == plain.x_star.tobytes()
+
+
+def test_only_pinf_least_squares_tries_a_face(monkeypatch):
+    from ksupport import solver
+
+    def refuse(*args):
+        raise AssertionError("a face was tried")
+
+    monkeypatch.setattr(solver, "_face_point", refuse)
+    obj, _ = _planted_pinf(60)
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((40, 15))
+    labels = np.sign(X @ (2.0 * rng.standard_normal(15) * (rng.random(15) < 0.3)) + 0.5 * rng.standard_normal(40))
+    cases = [(obj, NormSpec(p, k)) for p, k in ((2.0, 10), (1.0, 10), (INF, 1))]
+    cases.append((logistic_objective(X, labels), NormSpec(INF, 3)))
+    for f, spec in cases:
+        rep = solve_penalized(f, 1.0, spec, SolveOptions(tol=1e-8, max_iter=3000))
+        assert rep.iterations > 20, spec  # past two readings of the face
 
 
 def test_pinf_solves_are_bitwise_without_the_level_warm_start(monkeypatch):

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
@@ -71,3 +75,40 @@ def test_ab_pairs_exits_0_when_every_run_succeeds(tmp_path, capsys):
     assert _ab_pairs().main(["w", "2", str(base), str(change)]) == 0
     out = capsys.readouterr().out
     assert "failed run" not in out and "runs that succeeded: base 2/2, change 2/2" in out
+
+
+# a stand-in for perfbench/workloads.py: one solve per pass, whose report
+# names the file of the ksupport it imported
+WORKLOADS = '''
+from types import SimpleNamespace
+import numpy as np
+import ksupport
+
+class SolveWorkload:
+    def __init__(self, name):
+        self.name = name
+
+    def inputs(self, seed, pass_index):
+        rep = SimpleNamespace(identified_supports=None, iterations=10 + pass_index, fw_gap=0.0, objective=1.0,
+                              stop="face" if pass_index else "tol", x_star=np.zeros(2))
+        return [SimpleNamespace(label=ksupport.__file__, run=lambda: (rep, None))]
+'''
+
+
+def test_solve_digest_solves_with_the_ksupport_beside_it(tmp_path):
+    root = tmp_path / "checkout"
+    (root / "tools").mkdir(parents=True)
+    (root / "src" / "ksupport").mkdir(parents=True)
+    (root / "perfbench").mkdir()
+    shutil.copy(TOOLS / "solve_digest.py", root / "tools")
+    (root / "src" / "ksupport" / "__init__.py").write_text("")
+    (root / "perfbench" / "workloads.py").write_text(WORKLOADS)
+    # another ksupport first on the import path must not be the one solved with
+    env = dict(os.environ, PYTHONPATH=str(TOOLS.parent / "src"))
+    run = subprocess.run([sys.executable, str(root / "tools" / "solve_digest.py")], env=env,
+                         capture_output=True, text=True, check=True)
+    (label,) = {line.split()[3] for line in run.stdout.splitlines() if " seed=" in line}
+    assert label == str(root / "src" / "ksupport" / "__init__.py")
+    # per case, over 2 seeds x 6 passes: iterations 2 * (10 + ... + 15) and the stop reasons
+    for name in ("solve-curved", "solve-polytope"):
+        assert f"{name} {label}: iterations=150 face=10 tol=2" in run.stderr

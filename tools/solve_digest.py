@@ -10,9 +10,11 @@ Two source trees that print the same ``sha256`` solve every instance bit for
 bit alike; two that print the same ``steps-sha256`` take the same iterations,
 stop for the same reasons and identify the same lattices, as a change that
 moves only the rounding does.  The wall time of each workload pass goes to
-stderr, so stdout can be compared with ``diff``.
+stderr, and last, per case, its total iterations and the count of each stop
+reason over its solves, so stdout can be compared with ``diff``.  The
+``ksupport`` it solves with is the one in the ``src`` beside this script.
 
-    PYTHONPATH=src python3 tools/solve_digest.py
+    python3 tools/solve_digest.py
 """
 
 from __future__ import annotations
@@ -20,9 +22,11 @@ from __future__ import annotations
 import hashlib
 import sys
 import time
+from collections import Counter, defaultdict
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
 
@@ -32,6 +36,8 @@ PASSES = 6
 
 def main() -> None:
     digest, steps = hashlib.sha256(), hashlib.sha256()
+    iterations: Counter = Counter()
+    stops: defaultdict = defaultdict(Counter)
     for name in ("solve-curved", "solve-polytope"):
         wl = workloads.SolveWorkload(name)
         for seed in SEEDS:
@@ -48,7 +54,12 @@ def main() -> None:
                     steps.update(f"{head}{tail}".encode())
                     digest.update(line.encode())
                     digest.update(rep.x_star.tobytes())
+                    iterations[name, op.label] += rep.iterations
+                    stops[name, op.label][rep.stop] += 1
                 print(f"{name} seed={seed} pass={pass_index}: {time.perf_counter() - t0:.2f} s", file=sys.stderr)
+    for (name, label), counts in stops.items():
+        reasons = " ".join(f"{stop}={n}" for stop, n in sorted(counts.items()))
+        print(f"{name} {label}: iterations={iterations[name, label]} {reasons}", file=sys.stderr)
     print(f"steps-sha256 {steps.hexdigest()}")
     print(f"sha256 {digest.hexdigest()}")
 
