@@ -56,7 +56,7 @@ from .norms import (
     project_top_ball,
     top_norm,
 )
-from .oracles import atomset_face, dual_ascent_ksupport, ksupport_norm_oracle
+from .oracles import atomset_face, ksupport_norm_oracle
 from .polytopes import (
     FanRefinementReport,
     RationalPolytope,

@@ -82,7 +82,7 @@ class EvalReport:
     """
 
     value: float
-    method: str  # closed_form | symmetry_reduction; oracles: dual_ascent | decomposition_oracle
+    method: str  # closed_form | symmetry_reduction; oracles: decomposition_oracle
     certified_gap: float = 0.0
 
 

@@ -3,21 +3,18 @@
 Everything here is deliberately simple and exhaustive: the scans over
 explicit lists of vertices, supports and atoms pick their maximizers with
 one argmax, :func:`_argmax`; beside them sit closed-form soft thresholding,
-an exposed face found by sampling sparse atoms, Dykstra's alternating
-projections over all C(d,k) cylinders of the top-norm ball, projected
-gradient ascent on that ball, the decomposition program over all C(d,k)
-blocks, an exact double description (vertex and facet enumeration, and
-both p = inf balls built with it), and the face lattice of a polytope as
-the closure of its facets under intersection.  The last two run on Python
-integers and take and return rationals.  These never call the
-analytic paths they validate.  Dykstra projects onto each cylinder with
-:func:`ksupport.norms.project_lq_ball`, which the tests check on its own;
-the support scan scores each support with the lq norm of ``norms`` and
-shares nothing with :func:`ksupport.faces.support_lattice`; dual ascent
-shares with :func:`ksupport.norms.ksupport_norm` only the closed forms at
-p = 1 and p = inf and the primal decomposition behind its upper bound;
-the double description shares with :mod:`ksupport.polytopes` only the
-generator lists, the input guard and the integer rank.
+an exposed face found by sampling sparse atoms, the decomposition program
+over all C(d,k) blocks, an exact double description (vertex and facet
+enumeration, and both p = inf balls built with it), and the face lattice
+of a polytope as the closure of its facets under intersection.  The last
+two run on Python integers and take and return rationals.  These never
+call the analytic paths they validate.  The support scan scores each
+support with the lq norm of ``norms`` and shares nothing with
+:func:`ksupport.faces.support_lattice`; the decomposition program reads
+from ``norms`` only the lq-ball projection of its prox and the top norm
+of its dual bound, never a k-support value; the double description
+shares with :mod:`ksupport.polytopes` only the generator lists, the input
+guard and the integer rank.
 """
 
 from __future__ import annotations
@@ -42,9 +39,6 @@ from .norms import (
     NormSpec,
     _lp_of_abs,
     _project_lq_ball,
-    ksupport_decomposition,
-    ksupport_norm,
-    lp_norm,
     top_norm,
 )
 from .polytopes import (
@@ -66,8 +60,6 @@ __all__ = [
     "brute_face_lattice",
     "brute_optimal_supports",
     "dd_balls",
-    "dykstra_top_ball",
-    "dual_ascent_ksupport",
     "facet_enumeration",
     "ksupport_norm_oracle",
     "lasso_closed_form",
@@ -240,83 +232,6 @@ def sampled_exposed_face(
         if all(float(np.max(np.abs(w - o))) > 1e-6 for o in points):
             points.append(w)
     return points, top
-
-
-def dykstra_top_ball(y0: Sequence[float], spec: NormSpec, tol: float = 1e-9) -> np.ndarray:
-    """Euclidean projection onto ``{ y : top_norm(y, spec) <= 1 }`` by Dykstra.
-
-    The ball is the intersection of the C(d,k) cylinders
-    ``{ ||pi_K y||_q <= 1 }``; Dykstra's alternating projections over them
-    converge to the projection.  A sweep ends the iteration only when it
-    changes no intermediate iterate and no correction by more than
-    ``tol``: the iterate at the end of a sweep can repeat while the
-    corrections still move.  Raises :class:`ConvergenceError` after 100 000
-    sweeps.  Desk scale: C(d,k) <= 20 000.
-    """
-    y = as_vector(y0)
-    d = y.size
-    spec.check_dim(d)
-    if top_norm(y, spec) <= 1.0:
-        return y.copy()
-    if math.comb(d, spec.k) > 20_000:
-        raise ScaleLimitError(f"C({d},{spec.k}) cylinders exceed the desk-scale guard")
-    supports = [np.array(K, dtype=int) - 1 for K in k_subsets(d, spec.k)]
-    x = y.copy()
-    corr = np.zeros((len(supports), spec.k))
-    for _ in range(100_000):
-        moved = 0.0
-        for j, idx in enumerate(supports):
-            v = x[idx] + corr[j]
-            w = _project_lq_ball(v, spec.q)
-            moved = max(moved, float(np.max(np.abs(w - x[idx]))), float(np.max(np.abs(v - w - corr[j]))))
-            corr[j] = v - w
-            x[idx] = w
-        if moved <= tol:
-            return x
-    raise ConvergenceError("Dykstra projection did not converge within the sweep cap")
-
-
-_DUAL_ASCENT_CAP = 5000  # iterations of dual_ascent_ksupport
-
-
-def dual_ascent_ksupport(x: Sequence[float], spec: NormSpec) -> EvalReport:
-    """k-support norm by full-space projected gradient ascent.
-
-    Iterates ``y <- proj(y + x / ||x||_2)`` with the Dykstra projection onto
-    the top ball, from the warm start ``sign(x) |x|^{q/p}`` normalized to the
-    ball boundary.  The linear objective makes every fixed point a global
-    maximizer.  The unreduced cross-check of the symmetry reduction in
-    :func:`ksupport.norms.ksupport_norm`; closed-form cases (p = 1, p = inf)
-    are passed to it.  The value is the pairing with the final y, and the
-    upper bound sums the weighted lp norms of the primal decomposition's
-    atoms.  Stops once an iterate from the third on moves by less than 1e-9,
-    and raises :class:`ConvergenceError` if none has within
-    ``_DUAL_ASCENT_CAP`` steps.
-    """
-    arr = as_vector(x)
-    spec.check_dim(arr.size)
-    p = spec.p
-    if not 1 < p < math.inf:
-        return ksupport_norm(arr, spec)
-    if float(np.abs(arr).max()) == 0.0:
-        return EvalReport(0.0, "dual_ascent")
-    q = spec.q
-    y = np.sign(arr) * np.abs(arr) ** (q / p)
-    y = y / top_norm(y, spec)
-    eta = 1.0 / float(np.linalg.norm(arr))
-    for it in range(_DUAL_ASCENT_CAP):
-        y_new = dykstra_top_ball(y + eta * arr, spec, 1e-10)
-        move = float(np.max(np.abs(y_new - y)))
-        y = y_new
-        if move < 1e-9 and it >= 2:
-            break
-    else:
-        raise ConvergenceError("dual ascent did not converge within the iteration cap")
-    scale = max(1.0, top_norm(y, spec))
-    lower = float(arr @ (y / scale))
-    weights, atoms = ksupport_decomposition(arr, spec)
-    upper = float(sum(w * lp_norm(atom, p) for w, atom in zip(weights, atoms)))
-    return EvalReport(lower, "dual_ascent", max(0.0, upper - lower))
 
 
 _NORM_ORACLE_MAX_D = 8  # largest d of ksupport_norm_oracle

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize as sciopt
 
-from ksupport import norms, oracles
-from ksupport.core import ConvergenceError, InvalidInputError
+from ksupport import norms
+from ksupport.core import InvalidInputError
 from ksupport.norms import (
     NormSpec,
     ksupport_decomposition,
@@ -18,7 +18,9 @@ from ksupport.norms import (
     project_top_ball,
     top_norm,
 )
-from ksupport.oracles import dual_ascent_ksupport, dykstra_top_ball, ksupport_norm_oracle
+from ksupport.oracles import ksupport_norm_oracle
+
+from certificate import certificate_parts, certificate_residual
 
 INF = math.inf
 
@@ -229,7 +231,7 @@ def test_ksupport_decomposition_cost_matches_oracle():
         assert abs(cost - ksupport_norm_oracle(x, spec).value) <= 1e-6
 
 
-def test_reduced_matches_full_dual_ascent():
+def test_reduced_matches_decomposition_oracle():
     rng = np.random.default_rng(6)
     for _ in range(8):
         d = int(rng.integers(2, 6))
@@ -237,10 +239,12 @@ def test_reduced_matches_full_dual_ascent():
         p = float(rng.choice([2.0, 1.5, 3.0]))
         x = rng.standard_normal(d)
         spec = NormSpec(p, k)
-        full = dual_ascent_ksupport(x, spec)
-        red = ksupport_norm(x, spec)
-        assert full.value == pytest.approx(red.value, abs=1e-6)
-        assert full.method == "dual_ascent"
+        if k <= 3:
+            want = ksupport_norm_oracle(x, spec).value
+        else:  # past the oracle's k <= 3 only at k = d, where the value is the lp norm
+            assert k == d
+            want = lp_norm(x, p)
+        assert ksupport_norm(x, spec).value == pytest.approx(want, abs=1e-6)
 
 
 def _pava_loop_reference(x: np.ndarray, p: float, k: int) -> tuple[float, np.ndarray]:
@@ -494,24 +498,48 @@ def test_projection_variational_inequality():
             assert float((y0 - proj) @ (z - proj)) <= 1e-6
 
 
-def test_dual_ascent_raises_on_cap(monkeypatch):
-    monkeypatch.setattr(oracles, "_DUAL_ASCENT_CAP", 1)
-    with pytest.raises(ConvergenceError):
-        dual_ascent_ksupport(np.array([1.0, 0.7, 0.3]), NormSpec(2.0, 2))
-
-
-def test_project_top_ball_matches_dykstra():
+def _seeded_draws_outside_the_ball():
     # seeded d <= 7 cases with 1 < k < d at every p, all outside the ball;
     # odd cases are integer vectors with ties and zeros
     rng = np.random.default_rng(15)
+    draws = []
     for p in (1.0, 1.5, 2.0, 3.0, INF):
         for i in range(6):
             d = int(rng.integers(3, 8))
             spec = NormSpec(p, int(rng.integers(2, d)))
             y = rng.integers(-3, 4, d).astype(float) if i % 2 else 2.0 * rng.standard_normal(d)
             assert top_norm(y, spec) > 1
-            want = dykstra_top_ball(y, spec, 1e-12)
-            assert np.max(np.abs(project_top_ball(y, spec) - want)) <= 1e-9
+            draws.append((y, spec))
+    return draws
+
+
+def test_project_top_ball_certified_on_seeded_draws():
+    draws = _seeded_draws_outside_the_ball()
+    assert len(draws) == 30
+    for y, spec in draws:
+        assert certificate_residual(y, project_top_ball(y, spec), spec) <= 1e-13, (y, spec)
+
+
+def test_projection_certificate_rejects_near_misses():
+    # on the seeded draws the certificate rejects points near the projection:
+    # w shrunk by a relative 1e-9, the radial point y / top_norm(y), and the
+    # level map at theta moved by a relative 1e-9.  A mutant within 1e-12 of w
+    # is not counted; the minimum counts keep the test from checking nothing
+    counts = {"shrink or radial": 0, "level": 0}
+    for y, spec in _seeded_draws_outside_the_ball():
+        w = project_top_ball(y, spec)
+        a = np.abs(y)
+        theta, t, c = norms._top_ball_level(a, spec)
+        mutants = {
+            "shrink or radial": [w * (1.0 - 1e-9), y / top_norm(y, spec)],
+            "level": [norms._level_map(y, a, theta * s, t, c, spec.q) for s in (1.0 - 1e-9, 1.0 + 1e-9)],
+        }
+        for kind, points in mutants.items():
+            for m in points:
+                if np.max(np.abs(m - w)) > 1e-12:
+                    counts[kind] += 1
+                    assert certificate_residual(y, m, spec) > 1e-13, (kind, y, spec)
+    assert counts["shrink or radial"] >= 58 and counts["level"] >= 52, counts
 
 
 def test_project_top_ball_support_function_certificate():
@@ -523,12 +551,10 @@ def test_project_top_ball_support_function_certificate():
             k = 10_000 if d == 100_000 else int(rng.integers(1, d + 1))
             spec = NormSpec(p, k)
             y = rng.standard_normal(d) * rng.uniform(2.0, 10.0)
-            w = project_top_ball(y, spec)
-            assert top_norm(w, spec) <= 1 + 1e-12
-            r = y - w
-            ks = ksupport_value(r, spec)
+            excess, gap, ks = certificate_parts(y, project_top_ball(y, spec), spec)
+            assert excess <= 1e-12
             assert ks > 0
-            assert abs(ks - float(r @ w)) <= 1e-10 * ks
+            assert gap <= 1e-10 * ks
 
 
 def test_project_top1_ball_examples(monkeypatch):
@@ -559,7 +585,8 @@ def test_project_top1_ball_examples(monkeypatch):
 
 def test_project_top_ball_curved_examples():
     # one hand-checkable case per branch of the level search at 1 < q < inf,
-    # against a closed form or Dykstra
+    # against a closed form (at 1e-14 unless a case names its own bound) or,
+    # with want None, the certificate at 1e-13
     def lq_unit(n, p):  # n equal entries on the unit lq sphere
         return n ** (-1.0 / NormSpec(p, 1).q)
 
@@ -569,6 +596,8 @@ def test_project_top_ball_curved_examples():
         # fewer than k nonzero entries: the multiplier sees only the positive ones
         ([2.0, -2.0, 0.0, 0.0], NormSpec(5.0, 3), [lq_unit(2, 5.0), -lq_unit(2, 5.0), 0.0, 0.0]),
         ([2.0, -2.0, 0.0, 0.0], NormSpec(3.0, 3), [lq_unit(2, 3.0), -lq_unit(2, 3.0), 0.0, 0.0]),
+        # two nonzero entries at k = 4: y / ||y||
+        ([0.0, 0.0, 0.0, 3.0, 2.0], NormSpec(2.0, 4), [0.0, 0.0, 0.0, 3.0 / 13**0.5, 2.0 / 13**0.5], 1e-15),
         ([3.0, 1.0, 0.0, 0.0], NormSpec(5.0, 3), None),
         ([0.0, 1.0, 0.0, 3.0], NormSpec(3.0, 3), None),
         # an interior level 0.6 with a tied block: t = 1.2, c = 2, and 2.4 / (1 + c) = 0.8
@@ -579,11 +608,12 @@ def test_project_top_ball_curved_examples():
         ([3.0, -4.0], NormSpec(2.0, 2), [0.6, -0.8]),
         ([2.0, -2.0, 2.0], NormSpec(3.0, 3), [lq_unit(3, 3.0), -lq_unit(3, 3.0), lq_unit(3, 3.0)]),
     ]
-    for y, spec, want in cases:
-        if want is None:
-            want = dykstra_top_ball(np.array(y), spec, 1e-15)
+    for y, spec, want, *bound in cases:
         w = project_top_ball(y, spec)
-        assert np.max(np.abs(w - want)) <= 1e-14, (y, spec)
+        if want is None:
+            assert certificate_residual(y, w, spec) <= 1e-13, (y, spec)
+        else:
+            assert np.max(np.abs(w - want)) <= (bound[0] if bound else 1e-14), (y, spec)
     # a tie at the bracket end: at theta = a[k] no entry lies above the level, and
     # every key of the pooled-start search equals its bound up to rounding
     for spec in (NormSpec(1.5, 100), NormSpec(4.0, 100)):

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from ksupport import verify
-from ksupport.core import InvalidInputError, ScaleLimitError, ZeroVectorError, k_subsets
-from ksupport.norms import NormSpec, project_top_ball, top_norm
+from ksupport.core import InvalidInputError, ZeroVectorError, k_subsets
+from ksupport.norms import NormSpec, top_norm
 from ksupport.oracles import (
     _restrict,
     brute_exposed_face,
     brute_optimal_supports,
-    dykstra_top_ball,
     lasso_closed_form,
     sampled_exposed_face,
 )
@@ -72,18 +71,6 @@ def test_sampled_exposed_face_converges():
             assert min(float(np.linalg.norm(v - p)) for p in pts) <= 1e-3
     with pytest.raises(ZeroVectorError):
         sampled_exposed_face([0.0, 0.0], NormSpec(2.0, 1))
-
-
-def test_dykstra_stops_only_when_corrections_settle():
-    # the iterate at the end of a sweep repeats at (0, 0, 0, .707, .707)
-    # while the corrections still move; the projection is y / ||y||
-    y = np.array([0.0, 0.0, 0.0, 3.0, 2.0])
-    spec = NormSpec(2.0, 4)
-    want = y / np.linalg.norm(y)
-    assert np.max(np.abs(dykstra_top_ball(y, spec, 1e-12) - want)) <= 1e-9
-    assert np.max(np.abs(project_top_ball(y, spec) - want)) <= 1e-15
-    with pytest.raises(ScaleLimitError):
-        dykstra_top_ball(np.full(30, 2.0), NormSpec(2.0, 8))
 
 
 def test_commutation_suite_faces_are_six_times_the_rational_faces(monkeypatch):
