@@ -193,6 +193,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "iterations": rep.iterations,
             "converged": rep.converged,
             "stop": rep.stop,
+            "face_sizes": rep.face_sizes,
             "identified_supports": rep.identified_supports,
             "unique_support": rep.unique_support,
             "support_bound": rep.support_bound,

@@ -146,9 +146,12 @@ class SolveReport:
     earlier Frank-Wolfe solver); ``iterations``: iterations run;
     ``converged``: the gap reached ``SolveOptions.tol``; ``stop``: why the
     iterations ended: ``"tol"`` (converged), ``"face"`` (converged: the
-    minimizer on the face read from the iterate met the tolerance, for a
-    least-squares f at p = inf), ``"fixed_point"`` (the prox-gradient step
-    left x exactly where it was, short of the tolerance) or ``"max_iter"``.
+    descent on the face read from the iterate reached a point that met the
+    tolerance, for a least-squares f at p = inf), ``"fixed_point"`` (the
+    prox-gradient step left x exactly where it was, short of the tolerance)
+    or ``"max_iter"``; ``face_sizes``: ``(|T|, |F|)`` of the face a
+    ``"face"`` stop ended on (T the entries tied at max|x|, F the rest of the
+    support), None for every other stop.
     ``identified_supports``: the lattice of optimal supports of
     ``-grad f(x_star)``, None for a zero gradient; ``unique_support``: its
     single member, if any; ``support_bound``: its union (empty for a zero
@@ -162,6 +165,7 @@ class SolveReport:
     converged: bool
     identified_supports: SupportLattice | None
     stop: str
+    face_sizes: tuple[int, int] | None = None
 
     @property
     def unique_support(self) -> tuple[int, ...] | None:
@@ -301,41 +305,68 @@ def _prox(v: np.ndarray, lam: float, spec: NormSpec, theta: float = 0.0) -> tupl
     return x, level[0]
 
 
-_FACE_PERIOD = 10  # iterations between two readings of the face at p = inf
+_FACE_PERIOD = 10  # iterations between two readings of the face; one read twice running is descended on
 
 
-def _face_point(quad: tuple[np.ndarray, np.ndarray], gamma: float, k: int, face: np.ndarray) -> np.ndarray | None:
-    """Minimizer of ``0.5 ||A x - b||^2 + gamma * ksupport(x)`` on a ridge face at p = inf.
+def _face_descent(quad: tuple[np.ndarray, np.ndarray], gamma: float, k: int, x: np.ndarray) -> np.ndarray | None:
+    """Descend on the ridge face of x for ``0.5 ||A x - b||^2 + gamma * ksupport(x)`` at p = inf.
 
-    ``face`` holds the sign of each entry of x, doubled on T, the entries tied at
-    max|x|; F is the rest of the support.  On a ridge face, ``|T| < k <= |T| + |F|``,
-    the norm is both max|x| and ``||x||_1 / k``, so with ``x_T = z_0 s_T`` and
-    ``x_F = z_{1:}`` the problem is ``min 0.5 ||B z - b||^2 + gamma z_0`` subject to
-    ``<c, z> = 0``, with ``B = [A_T s_T, A_F]`` (m x (|F| + 1)) and
-    ``c = (|T| - k, s_F)``: one KKT system of size |F| + 2.  None off the ridge,
-    for |F| > m (the system is then singular), or when the solve fails or is not
-    finite.  The point is not checked for optimality; the caller's gap test does that.
+    The face reads T, the entries tied at M = max|x| (which the prox writes bitwise alike),
+    F, the rest of the support, and the signs s.  On a ridge face, ``|T| < k <= |T| + |F|``,
+    the norm is both M and ``||x||_1 / k``, so with ``z = (M, |x_F|)`` the objective is
+    ``0.5 ||B z - b||^2 + gamma z_0`` subject to ``<c, z> = 0``, with ``B = [A_T s_T, A_F s_F]``
+    and ``c = (|T| - k, 1, ..., 1)``.  For |F| > m each move follows -e_0 projected on
+    ``null([B; c])``, which keeps ``B z - b`` and lowers M (one (m + 1)-square solve); else it
+    is the Newton step of the KKT system (size |F| + 2), the constraint residual restored.
+    Each move stops where an F entry reaches 0 (it drops out) or M (it joins T), so there are
+    at most |F| + 1 moves, none raising the objective from a point on the face; an unblocked
+    Newton step ends on the face minimizer, which is returned.  None off the ridge, when M
+    reaches 0, or for a failed or non-finite solve.  The point is not checked for optimality
+    or descent; the caller does that.
     """
     A, b = quad
-    tied, free = np.abs(face) == 2.0, np.abs(face) == 1.0
-    n_tied, n_free = int(np.count_nonzero(tied)), int(np.count_nonzero(free))
-    if not n_tied < k <= n_tied + n_free or n_free > A.shape[0]:
-        return None
-    s = np.sign(face)
-    B = np.column_stack((A[:, tied] @ s[tied], A[:, free]))
-    kkt = np.zeros((n_free + 2, n_free + 2))
-    kkt[:-1, :-1] = B.T @ B
-    kkt[:-1, -1] = kkt[-1, :-1] = np.concatenate(([n_tied - k], s[free]))
-    rhs = np.append(B.T @ b, 0.0)
-    rhs[0] -= gamma
-    try:
-        z = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
-        return None
-    x = np.zeros(face.size)
-    x[tied] = z[0] * s[tied]
-    x[free] = z[1:-1]
-    return x if np.isfinite(x).all() else None
+    x = x.copy()
+    while True:
+        a = np.abs(x)
+        M = float(a.max())
+        tied, free = a == M, (a > 0.0) & (a < M)
+        n_tied, n_free = int(np.count_nonzero(tied)), int(np.count_nonzero(free))
+        if not (M > 0.0 and n_tied < k <= n_tied + n_free):
+            return None
+        s = np.sign(x)
+        B = np.column_stack((A[:, tied] @ s[tied], A[:, free] * s[free]))
+        c = np.concatenate(([n_tied - k], np.ones(n_free)))
+        z = np.concatenate(([M], a[free]))
+        try:
+            if n_free > A.shape[0]:
+                C = np.vstack((B, c))
+                dz, cap = C.T @ np.linalg.solve(C @ C.T, C[:, 0]), math.inf
+                dz[0] -= 1.0
+            else:
+                kkt = np.zeros((n_free + 2, n_free + 2))
+                kkt[:-1, :-1] = B.T @ B
+                kkt[:-1, -1] = kkt[-1, :-1] = c
+                rhs = np.append(B.T @ (b - B @ z), -float(c @ z))
+                rhs[0] -= gamma
+                dz, cap = np.linalg.solve(kkt, rhs)[:-1], 1.0
+        except np.linalg.LinAlgError:
+            return None
+        u, v = z[1:], dz[1:]
+        with np.errstate(divide="ignore", invalid="ignore"):  # ratio test: first F entry at 0 or at M
+            to_zero = np.where(v < 0.0, -u / v, math.inf)
+            to_top = np.where(v > dz[0], (M - u) / (v - dz[0]), math.inf)
+        i = int(np.argmin(np.minimum(to_zero, to_top)))
+        t = min(to_zero[i], to_top[i], cap)
+        M = z[0] + t * dz[0]
+        if not (math.isfinite(t) and M > 0.0):
+            return None
+        u = np.clip(u + t * v, 0.0, M)
+        if t < cap:
+            u[i] = 0.0 if to_zero[i] <= to_top[i] else M
+        x[tied] = M * s[tied]
+        x[free] = u * s[free] + 0.0  # no -0.0 where an entry drops out
+        if t == cap:
+            return x if np.isfinite(x).all() else None
 
 
 def solve_penalized(
@@ -360,12 +391,14 @@ def solve_penalized(
     level a cold search would, bit for bit.
 
     For a least-squares f (``obj.quad``) at p = inf and k >= 2 the solve also
-    finishes on its identified face: every 10th iteration it reads the face
+    descends on its identified face: every 10th iteration it reads the face
     of x (the signs and the entries tied at max|x|, which the prox writes
-    bitwise alike), and a ridge face unchanged since the reading before is
-    solved on once, by one KKT system of size |F| + 2 (:func:`_face_point`).
-    If that point is finite and its gap meets ``opts.tol`` the solve returns
-    it with stop ``"face"``; otherwise the iterates go on untouched.  Every
+    bitwise alike), and from a ridge face unchanged since the reading before
+    it runs, once per face, an active-set descent that stays on the face and
+    drops or ties one entry per blocked move (:func:`_face_descent`).  If the
+    point reached meets ``opts.tol`` the solve returns it with stop
+    ``"face"``; if its objective is no higher than x's, FISTA restarts from
+    it, momentum dropped; otherwise the iterates go on untouched.  Every
     other solve takes the same iterations as without this check.
     """
     _check_gamma(gamma)
@@ -380,6 +413,10 @@ def solve_penalized(
     momentum = 1.0
     level = 0.0  # of the last prox; 0 starts its first search cold
     finish = obj.quad is not None and spec.q == 1 and spec.k >= 2  # least squares at p = inf
+
+    def energy(v: np.ndarray) -> float:
+        return obj.value(v) + gamma * _ksupport(v, spec, dual=False)[0]
+
     face, tried = None, set()
     stop = "max_iter"
     iterations = 0
@@ -393,13 +430,17 @@ def solve_penalized(
             last, face = face, np.sign(x) * (1.0 + (a == a.max()))
             if np.array_equal(face, last) and face.tobytes() not in tried:
                 tried.add(face.tobytes())
-                y = _face_point(obj.quad, gamma, spec.k, face)
+                y = _face_descent(obj.quad, gamma, spec.k, x)
                 if y is not None:
                     gy = obj.grad(y)
                     top = _top_norm(gy, spec)
                     if math.isfinite(top) and _fermat_gap(y, gy, top, gamma, spec, opts.tol) <= opts.tol:
                         x, g, stop = y, gy, "face"
                         break
+                    if energy(y) <= energy(x):  # restart from the lower point
+                        x = z = y
+                        g = gz = gy
+                        momentum = 1.0
         while True:
             x_new, level = _prox(z - step * gz, step * gamma, spec, level)
             move = x_new - z
@@ -437,6 +478,10 @@ def solve_penalized(
         tie = max(200.0 * gamma * gap, 1e-8 * top) / gmax
         lattice = support_lattice(np.ones(d), spec) if tie >= 1.0 else identified_support(x, -g, spec, tie)
     objective = obj.value(x) + gamma * ksupport_value(x, spec)
+    face_sizes = None
+    if stop == "face":
+        n_tied = int(np.count_nonzero(np.abs(x) == np.abs(x).max()))
+        face_sizes = (n_tied, int(np.count_nonzero(x)) - n_tied)
     return SolveReport(
         x_star=x,
         objective=objective,
@@ -445,4 +490,5 @@ def solve_penalized(
         converged=converged,
         identified_supports=lattice,
         stop=stop,
+        face_sizes=face_sizes,
     )

@@ -194,7 +194,7 @@ def test_solve_quadratic_file(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     assert np.allclose(data["x_star"], [0.5, 0, 0], atol=1e-8)
-    assert data["converged"] is True and data["stop"] == "tol"
+    assert data["converged"] is True and data["stop"] == "tol" and data["face_sizes"] is None
     assert data["support_bound"] == [1]
 
     # gamma above the dual threshold gives the zero solution
@@ -245,6 +245,11 @@ def test_solve_pinf_quadratic_ends_on_its_face(tmp_path, capsys):
     data = json.loads(out)
     assert code == 0
     assert data["stop"] == "face" and data["converged"] is True
+    # the face it ended on: |T| entries tied at max|x| and |F| more in the support, on the ridge
+    n_tied, n_free = data["face_sizes"]
+    x = np.abs(data["x_star"])
+    assert n_tied == np.count_nonzero(x == x.max()) and n_tied + n_free == np.count_nonzero(x)
+    assert n_tied < 10 <= n_tied + n_free
 
 
 def test_solve_logistic_file(tmp_path, capsys):

@@ -336,41 +336,132 @@ def test_solver_polytope_bound_is_not_trivial():
 
 @pytest.mark.parametrize("d", [60, 100])
 def test_pinf_least_squares_finishes_on_its_face(d):
-    # the face read from x held for a period; one KKT solve on it lands on the optimum
+    # the face read from x held for a period; the descent on it lands on the optimum
     obj, spec = _planted_pinf(d)
     rep = solve_penalized(obj, 1.0, spec, SolveOptions(tol=1e-6))
     ok, _ = certify_optimality(rep.x_star, obj, 1.0, spec, Tolerance(1e-6, 1e-6))
     assert rep.stop == "face" and rep.converged and ok
     assert rep.fw_gap <= 1e-12
     assert set(support_of(rep.x_star)) <= set(rep.support_bound)
+    a = np.abs(rep.x_star)
+    n_tied = int(np.count_nonzero(a == a.max()))
+    assert rep.face_sizes == (n_tied, int(np.count_nonzero(a)) - n_tied)
+    assert n_tied < spec.k <= sum(rep.face_sizes)  # a ridge face
 
 
-@pytest.mark.parametrize("wrong", ["T one entry short", "F one entry spare"])
+def _energy(obj, gamma, spec, x):
+    return obj.value(x) + gamma * ksupport_value(x, spec)
+
+
+@pytest.mark.parametrize("wrong", ["a higher objective", "no point"])
 def test_a_wrong_face_is_refused(monkeypatch, wrong):
-    # the point of a wrong face fails the gap test and leaves the iterates alone
+    # a point that fails the gap test and does not lower the objective leaves the
+    # iterates as plain FISTA, which never reads a face, leaves them
     from ksupport import solver
 
     obj, spec = _planted_pinf(100)
     opts = SolveOptions(tol=1e-6)
-    face_point = solver._face_point
-    monkeypatch.setattr(solver, "_face_point", lambda *args: None)
+    monkeypatch.setattr(solver, "_FACE_PERIOD", 10**9)
     plain = solve_penalized(obj, 1.0, spec, opts)
+    monkeypatch.undo()
     points = []
 
-    def wrong_face(quad, gamma, k, face):
-        face = face.copy()
-        if wrong == "T one entry short":
-            face[np.flatnonzero(np.abs(face) == 2.0)[0]] /= 2.0
-        else:
-            face[np.flatnonzero(face == 0.0)[0]] = 1.0
-        points.append(face_point(quad, gamma, k, face))
-        return points[-1]
+    def wrong_face(quad, gamma, k, x):
+        y = 2.0 * x if wrong == "a higher objective" else None
+        if y is not None:
+            assert _energy(obj, 1.0, spec, y) > _energy(obj, 1.0, spec, x)
+        points.append(y)
+        return y
 
-    monkeypatch.setattr(solver, "_face_point", wrong_face)
+    monkeypatch.setattr(solver, "_face_descent", wrong_face)
     rep = solve_penalized(obj, 1.0, spec, opts)
-    assert any(x is not None for x in points)
-    assert plain.stop == rep.stop == "tol"
+    assert len(points) > 5
+    assert plain.stop == rep.stop == "tol" and rep.face_sizes is None
     assert rep.iterations == plain.iterations and rep.x_star.tobytes() == plain.x_star.tobytes()
+
+
+def _ridge_point(signed, d=12):
+    # T = {0} at M = 1 and six F entries whose magnitudes sum to k - |T| = 4, exactly
+    x = np.zeros(d)
+    x[[0, 2, 3, 5, 7, 8, 10]] = signed
+    return x
+
+
+def test_face_descent_drops_spare_free_entries():
+    # |F| = m + 2: the descent stays on the face, keeps every sign and lowers the objective
+    from ksupport import solver
+
+    rng = np.random.default_rng(0)
+    m, k = 4, 5
+    A, b = rng.standard_normal((m, 12)), rng.standard_normal(m)
+    x = _ridge_point([1.0, -0.875, 0.75, -0.625, 0.5, 0.75, -0.5])
+    y = solver._face_descent((A, b), 1.0, k, x)
+    assert y is not None
+    assert np.count_nonzero(y) < np.count_nonzero(x)
+    assert np.all((np.sign(y) == np.sign(x)) | (y == 0.0))
+    obj, spec = quadratic_objective(A, b), NormSpec(INF, k)
+    assert _energy(obj, 1.0, spec, y) <= _energy(obj, 1.0, spec, x)
+    a = np.abs(y)
+    assert a.sum() == pytest.approx(k * a.max(), rel=1e-12)  # still on the ridge
+
+
+def test_face_descent_ties_an_entry_blocked_at_the_top():
+    # x_2 sits 2^-20 below -M: a move stops where it reaches -M, and it stays in T from then on
+    from ksupport import solver
+
+    rng = np.random.default_rng(0)
+    m, k = 4, 5
+    A, b = rng.standard_normal((m, 12)), rng.standard_normal(m)
+    x = _ridge_point([1.0, -(1.0 - 2.0**-20), 0.75, -0.625, 0.5, 0.625 + 2.0**-20, -0.5])
+    y = solver._face_descent((A, b), 1.0, k, x)
+    assert y is not None
+    assert y[2] == -np.abs(y).max() == -y[0]
+    obj, spec = quadratic_objective(A, b), NormSpec(INF, k)
+    assert _energy(obj, 1.0, spec, y) <= _energy(obj, 1.0, spec, x)
+
+
+def test_face_descent_on_duplicated_columns(monkeypatch):
+    # singular face systems: every p = inf solve is certified, and a point the solve
+    # takes (its "face" stop, or the start of a restart) never raises the objective
+    from ksupport import solver
+
+    calls, proxed = [], set()
+    descent, prox = solver._face_descent, solver._prox
+
+    def spy_descent(quad, gamma, k, x):
+        calls.append((x.copy(), descent(quad, gamma, k, x)))
+        return calls[-1][1]
+
+    def spy_prox(v, *args):
+        proxed.add(v.tobytes())
+        return prox(v, *args)
+
+    monkeypatch.setattr(solver, "_face_descent", spy_descent)
+    monkeypatch.setattr(solver, "_prox", spy_prox)
+    rng = np.random.default_rng(2)
+    taken = 0
+    for _ in range(200):
+        d = int(rng.integers(4, 10))
+        m, k = int(rng.integers(d, 2 * d + 1)), int(rng.integers(2, d))
+        A = rng.integers(-2, 3, size=(m, d)).astype(float)
+        i, j = rng.choice(d, 2, replace=False)
+        A[:, j] = rng.choice([-1.0, 1.0]) * A[:, i]
+        obj, spec = quadratic_objective(A, rng.integers(-3, 4, size=m).astype(float)), NormSpec(INF, k)
+        gamma = float(rng.choice([0.1, 0.5, 1.0, 2.0]))
+        calls.clear()
+        proxed.clear()
+        rep = solve_penalized(obj, gamma, spec, SolveOptions(tol=1e-8, max_iter=20_000))
+        ok, _ = certify_optimality(rep.x_star, obj, gamma, spec, Tolerance(1e-6, 1e-6))
+        assert rep.converged and ok
+        for x, y in calls:
+            if y is None:
+                continue
+            # a restart from y proxes exactly y - step * grad f(y), the step fixed at 1 / L
+            restart = (y - 1.0 / obj.lipschitz * obj.grad(y)).tobytes() in proxed
+            if restart or rep.x_star.tobytes() == y.tobytes():
+                taken += 1
+                assert _energy(obj, gamma, spec, y) <= _energy(obj, gamma, spec, x)
+    assert taken >= 5
 
 
 def test_only_pinf_least_squares_tries_a_face(monkeypatch):
@@ -379,7 +470,7 @@ def test_only_pinf_least_squares_tries_a_face(monkeypatch):
     def refuse(*args):
         raise AssertionError("a face was tried")
 
-    monkeypatch.setattr(solver, "_face_point", refuse)
+    monkeypatch.setattr(solver, "_face_descent", refuse)
     obj, _ = _planted_pinf(60)
     rng = np.random.default_rng(9)
     X = rng.standard_normal((40, 15))
@@ -389,6 +480,7 @@ def test_only_pinf_least_squares_tries_a_face(monkeypatch):
     for f, spec in cases:
         rep = solve_penalized(f, 1.0, spec, SolveOptions(tol=1e-8, max_iter=3000))
         assert rep.iterations > 20, spec  # past two readings of the face
+        assert rep.face_sizes is None
 
 
 def test_pinf_solves_are_bitwise_without_the_level_warm_start(monkeypatch):

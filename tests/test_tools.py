@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -77,9 +78,14 @@ def test_ab_pairs_exits_0_when_every_run_succeeds(tmp_path, capsys):
     assert "failed run" not in out and "runs that succeeded: base 2/2, change 2/2" in out
 
 
+THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 # a stand-in for perfbench/workloads.py: one solve per pass, whose report
-# names the file of the ksupport it imported
+# names the file of the ksupport it imported; on import, before numpy, it
+# prints the BLAS thread settings it sees to stderr
 WORKLOADS = '''
+import os, sys
+print("threads", *(os.environ.get(v) for v in THREADS), file=sys.stderr)
 from types import SimpleNamespace
 import numpy as np
 import ksupport
@@ -102,9 +108,10 @@ def test_solve_digest_solves_with_the_ksupport_beside_it(tmp_path):
     (root / "perfbench").mkdir()
     shutil.copy(TOOLS / "solve_digest.py", root / "tools")
     (root / "src" / "ksupport" / "__init__.py").write_text("")
-    (root / "perfbench" / "workloads.py").write_text(WORKLOADS)
+    (root / "perfbench" / "workloads.py").write_text(WORKLOADS.replace("THREADS", repr(THREADS)))
     # another ksupport first on the import path must not be the one solved with
-    env = dict(os.environ, PYTHONPATH=str(TOOLS.parent / "src"))
+    env = {k: v for k, v in os.environ.items() if k not in THREADS}
+    env.update(PYTHONPATH=str(TOOLS.parent / "src"), OMP_NUM_THREADS="2")
     run = subprocess.run([sys.executable, str(root / "tools" / "solve_digest.py")], env=env,
                          capture_output=True, text=True, check=True)
     (label,) = {line.split()[3] for line in run.stdout.splitlines() if " seed=" in line}
@@ -112,3 +119,21 @@ def test_solve_digest_solves_with_the_ksupport_beside_it(tmp_path):
     # per case, over 2 seeds x 6 passes: iterations 2 * (10 + ... + 15) and the stop reasons
     for name in ("solve-curved", "solve-polytope"):
         assert f"{name} {label}: iterations=150 face=10 tol=2" in run.stderr
+    # BLAS on one thread unless the environment says otherwise, set before numpy loads
+    assert run.stderr.splitlines()[0] == "threads 1 2 1"
+
+
+def test_verify_digest_pins_blas_threads_before_numpy_loads(tmp_path):
+    root = tmp_path / "checkout"
+    (root / "tools").mkdir(parents=True)
+    (root / "src" / "ksupport").mkdir(parents=True)
+    shutil.copy(TOOLS / "verify_digest.py", root / "tools")
+    (root / "src" / "ksupport" / "__init__.py").write_text("")
+    (root / "src" / "ksupport" / "verify.py").write_text("")
+    cli = "import os\n\ndef main(argv):\n    print(*(os.environ.get(v) for v in THREADS))\n"
+    (root / "src" / "ksupport" / "cli.py").write_text(cli.replace("THREADS", repr(THREADS)))
+    env = {k: v for k, v in os.environ.items() if k not in THREADS}
+    env["MKL_NUM_THREADS"] = "3"
+    run = subprocess.run([sys.executable, str(root / "tools" / "verify_digest.py")], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines()[-1] == "sha256 " + hashlib.sha256(4 * b"1 1 3\n").hexdigest()

@@ -13,6 +13,8 @@ moves only the rounding does.  The wall time of each workload pass goes to
 stderr, and last, per case, its total iterations and the count of each stop
 reason over its solves, so stdout can be compared with ``diff``.  The
 ``ksupport`` it solves with is the one in the ``src`` beside this script.
+BLAS runs on one thread unless the environment sets the thread counts: the
+rounding of the matrix products, and so ``sha256``, depends on them.
 
     python3 tools/solve_digest.py
 """
@@ -20,6 +22,7 @@ reason over its solves, so stdout can be compared with ``diff``.  The
 from __future__ import annotations
 
 import hashlib
+import os
 import sys
 import time
 from collections import Counter, defaultdict
@@ -27,6 +30,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):  # before numpy loads
+    os.environ.setdefault(var, "1")
 
 import workloads  # noqa: E402
 

@@ -5,7 +5,9 @@ source tree beside this script and prints, per seed, the sha256 of the
 command's stdout, then ``sha256``, one digest over every seed's stdout in
 order.  Two source trees that print the same lines give byte-identical
 verify reports at those seeds.  The wall time of each suite, summed over the
-seeds, goes to stderr, so stdout can be compared with ``diff``.
+seeds, goes to stderr, so stdout can be compared with ``diff``.  BLAS runs on
+one thread unless the environment sets the thread counts, as in
+``solve_digest.py``.
 
     python3 tools/verify_digest.py
 """
@@ -15,12 +17,15 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
 import sys
 import time
 from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):  # before numpy loads
+    os.environ.setdefault(var, "1")
 
 from ksupport import cli, verify  # noqa: E402
 
