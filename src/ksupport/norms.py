@@ -10,12 +10,12 @@ entries as singletons and pools the tail into one block, whose start has a
 closed form.  That tail writes x as a convex combination of at most d + 1
 k-sparse points of lp norm the value (:func:`ksupport_decomposition`), the
 primal certificate.  The exact Euclidean projection onto the top-norm ball
-finds the level of its k-th entry on the sorted |y| (a breakpoint bisection
-at q = 1, Newton for 1 < q < inf; a box needs none) and writes one entrywise
-map of |y|; another writes what it removes, the prox of the k-support norm
-(Moreau).  Each Newton step finds where the pooled tail starts with one binary
-search over keys built once per projection from the prefix sums of the top
-k.  The solver starts either search at the level of its last prox.
+finds the level of its k-th entry on the sorted |y| by one Newton search at
+every q (a box needs none): at q = 1 on the line of the level's piece, whose
+root a step lands on, and for 1 < q < inf with one binary search per step
+over keys built once from the prefix sums of the top k.  One entrywise map
+of |y| writes the projection, another what it removes, the prox of the
+k-support norm (Moreau).  The solver starts the search at its last level.
 """
 
 from __future__ import annotations
@@ -313,8 +313,8 @@ def _top_ball_level(a: np.ndarray, spec: NormSpec, start: float = 0.0) -> tuple[
     """Level ``(theta, t, c)`` of the projection of y onto the top ball, or None inside it.
 
     ``a = |y|``, unsorted and finite, with at least k entries (unchecked).  The box at
-    q = inf or k = 1 is the level ``(1, inf, inf)``; otherwise a's descending sort goes to
-    :func:`_top1_level` (q = 1) or, outside the ball, :func:`_top_level`, started at ``start``.
+    q = inf or k = 1 is the level ``(1, inf, inf)``; otherwise Newton searches a's descending sort,
+    in :func:`_top1_level` (q = 1) or, outside the ball, :func:`_top_level`, from ``start``.
     """
     q, k = spec.q, spec.k
     if math.isinf(q) or k == 1:
@@ -386,64 +386,57 @@ def _top_level(a: np.ndarray, k: int, q: float, start: float = 0.0) -> tuple[flo
 
 
 def _top1_level(a: np.ndarray, k: int, start: float = 0.0) -> tuple[float, float, float] | None:
-    """The q = 1 case of :func:`_top_level` (2 <= k <= d), by an exact breakpoint search.
+    """The q = 1 case of :func:`_top_level` (2 <= k <= d), by Newton on the line of each piece.
 
-    None if a lies in the ball, ``C[k] <= 1`` for the prefix sums C of a.  Else
-    the level ``(theta, t, c)`` reads as at every q (:func:`_level_map`): entries
-    with ``a - theta > t`` take ``a - c``, the others above theta tie at theta.
-    With ``R = C[k] - 1`` and ``k t = R + sum_{i>=k} (a_i - theta)_+`` it is
-    ``(theta, t, t)`` at the root of the decreasing, piecewise linear
-    ``F(theta) = sum_{i<k} min(a_i - theta, t) - R``.  If ``F(a[k]) >= 0`` the top k
-    lie at least ``R / k`` above a[k]: their l1 projection is the level ``(a[k], 0, R / k)``,
-    where each takes ``a - R / k`` and none ties.  At k = d or if ``F(0) <= 0`` it is
-    ``(0, t, t)``, the l1 projection of the whole vector (:func:`_l1_threshold`).
-    Otherwise F at the breakpoint ``a[k + m]``, m tail entries above it, increases with m,
-    and a bisection finds the first m where it is at least 0: n tail entries lie above the
-    root.  It reads F at n and n - 1 first, for n the count above a positive ``start``,
-    which the last iteration's level in the solver mostly settles, and reads F(0) only if
-    the search ends on the last piece.  The bracket only narrows: where the rounded F
-    changes sign once, the level is the cold one bit for bit.  On the piece, F is the least
-    of the lines in which t applies to the s largest entries, so its root is the least of theirs.
+    None if a lies in the ball, ``C[k] <= 1`` for the prefix sums C of a.  Else the level
+    ``(theta, t, t)`` of :func:`_level_map`.  With n entries above theta,
+    ``k t = C[n] - 1 - (n - k) theta``, and s < k of the top k above ``theta + t``, the top
+    norm less 1 is linear on theta's piece (:func:`_top_level`'s, the tail pooled from s), of
+    slope ``(k - s) + s (n - s) / (k - s)`` and root ``(s (C[n] - 1) - k (C[s] - 1)) / (s (n - k) + k (k - s))``.
+    Newton on it, from ``start`` if that lies in ``(0, min(a[k], 1))``, steps to the root, and
+    the level is the root of the line it ends on or, if the line just below has a lower root,
+    of the line read at that root.  It is ``(a[k], 0, R / k)``, ``R = C[k] - 1``, the l1
+    projection of the top k, if that stays at or above a[k]; and ``(0, t, t)``, the l1
+    projection of the whole vector (:func:`_l1_threshold`), if a[k] = 0 or the line at 0 has
+    its root at or below 0.  Where the top norm at the start is below 1, 0 is not read.
     """
     C = np.zeros(a.size + 1)  # prefix sums
     a.cumsum(out=C[1:])
     if float(C[k]) <= 1.0:
         return None
-    top = -a[:k]
-
-    def f(theta: float, n: int) -> float:  # F at a level theta with n tail entries above it
-        t = (float(C[k + n]) - 1.0 - n * theta) / k
-        s = int(top.searchsorted(-(theta + t)))
-        return s * t + 1.0 - float(C[s]) - (k - s) * theta
-
     rk = (float(C[k]) - 1.0) / k
-    if k < a.size and float(a[k - 1]) - rk >= float(a[k]):  # F(a[k]) >= 0: the l1 projection of the top k
-        return float(a[k]), 0.0, rk
-    # n: the first m in [lo, up] with F(a[k + m], m) >= 0 (a[d] reads 0), or none if F(0) <= 0
-    lo, up = 1, a.size - k
-    if start > 0.0 and k < a.size:  # n is mostly the count of tail entries above start
-        n = min(max(int(np.count_nonzero(a[k:] > start)), lo), up)
-        if n < up and f(float(a[k + n]), n) < 0.0:
-            lo = n + 1
-        else:
-            up = n
-            if n > lo and f(float(a[k + n - 1]), n - 1) < 0.0:
-                lo = n
-    while lo < up:
-        m = (lo + up) // 2
-        lo, up = (m + 1, up) if f(float(a[k + m]), m) < 0.0 else (lo, m)
-    if k == a.size or (lo == a.size - k and f(0.0, lo) <= 0.0):  # the l1 projection of the whole vector
-        t = float(_l1_threshold(a)[0])
-        return 0.0, t, t
-    # the least root of the lines s < k (s = k leaves no entry at the level); the count s of top
-    # entries above theta + t is monotone on the piece, so the root's line lies between s at its ends
-    total = float(C[k + lo]) - 1.0  # k t + lo theta on the piece
-    x0, x1 = (float(a[k + lo]) if k + lo < a.size else 0.0), float(a[k + lo - 1])
-    s0 = int(top.searchsorted(-(x0 + (total - lo * x0) / k)))
-    s1 = int(top.searchsorted(-(x1 + (total - lo * x1) / k)))
-    lines = range(min(s0, s1, k - 1), min(max(s0, s1), k - 1) + 1)
-    theta = min((s * total - k * (float(C[s]) - 1.0)) / (s * lo + k * (k - s)) for s in lines)
-    t = (total - lo * theta) / k
+    ak = float(a[k]) if k < a.size else 0.0
+    if k < a.size and float(a[k - 1]) - rk >= ak:  # the l1 projection of the top k
+        return ak, 0.0, rk
+    asc = np.ascontiguousarray(a[::-1])  # no copy where a reverses a sort
+    top = asc[a.size - k :]
+
+    def level(theta: float) -> tuple[float, float, float, float]:
+        # the line of theta's piece (n entries above theta, s of the top k above theta + t)
+        # at theta, its slope, its root and t at the root
+        n = a.size - int(asc.searchsorted(theta, "right"))
+        total = float(C[n]) - 1.0  # k t + (n - k) theta
+        s = min(k - int(top.searchsorted(theta + (total - (n - k) * theta) / k, "right")), k - 1)
+        root = (s * total - k * (float(C[s]) - 1.0)) / (s * (n - k) + k * (k - s))
+        slope = (k - s) + s * (n - s) / (k - s)
+        return slope * (theta - root), slope, root, (total - (n - k) * root) / k
+
+    hi = min(ak, 1.0)  # the level is an entry of a point of the ball
+    ev = level(start) if 0.0 < start < hi else None
+    if ev is None or ev[0] > 0.0:  # else the root lies above start, so above 0
+        total = float(C[-1]) - 1.0  # the line at 0, as level(0.0) reads it
+        s = min(k - int(top.searchsorted(total / k, "right")), k - 1)
+        if hi == 0.0 or s * total <= k * (float(C[s]) - 1.0):  # the l1 projection of the whole vector
+            t = float(_l1_threshold(a)[0])
+            return 0.0, t, t
+        if ev is None:
+            start, ev = 0.0, level(0.0)
+    _, (_, _, theta, t) = _newton_increasing(level, 0.0, hi, start, ev)
+    # lines tied at the level can hold roots a few roundings apart, each on its own side of the
+    # tie, so the search could end on either: the level is the root of the line read from below
+    below = level(theta * (1.0 - 1e-15))[2]
+    if below < theta:
+        _, _, theta, t = level(below)
     return theta, t, t
 
 

@@ -321,10 +321,14 @@ def _face_descent(quad: tuple[np.ndarray, np.ndarray], gamma: float, k: int, x: 
     Each move stops where an F entry reaches 0 (it drops out) or M (it joins T), so there are
     at most |F| + 1 moves, none raising the objective from a point on the face; an unblocked
     Newton step ends on the face minimizer, which is returned.  None off the ridge, when M
-    reaches 0, or for a failed or non-finite solve.  The point is not checked for optimality
+    reaches 0, or for a failed or non-finite solve; an x whose ``||x||_1 - k max|x|`` exceeds
+    its rounding is off the ridge before any solve.  The point is not checked for optimality
     or descent; the caller does that.
     """
     A, b = quad
+    a = np.abs(x)
+    if abs(float(a.sum()) - k * float(a.max())) > 4e-16 * a.size * k * float(a.max()):
+        return None
     x = x.copy()
     while True:
         a = np.abs(x)
@@ -385,10 +389,10 @@ def solve_penalized(
     gap drops below ``opts.tol``, or at an exact fixed point of the step (a
     tolerance below the rounding of ``grad f`` cannot be met); the stop
     reason is on the report, and hitting the iteration cap is flagged there
-    rather than raised.  Each prox starts its level search at the level of
-    the one before: Newton at 1 < q < inf, and at q = 1 (p = inf) the
-    breakpoint search, which then mostly checks one piece and finds the
-    level a cold search would, bit for bit.
+    rather than raised.  Each prox starts its Newton level search at the
+    level of the one before; at q = 1 (p = inf) the search then mostly
+    takes one step and, on every input tested, finds the level a cold
+    search would, bit for bit.
 
     For a least-squares f (``obj.quad``) at p = inf and k >= 2 the solve also
     descends on its identified face: every 10th iteration it reads the face

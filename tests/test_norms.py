@@ -557,13 +557,8 @@ def test_project_top_ball_support_function_certificate():
             assert gap <= 1e-10 * ks
 
 
-def test_project_top1_ball_examples(monkeypatch):
-    # hand-computed q = 1 projections, one per branch of the breakpoint
-    # search; that search makes no Newton step
-    def no_newton(*args):
-        raise AssertionError("Newton search on the q = 1 path")
-
-    monkeypatch.setattr(norms, "_newton_increasing", no_newton)
+def test_project_top1_ball_examples():
+    # hand-computed q = 1 projections, one per exit of the level search
     cases = [
         # full tie: every entry pools at the level 1/6
         ([2 / 3, 2 / 3] + [1 / 3] * 45, 6, [1 / 6] * 47),
@@ -658,12 +653,25 @@ def test_top_level_matches_pooled_tail_from_any_start():
     assert newton >= 200
 
 
-def test_top1_level_from_any_start_is_bitwise_cold():
-    # the q = 1 breakpoint search narrows its bracket from the start level and
-    # returns the cold level bit for bit, at every start and on both early exits
+def test_top1_level_from_any_start_is_bitwise_cold(monkeypatch):
+    # the q = 1 Newton search on the line of each piece returns the cold level bit
+    # for bit, at every start and on both early exits; started at the cold level it
+    # makes at most one Newton evaluation
     def bits(level):
         return np.array(level).tobytes()
 
+    evaluations = []
+    newton = norms._newton_increasing
+
+    def counted(fun, lo, hi, x, ev):
+        def counted_fun(theta):
+            evaluations[-1] += 1
+            return fun(theta)
+
+        evaluations.append(0)
+        return newton(counted_fun, lo, hi, x, ev)
+
+    monkeypatch.setattr(norms, "_newton_increasing", counted)
     rng = np.random.default_rng(31)
     seen = {"top k": 0, "whole vector": 0, "k = d": 0, "search": 0, "long tail": 0}
     for i in range(400):
@@ -691,16 +699,19 @@ def test_top1_level_from_any_start_is_bitwise_cold():
             seen["long tail"] += d - k > 1024
             theta = cold[0]
             starts = [theta, theta * (1.0 - 1e-3), theta * (1.0 + 1e-3)]
+            evaluations.clear()
+            norms._top1_level(a, k, theta)
+            assert evaluations[0] <= 1, (i, d, k, evaluations)
         for start in [0.0, 1e-12, float(a[min(k, d - 1)]), float(a[0]), float(rng.uniform(0.0, a[0]))] + starts:
             assert bits(norms._top1_level(a, k, start)) == bits(cold), (i, d, k, start)
     assert min(seen.values()) >= 3, seen
 
 
 def test_top1_level_closed_form_is_the_least_line_root():
-    # on the piece the search settles (n tail entries above the level), the
-    # level is the least root over every line s < k, bit for bit: the search
-    # reads only the lines between s at the piece's ends
-    def F(a, C, k, theta, n):  # the breakpoint function, as in _top1_level, on arrays
+    # on a piece whose ends straddle the root (n tail entries above the level), the
+    # level is the least root over every line s < k, bit for bit, though the search
+    # reads only the lines it steps on
+    def F(a, C, k, theta, n):  # sum_{i<k} min(a_i - theta, t) - (C[k] - 1), n tail entries above theta
         t = (C[k + n] - 1.0 - n * theta) / k
         s = (-a[:k]).searchsorted(-(theta + t))
         return s * t + 1.0 - C[s] - (k - s) * theta
@@ -734,6 +745,31 @@ def test_top1_level_closed_form_is_the_least_line_root():
             checked += 1
             assert (theta, t) in [least_root(C, k, n) for n in pieces], (i, d, k, start)
     assert checked >= 300, checked
+
+
+def test_top1_level_on_tied_tail_breakpoints_is_start_free():
+    # entries on a grid of 1/70 tie the tail breakpoints in runs, and the lines of the
+    # pieces on either side of a run can each hold a root a few roundings from it (seed
+    # 324, d = 43, k = 11); the level is the cold one bit for bit from six starts in
+    # (0, a[0]) and from just below and above the cold level
+    def bits(level):
+        return np.array(level).tobytes()
+
+    searched = 0
+    for seed in range(3000):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(10, 80))
+        k = int(rng.integers(2, d - 1))
+        a = -np.sort(-(rng.integers(0, 8, d) / 70))
+        a *= 1.5 / a[:k].sum()
+        cold = norms._top1_level(a, k)
+        starts = list(rng.uniform(0.0, a[0], 6))
+        if cold[0] > 0.0 and cold[1] > 0.0:
+            searched += 1
+            starts += [cold[0] * 0.99, cold[0] * 1.01]
+        for start in starts:
+            assert bits(norms._top1_level(a, k, float(start))) == bits(cold), (seed, d, k, start)
+    assert searched >= 2500, searched
 
 
 def test_project_top_ball_at_k_equal_d_is_the_l1_projection():

@@ -248,7 +248,7 @@ def test_prox_satisfies_fermat_condition():
         assert ok, gap
     # the prox written from the projection's level is v - s * project_top_ball(v / s):
     # d up to 300, tied integer entries, inputs inside the ball, k = d and scales 1e-3
-    # to 1e3; 300 draws at p = inf and k >= 2 (the q = 1 breakpoint search), then 300
+    # to 1e3; 300 draws at p = inf and k >= 2 (the q = 1 level search), then 300
     # at every p with k = 1 (the box) and k = d among them
     seen = {(q1, kind): 0 for q1 in (True, False) for kind in ("inside", "top k", "search")}
     seen |= {"box": 0, "k = d": 0, "ties": 0}
@@ -418,6 +418,20 @@ def test_face_descent_ties_an_entry_blocked_at_the_top():
     assert y[2] == -np.abs(y).max() == -y[0]
     obj, spec = quadratic_objective(A, b), NormSpec(INF, k)
     assert _energy(obj, 1.0, spec, y) <= _energy(obj, 1.0, spec, x)
+
+
+def test_face_descent_refuses_an_off_ridge_point(monkeypatch):
+    # ||x||_1 = 4.75 < k max|x| = 5: x is off its ridge, so no face system is solved
+    from ksupport import solver
+
+    def no_solve(*args):
+        raise AssertionError("a face system was solved")
+
+    rng = np.random.default_rng(0)
+    A, b = rng.standard_normal((4, 12)), rng.standard_normal(4)
+    x = _ridge_point([1.0, -0.875, 0.75, -0.625, 0.5, 0.75, -0.25])
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    assert solver._face_descent((A, b), 1.0, 5, x) is None
 
 
 def test_face_descent_on_duplicated_columns(monkeypatch):
