@@ -358,7 +358,7 @@ def _top_level(a: np.ndarray, k: int, q: float, start: float = 0.0) -> tuple[flo
         rest = float(over[k:].sum()) if n > k else 0.0
         bound = (csum[m - 1] if m else 0.0) + (k - m) * theta + rest
         j = min(k - 1 - int(keys.searchsorted(bound, "right")), n)
-        pooled = over[j:k][::-1].cumsum()  # from the smallest up, as in _pooled_tail
+        pooled = np.add.accumulate(over[j:k][::-1])  # from the smallest up, as in _pooled_tail
         t = ((float(pooled[-1]) if pooled.size else 0.0) + rest) / (k - j)
         dt = -(n - j) / (k - j)
         c, dc = t / theta ** (q - 1.0), (dt * theta - (q - 1.0) * t) / theta**q
@@ -401,7 +401,7 @@ def _top1_level(a: np.ndarray, k: int, start: float = 0.0) -> tuple[float, float
     its root at or below 0.  Where the top norm at the start is below 1, 0 is not read.
     """
     C = np.zeros(a.size + 1)  # prefix sums
-    a.cumsum(out=C[1:])
+    np.add.accumulate(a, out=C[1:])
     if float(C[k]) <= 1.0:
         return None
     rk = (float(C[k]) - 1.0) / k
@@ -543,7 +543,7 @@ def _pooled_tail(top: np.ndarray, rest: float) -> tuple[int, float]:
     stay singletons and all lie above the mean of the pooled tail.
     """
     k = top.size
-    tail = top[::-1].cumsum()[::-1] + rest
+    tail = np.add.accumulate(top[::-1])[::-1] + rest
     above = (top[:-1] > tail[1:] / np.arange(k - 1, 0, -1)).nonzero()[0]
     j = int(above[-1]) + 1 if above.size else 0
     return j, float(tail[j]) / (k - j)
