@@ -3,10 +3,13 @@
 The prox of the k-support norm is, through the Moreau identity, what the exact
 projection onto the top-norm ball (:func:`ksupport.norms.project_top_ball`)
 removes, written from its level, so FISTA with adaptive restart solves the
-penalized problem directly.  The optimality certificate and the support
-identification read only ``x*`` and the dual vector ``-grad f(x*)``, so they
-do not depend on the solver.  The linear minimization oracle over the
-k-support ball (:func:`lmo_sp_ball`) is the exposed-face vertex of a dual vector.
+penalized problem directly.  Once the iterates settle on a face (p = inf,
+least squares) or a smooth piece (1 < p < inf, an objective with a Hessian)
+of the norm, the solve finishes there by active-set or Newton steps.  The
+optimality certificate and the support identification read only ``x*`` and
+the dual vector ``-grad f(x*)``, so they do not depend on the solver.  The
+linear minimization oracle over the k-support ball (:func:`lmo_sp_ball`) is
+the exposed-face vertex of a dual vector.
 """
 
 from __future__ import annotations
@@ -20,7 +23,9 @@ import numpy as np
 
 from .core import InvalidInputError, Tolerance, ZeroVectorError, as_vector
 from .faces import SupportLattice, support_lattice, v_p
-from .norms import NormSpec, _ksupport, _level_excess, _top_ball_level, _top_norm, ksupport_value, top_norm
+from .norms import (
+    NormSpec, _ksupport, _level_excess, _pooled_tail, _top_ball_level, _top_norm, ksupport_value, top_norm
+)
 
 __all__ = [
     "SmoothObjective",
@@ -48,7 +53,10 @@ class SmoothObjective:
     ``lipschitz`` is an estimate of the gradient Lipschitz constant.
     ``quad`` carries ``(A, b)`` when the objective is exactly
     ``0.5 * ||A x - b||^2``; then ``lipschitz`` is exact and the solver takes
-    the fixed step ``1 / lipschitz``, else it backtracks.
+    the fixed step ``1 / lipschitz``, else it backtracks.  ``hess(x, idx)``,
+    if given, returns the Hessian of f at x restricted to the indices idx (an
+    ``(n, n)`` array for n indices); with it a solve at 1 < p < inf finishes
+    by Newton steps on the smooth piece of the norm it has identified.
     """
 
     dim: int
@@ -56,6 +64,7 @@ class SmoothObjective:
     grad: Callable[[np.ndarray], np.ndarray]
     lipschitz: float | None = None
     quad: tuple[np.ndarray, np.ndarray] | None = None
+    hess: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
 def quadratic_objective(A: Sequence[Sequence[float]], b: Sequence[float]) -> SmoothObjective:
@@ -74,8 +83,11 @@ def quadratic_objective(A: Sequence[Sequence[float]], b: Sequence[float]) -> Smo
     def grad(x: np.ndarray) -> np.ndarray:
         return A.T @ (A @ x - b)
 
+    def hess(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        return A[:, idx].T @ A[:, idx]
+
     L = float(np.linalg.norm(A, 2)) ** 2
-    return SmoothObjective(dim=A.shape[1], value=value, grad=grad, lipschitz=L, quad=(A, b))
+    return SmoothObjective(dim=A.shape[1], value=value, grad=grad, lipschitz=L, quad=(A, b), hess=hess)
 
 
 def logistic_objective(X: Sequence[Sequence[float]], labels: Sequence[float]) -> SmoothObjective:
@@ -98,13 +110,20 @@ def logistic_objective(X: Sequence[Sequence[float]], labels: Sequence[float]) ->
         sig = 0.5 * (1.0 + np.tanh(-0.5 * margins))  # overflow-safe sigmoid(-m)
         return -X.T @ (y * sig)
 
+    def hess(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        th = np.tanh(0.5 * (X @ x))
+        XS = X[:, idx]
+        return XS.T @ ((0.25 * (1.0 - th * th))[:, None] * XS)  # sig (1 - sig) = (1 - tanh^2) / 4
+
     L = 0.25 * float(np.linalg.norm(X, 2)) ** 2
-    return SmoothObjective(dim=X.shape[1], value=value, grad=grad, lipschitz=L)
+    return SmoothObjective(dim=X.shape[1], value=value, grad=grad, lipschitz=L, hess=hess)
 
 
 def check_gradient(obj: SmoothObjective, points: Sequence[Sequence[float]]) -> float:
     """Max relative error between the gradient oracle and central differences
-    of step 1e-6; raises :class:`InvalidInputError` above 1e-4."""
+    of step 1e-6 of the value, and, where ``obj.hess`` is given, between the
+    Hessian oracle and those of the gradient; raises :class:`InvalidInputError`
+    above 1e-4."""
     worst = 0.0
     for pt in points:
         x = as_vector(pt)
@@ -115,8 +134,12 @@ def check_gradient(obj: SmoothObjective, points: Sequence[Sequence[float]]) -> f
             fd = (obj.value(x + e) - obj.value(x - e)) / 2e-6
             scale = max(1.0, abs(fd), abs(g[i]))
             worst = max(worst, abs(fd - g[i]) / scale)
+        if obj.hess is not None:
+            h = np.asarray(obj.hess(x, np.arange(x.size)), dtype=float)
+            fd = np.array([obj.grad(x + e) - obj.grad(x - e) for e in 1e-6 * np.eye(x.size)]).T / 2e-6
+            worst = max(worst, float(np.max(np.abs(fd - h) / np.maximum(1.0, np.maximum(np.abs(fd), np.abs(h))))))
     if worst > 1e-4:
-        raise InvalidInputError(f"gradient oracle disagrees with finite differences ({worst:.2e})")
+        raise InvalidInputError(f"gradient or Hessian oracle disagrees with finite differences ({worst:.2e})")
     return worst
 
 
@@ -146,12 +169,13 @@ class SolveReport:
     earlier Frank-Wolfe solver); ``iterations``: iterations run;
     ``converged``: the gap reached ``SolveOptions.tol``; ``stop``: why the
     iterations ended: ``"tol"`` (converged), ``"face"`` (converged: the
-    descent on the face read from the iterate reached a point that met the
-    tolerance, for a least-squares f at p = inf), ``"fixed_point"`` (the
-    prox-gradient step left x exactly where it was, short of the tolerance)
-    or ``"max_iter"``; ``face_sizes``: ``(|T|, |F|)`` of the face a
-    ``"face"`` stop ended on (T the entries tied at max|x|, F the rest of the
-    support), None for every other stop.
+    descent on the face or piece read from the iterate reached a point that
+    met the tolerance), ``"fixed_point"`` (the prox-gradient step left x
+    exactly where it was, short of the tolerance) or ``"max_iter"``;
+    ``face_sizes``: for a ``"face"`` stop, ``(|T|, |F|)`` at p = inf (T the
+    entries tied at max|x|, F the rest of the support) and ``(|H|, |S \\ H|)``
+    at 1 < p < inf (H the singletons of the pooled tail, S the support);
+    None for every other stop.
     ``identified_supports``: the lattice of optimal supports of
     ``-grad f(x_star)``, None for a zero gradient; ``unique_support``: its
     single member, if any; ``support_bound``: its union (empty for a zero
@@ -373,6 +397,104 @@ def _face_descent(quad: tuple[np.ndarray, np.ndarray], gamma: float, k: int, x: 
             return x if np.isfinite(x).all() else None
 
 
+def _piece(x: np.ndarray, spec: NormSpec) -> np.ndarray:
+    """The piece of the norm at x, as ``sign(x) * (1 + mark)``.
+
+    mark is "tied at max|x|" at p = inf (the face of :func:`_face_descent`) and, at
+    1 < p < inf with k < d, "a singleton of the pooled tail of the sorted |x|"
+    (:func:`ksupport.norms._pooled_tail`): the set H of :func:`_piece_newton`.
+    """
+    a = np.abs(x)
+    if spec.q == 1:
+        return np.sign(x) * (1.0 + (a == a.max()))
+    cut = a.size - spec.k
+    part = np.partition(a, cut)
+    _, mean = _pooled_tail(np.sort(part[cut:])[::-1], float(np.sum(part[:cut])))
+    return np.sign(x) * (1.0 + (a > mean))
+
+
+_PIECE_STEPS = 30  # Newton steps of one try on a piece
+
+
+def _piece_newton(obj: SmoothObjective, gamma: float, spec: NormSpec, x: np.ndarray, piece: np.ndarray) -> np.ndarray | None:
+    """Newton on the smooth piece of ``f + gamma * ksupport`` at x, for 1 < p < inf and k < d.
+
+    The piece (:func:`_piece`) fixes S = supp(x), its signs s and the j singletons H of the
+    pooled tail.  On it, with ``z = |x_S|`` and ``L = sum_{S \\ H} z_i``, the norm is
+    ``(sum_H z_i^p + (k - j)^(1-p) L^p)^(1/p)``, whose Hessian is a diagonal on H, a rank-one
+    block on S \\ H and one rank-one term from the outer power.  Each step solves
+    ``(s hess_S f s + gamma H) dz = -(s grad_S f + gamma grad)`` and stops where an entry
+    reaches 0 or the piece would change (an H entry falls to the pooled mean ``L / (k - j)``,
+    a tail entry rises above it), which ends the try; it is taken in full for a
+    least-squares f and backtracks (Armijo) on the piece objective otherwise.  The try also
+    ends after a full step below 1e-10 max z, or after ``_PIECE_STEPS`` steps.  None where
+    the piece does not hold at x, for a singular or non-finite system, or when no step can
+    be taken.  The point is not checked for optimality or descent; the caller does that.
+    """
+    p, k = spec.p, spec.k
+    S = np.flatnonzero(piece)
+    H = np.abs(piece[S]) == 2.0
+    T = ~H
+    kj = k - int(np.count_nonzero(H))
+    z, s, y = np.abs(x[S]), np.sign(x[S]), x.copy()
+    if not (S.size and kj > 0 and np.array_equal(np.sign(piece), np.sign(x))):
+        return None
+    if not float(z[H].min(initial=math.inf)) > float(z[T].sum()) / kj >= float(z[T].max(initial=0.0)):
+        return None
+
+    def norm(z: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        # the norm on the piece, its gradient and its Hessian, the powers taken at unit scale
+        c = float(z.max())
+        u = z / c
+        L = float(u[T].sum())
+        phi = float(np.sum(u[H] ** p)) + kj ** (1.0 - p) * L**p
+        w = np.where(H, u ** (p - 1.0), kj ** (1.0 - p) * L ** (p - 1.0))
+        hess = np.diag(np.where(H, (p - 1.0) * u ** (p - 2.0), 0.0)) + (1.0 - p) / phi * np.outer(w, w)
+        if L > 0.0:
+            hess[np.ix_(T, T)] += (p - 1.0) * kj ** (1.0 - p) * L ** (p - 2.0)
+        scale = phi ** (1.0 / p - 1.0)
+        return c * phi ** (1.0 / p), scale * w, scale / c * hess
+
+    def energy(z: np.ndarray) -> float:
+        y[S] = s * z
+        return obj.value(y) + gamma * norm(z)[0]
+
+    for _ in range(_PIECE_STEPS):
+        y[S] = s * z
+        _, grad, hess = norm(z)
+        g = s * _gradient(obj, y)[S] + gamma * grad
+        try:
+            dz = np.linalg.solve(s[:, None] * obj.hess(y, S) * s + gamma * hess, -g)
+        except np.linalg.LinAlgError:
+            return None
+        mean, dmean = float(z[T].sum()) / kj, float(dz[T].sum()) / kj
+        with np.errstate(divide="ignore", invalid="ignore"):  # ratio test: first entry at 0 or at the mean
+            to_zero = np.where(dz < 0.0, -z / dz, math.inf)
+            to_mean = np.where(H, np.where(dz < dmean, (z - mean) / (dmean - dz), math.inf),
+                               np.where(dz > dmean, (mean - z) / (dz - dmean), math.inf))
+        block = np.minimum(to_zero, to_mean)
+        i = int(np.argmin(block))
+        t = min(float(block[i]), 1.0)
+        if not (t > 0.0 and np.isfinite(dz).all()):
+            return None
+        small = float(np.abs(dz).max()) <= 1e-10 * float(z.max())
+        if obj.quad is None and not small:
+            f0, slope = energy(z), float(g @ dz)
+            while energy(z + t * dz) > f0 + 1e-4 * t * slope:
+                t *= 0.5
+                if t < 1e-10:
+                    return None
+        z = z + t * dz
+        if t == block[i]:  # the piece changes here
+            if to_zero[i] <= to_mean[i]:
+                z[i] = 0.0
+            break
+        if small and t == 1.0:
+            break
+    y[S] = s * z + 0.0  # no -0.0 where an entry drops out
+    return y if np.isfinite(y).all() else None
+
+
 def solve_penalized(
     obj: SmoothObjective,
     gamma: float,
@@ -394,13 +516,15 @@ def solve_penalized(
     takes one step and, on every input tested, finds the level a cold
     search would, bit for bit.
 
-    For a least-squares f (``obj.quad``) at p = inf and k >= 2 the solve also
-    descends on its identified face: every 10th iteration it reads the face
-    of x (the signs and the entries tied at max|x|, which the prox writes
-    bitwise alike), and from a ridge face unchanged since the reading before
-    it runs, once per face, an active-set descent that stays on the face and
-    drops or ties one entry per blocked move (:func:`_face_descent`).  If the
-    point reached meets ``opts.tol`` the solve returns it with stop
+    For a least-squares f (``obj.quad``) at p = inf and k >= 2, and for an f
+    with ``obj.hess`` at 1 < p < inf and 2 <= k < d, the solve also finishes
+    on what it has identified: every 10th iteration it reads the piece of x
+    (:func:`_piece`: the signs, and the entries tied at max|x|, which the
+    prox writes bitwise alike, or the singletons of the pooled tail), and
+    from a piece unchanged since the reading before it runs, once per piece,
+    an active-set descent on the face at p = inf (:func:`_face_descent`) or
+    Newton steps on the smooth piece at 1 < p < inf (:func:`_piece_newton`).
+    If the point reached meets ``opts.tol`` the solve returns it with stop
     ``"face"``; if its objective is no higher than x's, FISTA restarts from
     it, momentum dropped; otherwise the iterates go on untouched.  Every
     other solve takes the same iterations as without this check.
@@ -416,7 +540,8 @@ def solve_penalized(
     g = gz = _gradient(obj, x)
     momentum = 1.0
     level = 0.0  # of the last prox; 0 starts its first search cold
-    finish = obj.quad is not None and spec.q == 1 and spec.k >= 2  # least squares at p = inf
+    curved = obj.hess is not None and 1.0 < spec.p < math.inf and 2 <= spec.k < d
+    finish = curved or (obj.quad is not None and spec.q == 1 and spec.k >= 2)  # least squares at p = inf
 
     def energy(v: np.ndarray) -> float:
         return obj.value(v) + gamma * _ksupport(v, spec, dual=False)[0]
@@ -429,12 +554,11 @@ def solve_penalized(
         if _fermat_gap(x, g, _top_norm(g, spec), gamma, spec, opts.tol) <= opts.tol:
             break
         if finish and it % _FACE_PERIOD == 0:
-            # a face that held for a period is solved on, once
-            a = np.abs(x)
-            last, face = face, np.sign(x) * (1.0 + (a == a.max()))
+            # a face or piece that held for a period is solved on, once
+            last, face = face, _piece(x, spec)
             if np.array_equal(face, last) and face.tobytes() not in tried:
                 tried.add(face.tobytes())
-                y = _face_descent(obj.quad, gamma, spec.k, x)
+                y = _piece_newton(obj, gamma, spec, x, face) if curved else _face_descent(obj.quad, gamma, spec.k, x)
                 if y is not None:
                     gy = obj.grad(y)
                     top = _top_norm(gy, spec)
@@ -484,8 +608,9 @@ def solve_penalized(
     objective = obj.value(x) + gamma * ksupport_value(x, spec)
     face_sizes = None
     if stop == "face":
-        n_tied = int(np.count_nonzero(np.abs(x) == np.abs(x).max()))
-        face_sizes = (n_tied, int(np.count_nonzero(x)) - n_tied)
+        face = np.abs(_piece(x, spec))
+        n_marked = int(np.count_nonzero(face == 2.0))
+        face_sizes = (n_marked, int(np.count_nonzero(face)) - n_marked)
     return SolveReport(
         x_star=x,
         objective=objective,

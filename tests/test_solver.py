@@ -62,6 +62,29 @@ def test_gradient_checker():
         check_gradient(bad, [rng.standard_normal(4)])
 
 
+def test_hessian_checker():
+    # the Hessian oracles, restricted to an index set, against their closed forms and
+    # central differences of the gradient; a wrong one raises
+    rng = np.random.default_rng(3)
+    A, b = rng.standard_normal((5, 4)), rng.standard_normal(5)
+    obj = quadratic_objective(A, b)
+    idx = np.array([0, 2, 3])
+    assert np.array_equal(obj.hess(rng.standard_normal(4), idx), A[:, idx].T @ A[:, idx])
+    assert check_gradient(obj, [rng.standard_normal(4) for _ in range(3)]) < 1e-8
+    X, labels = rng.standard_normal((6, 3)), np.sign(rng.standard_normal(6))
+    lg = logistic_objective(X, labels)
+    x = rng.standard_normal(3)
+    sig = 1.0 / (1.0 + np.exp(-(X @ x)))
+    assert np.allclose(lg.hess(x, np.arange(3)), X.T @ np.diag(sig * (1.0 - sig)) @ X, rtol=1e-12, atol=1e-14)
+    assert np.allclose(lg.hess(x, idx[:2]), lg.hess(x, np.arange(3))[np.ix_(idx[:2], idx[:2])], rtol=1e-14)
+    assert check_gradient(lg, [3.0 * rng.standard_normal(3) for _ in range(3)]) < 1e-6
+    for bad in (quadratic_objective(A, b), logistic_objective(X, labels)):
+        hess = bad.hess
+        bad.hess = lambda x, idx: 1.05 * hess(x, idx)
+        with pytest.raises(InvalidInputError, match="Hessian"):
+            check_gradient(bad, [rng.standard_normal(bad.dim)])
+
+
 def test_solve_lasso_example():
     a = np.array([2.0, 1.0, 0.0])
     obj = quadratic_objective(np.eye(3), a)
@@ -479,22 +502,134 @@ def test_face_descent_on_duplicated_columns(monkeypatch):
 
 
 def test_only_pinf_least_squares_tries_a_face(monkeypatch):
+    # the face descent runs only for least squares at p = inf; at p = 2 the piece
+    # finish runs in its place, and only for an objective that carries a Hessian
     from ksupport import solver
 
     def refuse(*args):
         raise AssertionError("a face was tried")
 
+    newton, pieces = solver._piece_newton, []
+
+    def spy_newton(*args):
+        pieces.append(args[-1])
+        return newton(*args)
+
     monkeypatch.setattr(solver, "_face_descent", refuse)
+    monkeypatch.setattr(solver, "_piece_newton", spy_newton)
     obj, _ = _planted_pinf(60)
+    no_hess = SmoothObjective(obj.dim, obj.value, obj.grad, obj.lipschitz, obj.quad)
     rng = np.random.default_rng(9)
     X = rng.standard_normal((40, 15))
     labels = np.sign(X @ (2.0 * rng.standard_normal(15) * (rng.random(15) < 0.3)) + 0.5 * rng.standard_normal(40))
     cases = [(obj, NormSpec(p, k)) for p, k in ((2.0, 10), (1.0, 10), (INF, 1))]
-    cases.append((logistic_objective(X, labels), NormSpec(INF, 3)))
+    cases += [(logistic_objective(X, labels), NormSpec(INF, 3)), (no_hess, NormSpec(2.0, 10))]
     for f, spec in cases:
+        pieces.clear()
         rep = solve_penalized(f, 1.0, spec, SolveOptions(tol=1e-8, max_iter=3000))
         assert rep.iterations > 20, spec  # past two readings of the face
-        assert rep.face_sizes is None
+        if f is obj and spec.p == 2.0:
+            assert pieces and rep.stop == "face" and rep.face_sizes is not None
+        else:
+            assert not pieces and rep.face_sizes is None, spec
+
+
+def _planted_curved(seed, d=50, k=10):
+    # the planted least squares of the solve-curved benchmark: m = d / 2
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((d // 2, d))
+    w = np.zeros(d)
+    w[rng.choice(d, k, replace=False)] = rng.standard_normal(k)
+    return quadratic_objective(A, A @ w + 0.01 * rng.standard_normal(d // 2))
+
+
+def _planted_logistic(seed, d=20, m=60, k=3):
+    # shaped like the logistic-d20-p2 case of solve-curved
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((m, d))
+    w = np.zeros(d)
+    w[rng.choice(d, k, replace=False)] = 2.0 * rng.standard_normal(k)
+    return logistic_objective(X, np.where(X @ w + 0.5 * rng.standard_normal(m) >= 0.0, 1.0, -1.0))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0])
+def test_curved_least_squares_finishes_on_its_piece(p):
+    # Newton on the piece read from x lands on the optimum, far below the tolerance
+    spec = NormSpec(p, 10)
+    for seed in range(3):
+        obj = _planted_curved(seed)
+        rep = solve_penalized(obj, 1.0, spec, SolveOptions(tol=1e-6))
+        ok, _ = certify_optimality(rep.x_star, obj, 1.0, spec, Tolerance(0.0, 1e-10))
+        assert rep.stop == "face" and rep.converged and ok, (seed, rep.fw_gap)
+        n_single, n_pooled = rep.face_sizes
+        assert n_single < spec.k and n_single + n_pooled == np.count_nonzero(rep.x_star)
+        assert set(support_of(rep.x_star)) <= set(rep.support_bound)
+
+
+def test_logistic_finish_ends_inside_the_cap(monkeypatch):
+    # the logistic-d20-p2 shape: plain FISTA stops at the cap of 150 on most
+    # instances, and the piece finish ends every one inside it, certified
+    from ksupport import solver
+
+    spec, opts = NormSpec(2.0, 3), SolveOptions(tol=1e-6, max_iter=150)
+    objs = [_planted_logistic(seed) for seed in range(6)]
+    for obj in objs:
+        rep = solve_penalized(obj, 1.0, spec, opts)
+        ok, _ = certify_optimality(rep.x_star, obj, 1.0, spec, Tolerance(0.0, 1e-10))
+        assert rep.stop == "face" and ok and rep.iterations < 150
+    monkeypatch.setattr(solver, "_FACE_PERIOD", 10**9)
+    assert sum(solve_penalized(obj, 1.0, spec, opts).stop == "max_iter" for obj in objs) >= 4
+
+
+@pytest.mark.parametrize("wrong", ["an H entry in the tail", "a flipped sign"])
+def test_a_wrong_piece_is_refused(monkeypatch, wrong):
+    # a piece that does not hold at x is refused before any solve, so the
+    # iterates are those of plain FISTA, which never reads a piece
+    from ksupport import solver
+
+    obj, spec, opts = _planted_curved(0), NormSpec(2.0, 10), SolveOptions(tol=1e-6)
+    monkeypatch.setattr(solver, "_FACE_PERIOD", 10**9)
+    plain = solve_penalized(obj, 1.0, spec, opts)
+    monkeypatch.undo()
+    newton, tries = solver._piece_newton, []
+
+    def wrong_piece(obj, gamma, spec, x, piece):
+        piece = piece.copy()
+        marked = np.flatnonzero(np.abs(piece) == (2.0 if wrong == "an H entry in the tail" else 1.0))
+        if not marked.size:  # no entry to move: the piece stands
+            return newton(obj, gamma, spec, x, piece)
+        i = marked[0]
+        piece[i] = np.sign(piece[i]) if wrong == "an H entry in the tail" else -piece[i]
+        tries.append(newton(obj, gamma, spec, x, piece))
+        return tries[-1]
+
+    monkeypatch.setattr(solver, "_piece_newton", wrong_piece)
+    rep = solve_penalized(obj, 1.0, spec, opts)
+    assert len(tries) >= 3 and all(y is None for y in tries)
+    assert plain.stop == rep.stop == "tol" and rep.face_sizes is None
+    assert rep.iterations == plain.iterations and rep.x_star.tobytes() == plain.x_star.tobytes()
+
+
+def test_solve_without_a_hessian_is_plain_fista(monkeypatch):
+    # an objective without hess never reads a piece: its iterates are those of
+    # the same objective with its Hessian and the piece never read
+    from ksupport import solver
+
+    def bare(obj):
+        return SmoothObjective(obj.dim, obj.value, obj.grad, obj.lipschitz, obj.quad)
+
+    cases = [(_planted_curved(1), NormSpec(p, 10)) for p in (1.5, 2.0)]
+    cases.append((_planted_logistic(1), NormSpec(2.0, 3)))
+    opts = SolveOptions(tol=1e-6, max_iter=3000)
+    piece = solver._piece
+    monkeypatch.setattr(solver, "_piece", lambda *a: pytest.fail("a piece was read"))
+    got = [solve_penalized(bare(obj), 1.0, spec, opts) for obj, spec in cases]
+    monkeypatch.setattr(solver, "_piece", piece)
+    monkeypatch.setattr(solver, "_FACE_PERIOD", 10**9)
+    for (obj, spec), rep in zip(cases, got):
+        plain = solve_penalized(obj, 1.0, spec, opts)
+        assert rep.stop == plain.stop == "tol" and rep.face_sizes is None
+        assert rep.iterations == plain.iterations and rep.x_star.tobytes() == plain.x_star.tobytes()
 
 
 def test_pinf_solves_are_bitwise_without_the_level_warm_start(monkeypatch):

@@ -27,22 +27,25 @@ if n == FAIL_AT:
     sys.exit(3)
 args = sys.argv[1:]
 workload, seed = args[args.index("--workload") + 1], args[args.index("--seed") + 1]
-metrics = {"setup_s": 0.1, "wall_ref": WALL + n, "peak_rss_mb": 50.0}
+metrics = {"setup_s": 0.1, "wall_ref": WALL + n, "peak_rss_mb": 50.0, "error_frac": ERROR * n}
 (here / "out").mkdir(exist_ok=True)
 (here / "out" / f"result-{workload}-seed{seed}-trace0.json").write_text(
-    json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}))
+    json.dumps({"correct": True, "attempted": 4, "failed": FAILED, "metrics": metrics}))
 print("# table")
-print(json.dumps({"correct": True, "attempted": 3, "failed": 0,
+print(json.dumps({"correct": True, "attempted": 4, "failed": FAILED,
                   "metrics": {k: {"value": v, "unit": "-"} for k, v in metrics.items()}}))
 '''
 
 
-def _checkout(root: Path, wall: float, fail_at: int) -> Path:
+def _checkout(root: Path, wall: float, fail_at: int, failed: int = 0, error: float = 0.0) -> Path:
+    # each run of the stub attempts 4 operations, fails `failed` of them and reads
+    # error_frac `error` times its call count
     (root / "perfbench").mkdir(parents=True)
     metrics = [{"name": name, "unit": "-", "better": "lower", "bound": 0.25}
                for name in ("setup_s", "wall_ref", "peak_rss_mb")]
     (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": metrics}))
     stub = STUB.replace("FAIL_AT", str(fail_at)).replace("WALL", str(wall))
+    stub = stub.replace("FAILED", str(failed)).replace("ERROR", str(error))
     (root / "perfbench" / "run.py").write_text(stub)
     return root
 
@@ -76,6 +79,17 @@ def test_ab_pairs_exits_0_when_every_run_succeeds(tmp_path, capsys):
     assert _ab_pairs().main(["w", "2", str(base), str(change)]) == 0
     out = capsys.readouterr().out
     assert "failed run" not in out and "runs that succeeded: base 2/2, change 2/2" in out
+
+
+def test_ab_pairs_reports_each_sides_failed_share_and_error_frac(tmp_path, capsys):
+    base = _checkout(tmp_path / "base", 100.0, fail_at=0, error=0.25)
+    change = _checkout(tmp_path / "change", 50.0, fail_at=2, failed=1, error=0.125)
+    assert _ab_pairs().main(["w", "3", str(base), str(change)]) == 1
+    out = capsys.readouterr().out
+    # base: 3 runs of 4 operations, error_frac 0.25, 0.5, 0.75; change: its second run
+    # crashed, so 2 runs, 1 of 4 operations failed in each, error_frac 0.125 and 0.375
+    assert "base: failed operations 0/12 (share 0), error_frac p50 0.5" in out
+    assert "change: failed operations 2/8 (share 0.25), error_frac p50 0.25" in out
 
 
 THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

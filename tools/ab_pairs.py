@@ -11,8 +11,9 @@ the benchmark's seed; 7919 is its held-out one).  For every end-to-end
 metric of the base checkout's ``BENCHMARK.json`` it then prints both
 medians, each side's interquartile distance, and the pairs in which the
 change did better.
-Failed operations are summed per side.  One line per pair goes to stderr as
-the runs finish.
+Per side it also prints the failed share of the operations (failed over
+attempted, summed over its runs) and the median ``error_frac``.  One line per
+pair goes to stderr as the runs finish.
 
 A run fails when it exits nonzero, when the last line of its standard output
 is not the ``{correct, attempted, failed, metrics}`` object, when that object
@@ -119,8 +120,12 @@ def main(argv: list[str]) -> int:
         mb, mc = statistics.median(b), statistics.median(c)
         ratio = f"{mc / mb:.3f}" if mb else "-"
         print(f"{name:<12} {mb:>10.4g} {mc:>10.4g} {iqr(b):>10.4g} {iqr(c):>10.4g} {ratio:>7} {wins:>3}/{len(both)}")
-    failed = {side: sum(r["failed"] for r in rs) for side, rs in done.items()}
-    print(f"failed operations: base {failed['base']}, change {failed['change']}")
+    for side, rs in done.items():
+        failed, attempted = sum(r["failed"] for r in rs), sum(r["attempted"] for r in rs)
+        errors = [r["metrics"]["error_frac"] for r in rs if "error_frac" in r["metrics"]]
+        share = f"{failed / attempted:.4g}" if attempted else "-"
+        error = f"{statistics.median(errors):.4g}" if errors else "-"
+        print(f"{side}: failed operations {failed}/{attempted} (share {share}), error_frac p50 {error}")
     for line in failures:
         print(f"failed run: {line}")
     return 1 if failures else 0
