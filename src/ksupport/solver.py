@@ -3,13 +3,13 @@
 The prox of the k-support norm is, through the Moreau identity, what the exact
 projection onto the top-norm ball (:func:`ksupport.norms.project_top_ball`)
 removes, written from its level, so FISTA with adaptive restart solves the
-penalized problem directly.  Once the iterates settle on a face (p = inf,
-least squares) or a smooth piece (1 < p < inf, an objective with a Hessian)
-of the norm, the solve finishes there by active-set or Newton steps.  The
-optimality certificate and the support identification read only ``x*`` and
-the dual vector ``-grad f(x*)``, so they do not depend on the solver.  The
-linear minimization oracle over the k-support ball (:func:`lmo_sp_ball`) is
-the exposed-face vertex of a dual vector.
+penalized problem directly.  Once the iterates settle on a piece of the
+norm (p > 1, an objective with a Hessian), the solve finishes there by
+active-set Newton steps.  The optimality certificate and the support
+identification read only ``x*`` and the dual vector ``-grad f(x*)``, so
+they do not depend on the solver.  The linear minimization oracle over the
+k-support ball (:func:`lmo_sp_ball`) is the exposed-face vertex of a dual
+vector.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ class SmoothObjective:
     ``0.5 * ||A x - b||^2``; then ``lipschitz`` is exact and the solver takes
     the fixed step ``1 / lipschitz``, else it backtracks.  ``hess(x, idx)``,
     if given, returns the Hessian of f at x restricted to the indices idx (an
-    ``(n, n)`` array for n indices); with it a solve at 1 < p < inf finishes
-    by Newton steps on the smooth piece of the norm it has identified.
+    ``(n, n)`` array for n indices); with it a solve at p > 1 finishes by
+    Newton steps on the piece of the norm it has identified.
     """
 
     dim: int
@@ -169,13 +169,12 @@ class SolveReport:
     earlier Frank-Wolfe solver); ``iterations``: iterations run;
     ``converged``: the gap reached ``SolveOptions.tol``; ``stop``: why the
     iterations ended: ``"tol"`` (converged), ``"face"`` (converged: the
-    descent on the face or piece read from the iterate reached a point that
+    Newton descent on the piece read from the iterate reached a point that
     met the tolerance), ``"fixed_point"`` (the prox-gradient step left x
     exactly where it was, short of the tolerance) or ``"max_iter"``;
-    ``face_sizes``: for a ``"face"`` stop, ``(|T|, |F|)`` at p = inf (T the
-    entries tied at max|x|, F the rest of the support) and ``(|H|, |S \\ H|)``
-    at 1 < p < inf (H the singletons of the pooled tail, S the support);
-    None for every other stop.
+    ``face_sizes``: for a ``"face"`` stop, ``(|H|, |S \\ H|)``, S the support
+    and H the entries tied at max|x| at p = inf, the singletons of the pooled
+    tail at 1 < p < inf; None for every other stop.
     ``identified_supports``: the lattice of optimal supports of
     ``-grad f(x_star)``, None for a zero gradient; ``unique_support``: its
     single member, if any; ``support_bound``: its union (empty for a zero
@@ -329,80 +328,15 @@ def _prox(v: np.ndarray, lam: float, spec: NormSpec, theta: float = 0.0) -> tupl
     return x, level[0]
 
 
-_FACE_PERIOD = 10  # iterations between two readings of the face; one read twice running is descended on
-
-
-def _face_descent(quad: tuple[np.ndarray, np.ndarray], gamma: float, k: int, x: np.ndarray) -> np.ndarray | None:
-    """Descend on the ridge face of x for ``0.5 ||A x - b||^2 + gamma * ksupport(x)`` at p = inf.
-
-    The face reads T, the entries tied at M = max|x| (which the prox writes bitwise alike),
-    F, the rest of the support, and the signs s.  On a ridge face, ``|T| < k <= |T| + |F|``,
-    the norm is both M and ``||x||_1 / k``, so with ``z = (M, |x_F|)`` the objective is
-    ``0.5 ||B z - b||^2 + gamma z_0`` subject to ``<c, z> = 0``, with ``B = [A_T s_T, A_F s_F]``
-    and ``c = (|T| - k, 1, ..., 1)``.  For |F| > m each move follows -e_0 projected on
-    ``null([B; c])``, which keeps ``B z - b`` and lowers M (one (m + 1)-square solve); else it
-    is the Newton step of the KKT system (size |F| + 2), the constraint residual restored.
-    Each move stops where an F entry reaches 0 (it drops out) or M (it joins T), so there are
-    at most |F| + 1 moves, none raising the objective from a point on the face; an unblocked
-    Newton step ends on the face minimizer, which is returned.  None off the ridge, when M
-    reaches 0, or for a failed or non-finite solve; an x whose ``||x||_1 - k max|x|`` exceeds
-    its rounding is off the ridge before any solve.  The point is not checked for optimality
-    or descent; the caller does that.
-    """
-    A, b = quad
-    a = np.abs(x)
-    if abs(float(a.sum()) - k * float(a.max())) > 4e-16 * a.size * k * float(a.max()):
-        return None
-    x = x.copy()
-    while True:
-        a = np.abs(x)
-        M = float(a.max())
-        tied, free = a == M, (a > 0.0) & (a < M)
-        n_tied, n_free = int(np.count_nonzero(tied)), int(np.count_nonzero(free))
-        if not (M > 0.0 and n_tied < k <= n_tied + n_free):
-            return None
-        s = np.sign(x)
-        B = np.column_stack((A[:, tied] @ s[tied], A[:, free] * s[free]))
-        c = np.concatenate(([n_tied - k], np.ones(n_free)))
-        z = np.concatenate(([M], a[free]))
-        try:
-            if n_free > A.shape[0]:
-                C = np.vstack((B, c))
-                dz, cap = C.T @ np.linalg.solve(C @ C.T, C[:, 0]), math.inf
-                dz[0] -= 1.0
-            else:
-                kkt = np.zeros((n_free + 2, n_free + 2))
-                kkt[:-1, :-1] = B.T @ B
-                kkt[:-1, -1] = kkt[-1, :-1] = c
-                rhs = np.append(B.T @ (b - B @ z), -float(c @ z))
-                rhs[0] -= gamma
-                dz, cap = np.linalg.solve(kkt, rhs)[:-1], 1.0
-        except np.linalg.LinAlgError:
-            return None
-        u, v = z[1:], dz[1:]
-        with np.errstate(divide="ignore", invalid="ignore"):  # ratio test: first F entry at 0 or at M
-            to_zero = np.where(v < 0.0, -u / v, math.inf)
-            to_top = np.where(v > dz[0], (M - u) / (v - dz[0]), math.inf)
-        i = int(np.argmin(np.minimum(to_zero, to_top)))
-        t = min(to_zero[i], to_top[i], cap)
-        M = z[0] + t * dz[0]
-        if not (math.isfinite(t) and M > 0.0):
-            return None
-        u = np.clip(u + t * v, 0.0, M)
-        if t < cap:
-            u[i] = 0.0 if to_zero[i] <= to_top[i] else M
-        x[tied] = M * s[tied]
-        x[free] = u * s[free] + 0.0  # no -0.0 where an entry drops out
-        if t == cap:
-            return x if np.isfinite(x).all() else None
+_FACE_PERIOD = 10  # iterations between two readings of the piece; one read twice running is descended on
 
 
 def _piece(x: np.ndarray, spec: NormSpec) -> np.ndarray:
     """The piece of the norm at x, as ``sign(x) * (1 + mark)``.
 
-    mark is "tied at max|x|" at p = inf (the face of :func:`_face_descent`) and, at
+    mark, the set H of :func:`_piece_newton`, is "tied at max|x|" at p = inf and, at
     1 < p < inf with k < d, "a singleton of the pooled tail of the sorted |x|"
-    (:func:`ksupport.norms._pooled_tail`): the set H of :func:`_piece_newton`.
+    (:func:`ksupport.norms._pooled_tail`).
     """
     a = np.abs(x)
     if spec.q == 1:
@@ -413,37 +347,49 @@ def _piece(x: np.ndarray, spec: NormSpec) -> np.ndarray:
     return np.sign(x) * (1.0 + (a > mean))
 
 
-_PIECE_STEPS = 30  # Newton steps of one try on a piece
+_PIECE_STEPS = 30  # Newton steps of one try on a piece, beyond one per entry of its support
 
 
 def _piece_newton(obj: SmoothObjective, gamma: float, spec: NormSpec, x: np.ndarray, piece: np.ndarray) -> np.ndarray | None:
-    """Newton on the smooth piece of ``f + gamma * ksupport`` at x, for 1 < p < inf and k < d.
+    """Active-set Newton on the piece of ``f + gamma * ksupport`` at x, for p > 1 and k < d.
 
-    The piece (:func:`_piece`) fixes S = supp(x), its signs s and the j singletons H of the
-    pooled tail.  On it, with ``z = |x_S|`` and ``L = sum_{S \\ H} z_i``, the norm is
-    ``(sum_H z_i^p + (k - j)^(1-p) L^p)^(1/p)``, whose Hessian is a diagonal on H, a rank-one
-    block on S \\ H and one rank-one term from the outer power.  Each step solves
-    ``(s hess_S f s + gamma H) dz = -(s grad_S f + gamma grad)`` and stops where an entry
-    reaches 0 or the piece would change (an H entry falls to the pooled mean ``L / (k - j)``,
-    a tail entry rises above it), which ends the try; it is taken in full for a
-    least-squares f and backtracks (Armijo) on the piece objective otherwise.  The try also
-    ends after a full step below 1e-10 max z, or after ``_PIECE_STEPS`` steps.  None where
-    the piece does not hold at x, for a singular or non-finite system, or when no step can
-    be taken.  The point is not checked for optimality or descent; the caller does that.
+    The piece (:func:`_piece`) fixes S = supp(x), its signs s and the marked set H, with
+    ``j = |H| < k``; T = S \\ H and ``L = sum_T z_i`` for ``z = |x_S|``.  At 1 < p < inf, H
+    holds the singletons of the pooled tail, the coordinates are z and the norm is
+    ``(sum_H z_i^p + (k - j)^(1-p) L^p)^(1/p)``: a diagonal Hessian on H, a rank-one block on
+    T and one rank-one term from the outer power.  At p = inf, H holds the entries tied at
+    max|x| on a ridge face (``||x||_1 = k max|x|`` to its rounding, checked before any solve),
+    the coordinates are z_T, z_H follows the mean ``L / (k - j)`` and the norm is that mean.
+    Each step solves ``(P^T s hess_S f s P + gamma hess + mu G) dw = -(P^T s grad_S f + gamma
+    grad)``, P mapping the coordinates to z, with ``mu = 1e-13`` times the largest diagonal
+    entry and G the metric of ``(max|x|, z_T)`` at p = inf, I otherwise: the Newton step, or
+    on a singular system the move along its null space that lowers the norm.  The step stops
+    where an entry reaches 0 (it leaves S) or the mean (a tail entry joins H while j < k - 1,
+    an H entry at 1 < p < inf joins the tail), and the try goes on from there.  It is taken
+    in full for a least-squares f, whose Hessian is read once, and otherwise backtracks
+    (Armijo) on the piece objective, unless the Newton decrement is lost in that objective's
+    rounding.  The try ends after such a step or one below 1e-10 max z, taken in full and
+    unblocked, where max|x| falls to 0, or after ``|S| + _PIECE_STEPS`` steps.  None where
+    the piece does not hold at x, for a non-finite system, or when the backtracking finds no
+    step.  The point is not checked for optimality or descent; the caller does that.
     """
-    p, k = spec.p, spec.k
+    p, k, flat = spec.p, spec.k, spec.q == 1
     S = np.flatnonzero(piece)
-    H = np.abs(piece[S]) == 2.0
-    T = ~H
+    z, s, H, y = np.abs(x[S]), np.sign(x[S]), np.abs(piece[S]) == 2.0, x.copy()
     kj = k - int(np.count_nonzero(H))
-    z, s, y = np.abs(x[S]), np.sign(x[S]), x.copy()
     if not (S.size and kj > 0 and np.array_equal(np.sign(piece), np.sign(x))):
         return None
-    if not float(z[H].min(initial=math.inf)) > float(z[T].sum()) / kj >= float(z[T].max(initial=0.0)):
+    top, tail = float(z[H].min(initial=math.inf)), float(z[~H].max(initial=0.0))
+    if flat:
+        M = float(z.max())
+        if abs(float(np.abs(x).sum()) - k * M) > 4e-16 * x.size * k * M or not top == M > tail:
+            return None
+    elif not top > float(z[~H].sum()) / kj >= tail:
         return None
 
-    def norm(z: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    def norm(z: np.ndarray, H: np.ndarray, kj: int) -> tuple[float, np.ndarray, np.ndarray]:
         # the norm on the piece, its gradient and its Hessian, the powers taken at unit scale
+        T = ~H
         c = float(z.max())
         u = z / c
         L = float(u[T].sum())
@@ -457,40 +403,77 @@ def _piece_newton(obj: SmoothObjective, gamma: float, spec: NormSpec, x: np.ndar
 
     def energy(z: np.ndarray) -> float:
         y[S] = s * z
-        return obj.value(y) + gamma * norm(z)[0]
+        return obj.value(y) + gamma * (float(z[~H].sum()) / kj if flat else norm(z, H, kj)[0])
 
-    for _ in range(_PIECE_STEPS):
+    Q = s[:, None] * obj.hess(x, S) * s if obj.quad is not None else None  # read once
+    for _ in range(S.size + _PIECE_STEPS):
+        T = ~H
+        if flat:
+            z[H] = float(z[T].sum()) / kj
         y[S] = s * z
-        _, grad, hess = norm(z)
-        g = s * _gradient(obj, y)[S] + gamma * grad
+        g = s * _gradient(obj, y)[S]
+        K = s[:, None] * obj.hess(y, S) * s if Q is None else Q
+        if flat:  # P^T K P = K_TT + (u 1^T + 1 u^T) / kj + c / kj^2, z_H moving with the mean (the norm)
+            u = K[H].sum(axis=0)
+            c = float(u[H].sum()) / kj**2
+            u = u[T] / kj
+            K = K[np.ix_(T, T)]
+            K += u[:, None]
+            K += u
+            K += c
+            g = g[T] + (float(g[H].sum()) + gamma) / kj
+        else:
+            _, grad, hess = norm(z, H, kj)
+            K, g = K + gamma * hess, g + gamma * grad
+        mu = 1e-13 * float(K.diagonal().max())
+        K.flat[:: K.shape[0] + 1] += mu
+        if flat:
+            K += mu / kj**2
         try:
-            dz = np.linalg.solve(s[:, None] * obj.hess(y, S) * s + gamma * hess, -g)
+            dw = np.linalg.solve(K, -g)
         except np.linalg.LinAlgError:
             return None
+        if not np.isfinite(dw).all():
+            return None
+        dz = dw
+        if flat:
+            dz = np.empty_like(z)
+            dz[T], dz[H] = dw, float(dw.sum()) / kj
         mean, dmean = float(z[T].sum()) / kj, float(dz[T].sum()) / kj
         with np.errstate(divide="ignore", invalid="ignore"):  # ratio test: first entry at 0 or at the mean
             to_zero = np.where(dz < 0.0, -z / dz, math.inf)
             to_mean = np.where(H, np.where(dz < dmean, (z - mean) / (dmean - dz), math.inf),
-                               np.where(dz > dmean, (mean - z) / (dz - dmean), math.inf))
-        block = np.minimum(to_zero, to_mean)
+                               np.where((dz > dmean) & (kj > 1), (mean - z) / (dz - dmean), math.inf))
+        block = np.maximum(np.minimum(to_zero, to_mean), 0.0)
+        if flat:
+            block[H] = math.inf  # the mean itself
         i = int(np.argmin(block))
         t = min(float(block[i]), 1.0)
-        if not (t > 0.0 and np.isfinite(dz).all()):
-            return None
-        small = float(np.abs(dz).max()) <= 1e-10 * float(z.max())
-        if obj.quad is None and not small:
-            f0, slope = energy(z), float(g @ dz)
-            while energy(z + t * dz) > f0 + 1e-4 * t * slope:
+        last = float(np.abs(dz).max()) <= 1e-10 * float(z.max())  # taken in full, it ends the try
+        if Q is None and not last and t > 0.0:
+            f0, slope = energy(z), float(g @ dw)
+            last = -slope <= 1e-14 * abs(f0)  # a decrease lost in the rounding of f0: no backtracking
+            while not last and energy(z + t * dz) > f0 + 1e-4 * t * slope:
                 t *= 0.5
                 if t < 1e-10:
                     return None
         z = z + t * dz
-        if t == block[i]:  # the piece changes here
+        if t == block[i]:  # the active set changes at i
             if to_zero[i] <= to_mean[i]:
-                z[i] = 0.0
+                y[S[i]] = 0.0
+                keep = np.arange(S.size) != i
+                S, z, s, H = S[keep], z[keep], s[keep], H[keep]
+                if Q is not None:
+                    Q = Q[keep][:, keep]
+            else:
+                H[i] = not H[i]
+            kj = k - int(np.count_nonzero(H))
+            if not S.size or flat and H.all():  # max|x| fell to 0
+                break
+        elif last and t == 1.0:
             break
-        if small and t == 1.0:
-            break
+    if flat:
+        z[H] = float(z[~H].sum()) / kj
     y[S] = s * z + 0.0  # no -0.0 where an entry drops out
     return y if np.isfinite(y).all() else None
 
@@ -516,14 +499,12 @@ def solve_penalized(
     takes one step and, on every input tested, finds the level a cold
     search would, bit for bit.
 
-    For a least-squares f (``obj.quad``) at p = inf and k >= 2, and for an f
-    with ``obj.hess`` at 1 < p < inf and 2 <= k < d, the solve also finishes
-    on what it has identified: every 10th iteration it reads the piece of x
-    (:func:`_piece`: the signs, and the entries tied at max|x|, which the
-    prox writes bitwise alike, or the singletons of the pooled tail), and
-    from a piece unchanged since the reading before it runs, once per piece,
-    an active-set descent on the face at p = inf (:func:`_face_descent`) or
-    Newton steps on the smooth piece at 1 < p < inf (:func:`_piece_newton`).
+    For an f with ``obj.hess`` at p > 1 and 2 <= k < d, the solve also
+    finishes on what it has identified: every 10th iteration it reads the
+    piece of x (:func:`_piece`: the signs, and the entries tied at max|x|,
+    which the prox writes bitwise alike, or the singletons of the pooled
+    tail), and from a piece unchanged since the reading before it runs, once
+    per piece, active-set Newton steps on it (:func:`_piece_newton`).
     If the point reached meets ``opts.tol`` the solve returns it with stop
     ``"face"``; if its objective is no higher than x's, FISTA restarts from
     it, momentum dropped; otherwise the iterates go on untouched.  Every
@@ -540,8 +521,7 @@ def solve_penalized(
     g = gz = _gradient(obj, x)
     momentum = 1.0
     level = 0.0  # of the last prox; 0 starts its first search cold
-    curved = obj.hess is not None and 1.0 < spec.p < math.inf and 2 <= spec.k < d
-    finish = curved or (obj.quad is not None and spec.q == 1 and spec.k >= 2)  # least squares at p = inf
+    finish = obj.hess is not None and spec.p > 1.0 and 2 <= spec.k < d
 
     def energy(v: np.ndarray) -> float:
         return obj.value(v) + gamma * _ksupport(v, spec, dual=False)[0]
@@ -554,11 +534,11 @@ def solve_penalized(
         if _fermat_gap(x, g, _top_norm(g, spec), gamma, spec, opts.tol) <= opts.tol:
             break
         if finish and it % _FACE_PERIOD == 0:
-            # a face or piece that held for a period is solved on, once
+            # a piece that held for a period is solved on, once
             last, face = face, _piece(x, spec)
             if np.array_equal(face, last) and face.tobytes() not in tried:
                 tried.add(face.tobytes())
-                y = _piece_newton(obj, gamma, spec, x, face) if curved else _face_descent(obj.quad, gamma, spec.k, x)
+                y = _piece_newton(obj, gamma, spec, x, face)
                 if y is not None:
                     gy = obj.grad(y)
                     top = _top_norm(gy, spec)

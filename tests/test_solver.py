@@ -376,49 +376,28 @@ def _energy(obj, gamma, spec, x):
     return obj.value(x) + gamma * ksupport_value(x, spec)
 
 
-@pytest.mark.parametrize("wrong", ["a higher objective", "no point"])
-def test_a_wrong_face_is_refused(monkeypatch, wrong):
-    # a point that fails the gap test and does not lower the objective leaves the
-    # iterates as plain FISTA, which never reads a face, leaves them
-    from ksupport import solver
-
-    obj, spec = _planted_pinf(100)
-    opts = SolveOptions(tol=1e-6)
-    monkeypatch.setattr(solver, "_FACE_PERIOD", 10**9)
-    plain = solve_penalized(obj, 1.0, spec, opts)
-    monkeypatch.undo()
-    points = []
-
-    def wrong_face(quad, gamma, k, x):
-        y = 2.0 * x if wrong == "a higher objective" else None
-        if y is not None:
-            assert _energy(obj, 1.0, spec, y) > _energy(obj, 1.0, spec, x)
-        points.append(y)
-        return y
-
-    monkeypatch.setattr(solver, "_face_descent", wrong_face)
-    rep = solve_penalized(obj, 1.0, spec, opts)
-    assert len(points) > 5
-    assert plain.stop == rep.stop == "tol" and rep.face_sizes is None
-    assert rep.iterations == plain.iterations and rep.x_star.tobytes() == plain.x_star.tobytes()
-
-
 def _ridge_point(signed, d=12):
-    # T = {0} at M = 1 and six F entries whose magnitudes sum to k - |T| = 4, exactly
+    # H = {0} at M = 1 and six tail entries whose magnitudes sum to k - |H| = 4, exactly
     x = np.zeros(d)
     x[[0, 2, 3, 5, 7, 8, 10]] = signed
     return x
 
 
-def test_face_descent_drops_spare_free_entries():
-    # |F| = m + 2: the descent stays on the face, keeps every sign and lowers the objective
+def _piece_step(A, b, k, x):
+    # one try of the piece finish at p = inf, from the piece read from x
     from ksupport import solver
 
+    spec = NormSpec(INF, k)
+    return solver._piece_newton(quadratic_objective(A, b), 1.0, spec, x, solver._piece(x, spec))
+
+
+def test_face_descent_drops_spare_free_entries():
+    # |T| = m + 2 free entries: the descent stays on the face, keeps every sign and lowers the objective
     rng = np.random.default_rng(0)
     m, k = 4, 5
     A, b = rng.standard_normal((m, 12)), rng.standard_normal(m)
     x = _ridge_point([1.0, -0.875, 0.75, -0.625, 0.5, 0.75, -0.5])
-    y = solver._face_descent((A, b), 1.0, k, x)
+    y = _piece_step(A, b, k, x)
     assert y is not None
     assert np.count_nonzero(y) < np.count_nonzero(x)
     assert np.all((np.sign(y) == np.sign(x)) | (y == 0.0))
@@ -429,14 +408,12 @@ def test_face_descent_drops_spare_free_entries():
 
 
 def test_face_descent_ties_an_entry_blocked_at_the_top():
-    # x_2 sits 2^-20 below -M: a move stops where it reaches -M, and it stays in T from then on
-    from ksupport import solver
-
+    # x_2 sits 2^-20 below -M: a move stops where it reaches -M, and it stays in H from then on
     rng = np.random.default_rng(0)
     m, k = 4, 5
     A, b = rng.standard_normal((m, 12)), rng.standard_normal(m)
     x = _ridge_point([1.0, -(1.0 - 2.0**-20), 0.75, -0.625, 0.5, 0.625 + 2.0**-20, -0.5])
-    y = solver._face_descent((A, b), 1.0, k, x)
+    y = _piece_step(A, b, k, x)
     assert y is not None
     assert y[2] == -np.abs(y).max() == -y[0]
     obj, spec = quadratic_objective(A, b), NormSpec(INF, k)
@@ -444,36 +421,34 @@ def test_face_descent_ties_an_entry_blocked_at_the_top():
 
 
 def test_face_descent_refuses_an_off_ridge_point(monkeypatch):
-    # ||x||_1 = 4.75 < k max|x| = 5: x is off its ridge, so no face system is solved
-    from ksupport import solver
-
+    # ||x||_1 = 4.75 < k max|x| = 5: x is off its ridge, so no piece system is solved
     def no_solve(*args):
-        raise AssertionError("a face system was solved")
+        raise AssertionError("a piece system was solved")
 
     rng = np.random.default_rng(0)
     A, b = rng.standard_normal((4, 12)), rng.standard_normal(4)
     x = _ridge_point([1.0, -0.875, 0.75, -0.625, 0.5, 0.75, -0.25])
     monkeypatch.setattr(np.linalg, "solve", no_solve)
-    assert solver._face_descent((A, b), 1.0, 5, x) is None
+    assert _piece_step(A, b, 5, x) is None
 
 
 def test_face_descent_on_duplicated_columns(monkeypatch):
-    # singular face systems: every p = inf solve is certified, and a point the solve
+    # singular piece systems: every p = inf solve is certified, and a point the solve
     # takes (its "face" stop, or the start of a restart) never raises the objective
     from ksupport import solver
 
     calls, proxed = [], set()
-    descent, prox = solver._face_descent, solver._prox
+    newton, prox = solver._piece_newton, solver._prox
 
-    def spy_descent(quad, gamma, k, x):
-        calls.append((x.copy(), descent(quad, gamma, k, x)))
+    def spy_newton(obj, gamma, spec, x, piece):
+        calls.append((x.copy(), newton(obj, gamma, spec, x, piece)))
         return calls[-1][1]
 
     def spy_prox(v, *args):
         proxed.add(v.tobytes())
         return prox(v, *args)
 
-    monkeypatch.setattr(solver, "_face_descent", spy_descent)
+    monkeypatch.setattr(solver, "_piece_newton", spy_newton)
     monkeypatch.setattr(solver, "_prox", spy_prox)
     rng = np.random.default_rng(2)
     taken = 0
@@ -501,13 +476,30 @@ def test_face_descent_on_duplicated_columns(monkeypatch):
     assert taken >= 5
 
 
-def test_only_pinf_least_squares_tries_a_face(monkeypatch):
-    # the face descent runs only for least squares at p = inf; at p = 2 the piece
-    # finish runs in its place, and only for an objective that carries a Hessian
+def test_piece_newton_on_a_singular_p2_system():
+    # H = {0} and seven pooled tail entries, more than the m = 4 rows of A: s A_S^T A_S (rank 4)
+    # plus the norm's Hessian (rank at most 3) is singular on the 8 entries of S, with a null
+    # direction that lowers the norm; every step keeps the signs and does not raise the objective
     from ksupport import solver
 
-    def refuse(*args):
-        raise AssertionError("a face was tried")
+    rng = np.random.default_rng(1)
+    m, k, spec = 4, 5, NormSpec(2.0, 5)
+    for _ in range(100):
+        A, b = rng.standard_normal((m, 12)), rng.standard_normal(m)
+        obj, x, on = quadratic_objective(A, b), np.zeros(12), rng.choice(12, 8, replace=False)
+        x[on] = rng.choice([-1.0, 1.0], 8) * np.append(1.0, rng.uniform(0.3, 0.5, 7))
+        piece = solver._piece(x, spec)
+        assert np.array_equal(np.abs(piece[on]), [2, 1, 1, 1, 1, 1, 1, 1])
+        y = solver._piece_newton(obj, 1.0, spec, x, piece)
+        assert y is not None and np.isfinite(y).all()
+        assert np.all((np.sign(y) == np.sign(x)) | (y == 0.0))
+        assert _energy(obj, 1.0, spec, y) <= _energy(obj, 1.0, spec, x)
+
+
+def test_only_objectives_with_a_hessian_try_a_piece(monkeypatch):
+    # the piece finish runs for an objective that carries a Hessian, at p > 1 and 2 <= k < d:
+    # least squares at p = 2 and p = inf and logistic loss at p = inf, and for no other
+    from ksupport import solver
 
     newton, pieces = solver._piece_newton, []
 
@@ -515,21 +507,24 @@ def test_only_pinf_least_squares_tries_a_face(monkeypatch):
         pieces.append(args[-1])
         return newton(*args)
 
-    monkeypatch.setattr(solver, "_face_descent", refuse)
     monkeypatch.setattr(solver, "_piece_newton", spy_newton)
     obj, _ = _planted_pinf(60)
     no_hess = SmoothObjective(obj.dim, obj.value, obj.grad, obj.lipschitz, obj.quad)
     rng = np.random.default_rng(9)
     X = rng.standard_normal((40, 15))
     labels = np.sign(X @ (2.0 * rng.standard_normal(15) * (rng.random(15) < 0.3)) + 0.5 * rng.standard_normal(40))
-    cases = [(obj, NormSpec(p, k)) for p, k in ((2.0, 10), (1.0, 10), (INF, 1))]
-    cases += [(logistic_objective(X, labels), NormSpec(INF, 3)), (no_hess, NormSpec(2.0, 10))]
-    for f, spec in cases:
+    logistic = logistic_objective(X, labels)
+    cases = [(obj, NormSpec(p, k), True) for p, k in ((2.0, 10), (INF, 10))]
+    cases += [(obj, NormSpec(1.0, 10), False), (obj, NormSpec(INF, 1), False), (logistic, NormSpec(INF, 3), True)]
+    cases += [(no_hess, NormSpec(2.0, 10), False), (no_hess, NormSpec(INF, 10), False)]
+    for f, spec, tried in cases:
         pieces.clear()
         rep = solve_penalized(f, 1.0, spec, SolveOptions(tol=1e-8, max_iter=3000))
-        assert rep.iterations > 20, spec  # past two readings of the face
-        if f is obj and spec.p == 2.0:
-            assert pieces and rep.stop == "face" and rep.face_sizes is not None
+        assert rep.iterations > 20, spec  # past two readings of the piece
+        if tried:
+            assert pieces, spec
+            if f is obj:
+                assert rep.stop == "face" and rep.face_sizes is not None, spec
         else:
             assert not pieces and rep.face_sizes is None, spec
 
@@ -581,19 +576,52 @@ def test_logistic_finish_ends_inside_the_cap(monkeypatch):
     assert sum(solve_penalized(obj, 1.0, spec, opts).stop == "max_iter" for obj in objs) >= 4
 
 
-@pytest.mark.parametrize("wrong", ["an H entry in the tail", "a flipped sign"])
+def test_pinf_logistic_finishes_on_its_face():
+    # the logistic-d20-pinf shape: a solve whose face is a ridge ends there, certified far
+    # below the tolerance; one whose face is off its ridge goes on to "tol"
+    spec, opts = NormSpec(INF, 3), SolveOptions(tol=1e-6, max_iter=1000)
+    stops = []
+    for seed in range(8):
+        obj = _planted_logistic(seed)
+        rep = solve_penalized(obj, 1.0, spec, opts)
+        ok, _ = certify_optimality(rep.x_star, obj, 1.0, spec, Tolerance(0.0, 1e-10))
+        assert rep.converged, seed
+        if rep.stop == "face":
+            a = np.abs(rep.x_star)
+            assert ok and rep.face_sizes[0] == np.count_nonzero(a == a.max()) < spec.k, seed
+        stops.append(rep.stop)
+    assert stops.count("face") >= 6, stops
+
+
+def test_logistic_finish_takes_a_step_lost_in_rounding():
+    # solve-curved's logistic-d20-p2 draw at seed 0, pass 2: its try reaches a Newton step
+    # whose decrease f cannot resolve, so backtracking cannot accept it; taken in full, it
+    # ends the try and the solve far below the tolerance
+    rng = np.random.default_rng([0, 2, 4])
+    X, w = rng.standard_normal((60, 20)), np.zeros(20)
+    support = rng.choice(20, 3, replace=False)
+    w[support] = 2.0 * rng.standard_normal(3)
+    obj = logistic_objective(X, np.where(X @ w + 0.5 * rng.standard_normal(60) >= 0.0, 1.0, -1.0))
+    spec = NormSpec(2.0, 3)
+    rep = solve_penalized(obj, 1.0, spec, SolveOptions(tol=1e-6, max_iter=150))
+    ok, _ = certify_optimality(rep.x_star, obj, 1.0, spec, Tolerance(0.0, 1e-10))
+    assert rep.stop == "face" and ok, rep.fw_gap
+
+
+@pytest.mark.parametrize("wrong", ["an H entry in the tail", "a flipped sign", "a higher objective"])
 def test_a_wrong_piece_is_refused(monkeypatch, wrong):
-    # a piece that does not hold at x is refused before any solve, so the
-    # iterates are those of plain FISTA, which never reads a piece
+    # a piece that does not hold at x (at p = 2, or a face at p = inf) is refused before
+    # any solve, and a point that fails the gap test and does not lower the objective is
+    # left, so the iterates are those of plain FISTA, which never reads a piece
     from ksupport import solver
 
-    obj, spec, opts = _planted_curved(0), NormSpec(2.0, 10), SolveOptions(tol=1e-6)
-    monkeypatch.setattr(solver, "_FACE_PERIOD", 10**9)
-    plain = solve_penalized(obj, 1.0, spec, opts)
-    monkeypatch.undo()
     newton, tries = solver._piece_newton, []
 
     def wrong_piece(obj, gamma, spec, x, piece):
+        if wrong == "a higher objective":
+            tries.append(2.0 * x)
+            assert _energy(obj, gamma, spec, tries[-1]) > _energy(obj, gamma, spec, x)
+            return tries[-1]
         piece = piece.copy()
         marked = np.flatnonzero(np.abs(piece) == (2.0 if wrong == "an H entry in the tail" else 1.0))
         if not marked.size:  # no entry to move: the piece stands
@@ -603,11 +631,19 @@ def test_a_wrong_piece_is_refused(monkeypatch, wrong):
         tries.append(newton(obj, gamma, spec, x, piece))
         return tries[-1]
 
-    monkeypatch.setattr(solver, "_piece_newton", wrong_piece)
-    rep = solve_penalized(obj, 1.0, spec, opts)
-    assert len(tries) >= 3 and all(y is None for y in tries)
-    assert plain.stop == rep.stop == "tol" and rep.face_sizes is None
-    assert rep.iterations == plain.iterations and rep.x_star.tobytes() == plain.x_star.tobytes()
+    opts = SolveOptions(tol=1e-6)
+    for obj, spec in ((_planted_curved(0), NormSpec(2.0, 10)), _planted_pinf(100)):
+        monkeypatch.setattr(solver, "_FACE_PERIOD", 10**9)
+        plain = solve_penalized(obj, 1.0, spec, opts)
+        monkeypatch.undo()
+        tries.clear()
+        monkeypatch.setattr(solver, "_piece_newton", wrong_piece)
+        rep = solve_penalized(obj, 1.0, spec, opts)
+        monkeypatch.undo()
+        assert len(tries) >= (6 if spec.p == INF else 3), spec
+        assert wrong == "a higher objective" or all(y is None for y in tries), spec
+        assert plain.stop == rep.stop == "tol" and rep.face_sizes is None
+        assert rep.iterations == plain.iterations and rep.x_star.tobytes() == plain.x_star.tobytes()
 
 
 def test_solve_without_a_hessian_is_plain_fista(monkeypatch):
@@ -648,7 +684,8 @@ def test_pinf_solves_are_bitwise_without_the_level_warm_start(monkeypatch):
     X = rng.standard_normal((40, 15))  # logistic: the step backtracks
     w = 2.0 * rng.standard_normal(15) * (rng.random(15) < 0.3)
     labels = np.sign(X @ w + 0.5 * rng.standard_normal(40))
-    cases.append((logistic_objective(X, labels), NormSpec(INF, 3)))
+    logistic = logistic_objective(X, labels)  # without its Hessian: no piece finish cuts the solve short
+    cases.append((SmoothObjective(logistic.dim, logistic.value, logistic.grad, logistic.lipschitz), NormSpec(INF, 3)))
 
     def solve_all():
         reps = [solve_penalized(obj, 1.0, spec, SolveOptions(tol=1e-8, max_iter=3000)) for obj, spec in cases]

@@ -27,10 +27,10 @@ if n == FAIL_AT:
     sys.exit(3)
 args = sys.argv[1:]
 workload, seed = args[args.index("--workload") + 1], args[args.index("--seed") + 1]
-metrics = {"setup_s": 0.1, "wall_ref": WALL + n, "peak_rss_mb": 50.0, "error_frac": ERROR * n}
+metrics = {"setup_s": 0.5, "wall_ref": WALL + n, "peak_rss_mb": 50.0, "error_frac": ERROR * n}
 (here / "out").mkdir(exist_ok=True)
-(here / "out" / f"result-{workload}-seed{seed}-trace0.json").write_text(
-    json.dumps({"correct": True, "attempted": 4, "failed": FAILED, "metrics": metrics}))
+(here / "out" / f"result-{workload}-seed{seed}-trace0.json").write_text(json.dumps(
+    {"correct": True, "attempted": 4, "failed": FAILED, "metrics": metrics, "extra": {"import_s": 0.0625 * n}}))
 print("# table")
 print(json.dumps({"correct": True, "attempted": 4, "failed": FAILED,
                   "metrics": {k: {"value": v, "unit": "-"} for k, v in metrics.items()}}))
@@ -39,7 +39,7 @@ print(json.dumps({"correct": True, "attempted": 4, "failed": FAILED,
 
 def _checkout(root: Path, wall: float, fail_at: int, failed: int = 0, error: float = 0.0) -> Path:
     # each run of the stub attempts 4 operations, fails `failed` of them and reads
-    # error_frac `error` times its call count
+    # error_frac `error` and import_s 0.0625 times its call count, of a setup_s of 0.5
     (root / "perfbench").mkdir(parents=True)
     metrics = [{"name": name, "unit": "-", "better": "lower", "bound": 0.25}
                for name in ("setup_s", "wall_ref", "peak_rss_mb")]
@@ -90,6 +90,9 @@ def test_ab_pairs_reports_each_sides_failed_share_and_error_frac(tmp_path, capsy
     # crashed, so 2 runs, 1 of 4 operations failed in each, error_frac 0.125 and 0.375
     assert "base: failed operations 0/12 (share 0), error_frac p50 0.5" in out
     assert "change: failed operations 2/8 (share 0.25), error_frac p50 0.25" in out
+    # import_s reads 0.0625 times the call count, of a setup_s of 0.5: base 1, 2, 3, change 1, 3
+    assert "base: import_s p50 0.125, setup_s - import_s p50 0.375" in out
+    assert "change: import_s p50 0.125, setup_s - import_s p50 0.375" in out
 
 
 THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -109,8 +112,8 @@ class SolveWorkload:
         self.name = name
 
     def inputs(self, seed, pass_index):
-        rep = SimpleNamespace(identified_supports=None, iterations=10 + pass_index, fw_gap=0.0, objective=1.0,
-                              stop="face" if pass_index else "tol", x_star=np.zeros(2))
+        rep = SimpleNamespace(identified_supports=None, iterations=10 + pass_index, fw_gap=1e-15 * pass_index,
+                              objective=1.0, stop="face" if pass_index else "tol", x_star=np.zeros(2))
         return [SimpleNamespace(label=ksupport.__file__, run=lambda: (rep, None))]
 '''
 
@@ -130,9 +133,10 @@ def test_solve_digest_solves_with_the_ksupport_beside_it(tmp_path):
                          capture_output=True, text=True, check=True)
     (label,) = {line.split()[3] for line in run.stdout.splitlines() if " seed=" in line}
     assert label == str(root / "src" / "ksupport" / "__init__.py")
-    # per case, over 2 seeds x 6 passes: iterations 2 * (10 + ... + 15) and the stop reasons
+    # per case, over 2 seeds x 6 passes: iterations 2 * (10 + ... + 15), the stop reasons
+    # and the largest gap of a "face" stop, that of pass 5
     for name in ("solve-curved", "solve-polytope"):
-        assert f"{name} {label}: iterations=150 face=10 tol=2" in run.stderr
+        assert f"{name} {label}: iterations=150 face=10 tol=2 max_face_gap=5.00e-15\n" in run.stderr
     # BLAS on one thread unless the environment says otherwise, set before numpy loads
     assert run.stderr.splitlines()[0] == "threads 1 2 1"
 

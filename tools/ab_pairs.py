@@ -12,8 +12,10 @@ metric of the base checkout's ``BENCHMARK.json`` it then prints both
 medians, each side's interquartile distance, and the pairs in which the
 change did better.
 Per side it also prints the failed share of the operations (failed over
-attempted, summed over its runs) and the median ``error_frac``.  One line per
-pair goes to stderr as the runs finish.
+attempted, summed over its runs) and the median ``error_frac``, then the
+median ``extra.import_s`` and the median of ``setup_s - import_s``: a
+``setup_s`` excursion shows there as import noise or as warm-up work.  One
+line per pair goes to stderr as the runs finish.
 
 A run fails when it exits nonzero, when the last line of its standard output
 is not the ``{correct, attempted, failed, metrics}`` object, when that object
@@ -126,6 +128,10 @@ def main(argv: list[str]) -> int:
         share = f"{failed / attempted:.4g}" if attempted else "-"
         error = f"{statistics.median(errors):.4g}" if errors else "-"
         print(f"{side}: failed operations {failed}/{attempted} (share {share}), error_frac p50 {error}")
+        split = [(r["extra"]["import_s"], r["metrics"]["setup_s"]) for r in rs if "import_s" in r.get("extra", {})]
+        if split:
+            print(f"{side}: import_s p50 {statistics.median(i for i, _ in split):.4g}, "
+                  f"setup_s - import_s p50 {statistics.median(s - i for i, s in split):.4g}")
     for line in failures:
         print(f"failed run: {line}")
     return 1 if failures else 0

@@ -10,8 +10,9 @@ Two source trees that print the same ``sha256`` solve every instance bit for
 bit alike; two that print the same ``steps-sha256`` take the same iterations,
 stop for the same reasons and identify the same lattices, as a change that
 moves only the rounding does.  The wall time of each workload pass goes to
-stderr, and last, per case, its total iterations and the count of each stop
-reason over its solves, so stdout can be compared with ``diff``.  The
+stderr, and last, per case, its total iterations, the count of each stop
+reason over its solves and the largest ``fw_gap`` of its ``"face"`` stops,
+so stdout can be compared with ``diff``.  The
 ``ksupport`` it solves with is the one in the ``src`` beside this script.
 BLAS runs on one thread unless the environment sets the thread counts: the
 rounding of the matrix products, and so ``sha256``, depends on them.
@@ -43,6 +44,7 @@ def main() -> None:
     digest, steps = hashlib.sha256(), hashlib.sha256()
     iterations: Counter = Counter()
     stops: defaultdict = defaultdict(Counter)
+    face_gaps: dict = {}
     for name in ("solve-curved", "solve-polytope"):
         wl = workloads.SolveWorkload(name)
         for seed in SEEDS:
@@ -61,10 +63,14 @@ def main() -> None:
                     digest.update(rep.x_star.tobytes())
                     iterations[name, op.label] += rep.iterations
                     stops[name, op.label][rep.stop] += 1
+                    if rep.stop == "face":
+                        key = name, op.label
+                        face_gaps[key] = max(rep.fw_gap, face_gaps.get(key, 0.0))
                 print(f"{name} seed={seed} pass={pass_index}: {time.perf_counter() - t0:.2f} s", file=sys.stderr)
     for (name, label), counts in stops.items():
         reasons = " ".join(f"{stop}={n}" for stop, n in sorted(counts.items()))
-        print(f"{name} {label}: iterations={iterations[name, label]} {reasons}", file=sys.stderr)
+        gap = f" max_face_gap={face_gaps[name, label]:.2e}" if (name, label) in face_gaps else ""
+        print(f"{name} {label}: iterations={iterations[name, label]} {reasons}{gap}", file=sys.stderr)
     print(f"steps-sha256 {steps.hexdigest()}")
     print(f"sha256 {digest.hexdigest()}")
 
