@@ -646,6 +646,30 @@ def test_a_wrong_piece_is_refused(monkeypatch, wrong):
         assert rep.iterations == plain.iterations and rep.x_star.tobytes() == plain.x_star.tobytes()
 
 
+@pytest.mark.parametrize("wrong", ["no point"])
+def test_a_wrong_face_is_refused(monkeypatch, wrong):
+    # a p = inf face whose solve returns no point leaves the iterates as plain FISTA,
+    # which never reads a face, leaves them
+    from ksupport import solver
+
+    obj, spec = _planted_pinf(100)
+    opts = SolveOptions(tol=1e-6)
+    monkeypatch.setattr(solver, "_FACE_PERIOD", 10**9)
+    plain = solve_penalized(obj, 1.0, spec, opts)
+    monkeypatch.undo()
+    faces = []
+
+    def wrong_face(obj, gamma, spec, x, piece):
+        faces.append(piece)
+        return None
+
+    monkeypatch.setattr(solver, "_piece_newton", wrong_face)
+    rep = solve_penalized(obj, 1.0, spec, opts)
+    assert len(faces) > 5
+    assert plain.stop == rep.stop == "tol" and rep.face_sizes is None
+    assert rep.iterations == plain.iterations and rep.x_star.tobytes() == plain.x_star.tobytes()
+
+
 def test_solve_without_a_hessian_is_plain_fista(monkeypatch):
     # an objective without hess never reads a piece: its iterates are those of
     # the same objective with its Hessian and the piece never read
